@@ -40,6 +40,11 @@ class RunConfig:
             raise ValueError("initial_channel out of range for the model dimension")
         if self.model.dim != self.chip.dim:
             raise ValueError("model dimension and chip dimension disagree")
+        span = (self.n_steps - 1) * self.chip.loop_delay_ps + 6.0 * self.counting.jitter_ps
+        period = 1e6 / self.chip.rep_rate_mhz
+        if span >= period:
+            raise ValueError(f"last step plus 6 sigma of jitter ends at {span} ps, "
+                             f"not before the next pump pulse at {period} ps")
 
 
 _SECTIONS = {

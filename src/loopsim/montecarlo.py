@@ -10,7 +10,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .loopchip import StageRecord
 
@@ -55,7 +55,7 @@ class ArrivalHistogram:
 
 @dataclass
 class ProbabilityEstimates:
-    """Recovered per-step distributions with binomial standard errors.
+    """Recovered per-step distributions with their standard errors.
 
     low_statistics flags steps whose gated raw counts fall below 100.
     """
@@ -80,66 +80,55 @@ def _check_record(record: StageRecord):
         raise ValueError(f"total detection probability {total} exceeds 1")
 
 
-def sample_run(record: StageRecord, cfg: CountingConfig, loop_delay_ps: float) -> list:
-    """Sample arrival-time histograms for one experimental run.
+def _bin_means(record: StageRecord, cfg: CountingConfig, loop_delay_ps: float):
+    """Histogram edges and the expected signal-plus-background count per bin.
 
-    Signal counts per (step, channel) are Poisson with mean
-    pair_rate_hz * duration_s * probability, centered at the step's delay
-    with Gaussian jitter; background is uniform over the histogram span.
-    Channel c draws from SeedSequence(cfg.seed, spawn_key=(c,)).
+    Returns (edges, means) with means of shape (dim, bins). Each step's jitter
+    mass is computed once and shared by all channels; jitter tails beyond the
+    edges are not counted, and background is uniform over the span.
     """
     if loop_delay_ps <= 0:
         raise ValueError("loop_delay_ps must be positive")
     _check_record(record)
     n_steps, dim = record.probabilities.shape
     edges = _histogram_edges(n_steps, cfg, loop_delay_ps)
-    span = (edges[0], edges[-1])
+    centers = np.arange(n_steps) * loop_delay_ps
+    if cfg.jitter_ps > 0:
+        mass = np.diff(ndtr((edges - centers[:, None]) / cfg.jitter_ps), axis=1)
+    else:  # the edges pad every center by at least one bin
+        mass = np.zeros((n_steps, edges.size - 1))
+        mass[np.arange(n_steps), np.searchsorted(edges, centers, side="right") - 1] = 1.0
     expected_pairs = cfg.pair_rate_hz * cfg.duration_s
-    expected_bg = cfg.background_rate_hz * cfg.duration_s
+    bg_per_bin = (cfg.background_rate_hz * cfg.duration_s) * cfg.bin_ps / (edges[-1] - edges[0])
+    means = np.full((dim, edges.size - 1), bg_per_bin)
+    for n in range(n_steps):
+        means = means + (expected_pairs * record.probabilities[n])[:, None] * mass[n]
+    return edges, means
+
+
+def sample_run(record: StageRecord, cfg: CountingConfig, loop_delay_ps: float) -> list:
+    """Sample arrival-time histograms for one experimental run.
+
+    Signal per (step, channel) is a Poisson process with mean
+    pair_rate_hz * duration_s * probability, centered at the step's delay
+    with Gaussian jitter; background is uniform over the histogram span.
+    Binned, each bin is an independent Poisson count whose mean is the
+    expected_histograms value, so each bin is drawn as one Poisson variate:
+    cost is O(channels x bins) and does not depend on the photon count.
+    Channel c draws from SeedSequence(cfg.seed, spawn_key=(c,)).
+    """
+    edges, means = _bin_means(record, cfg, loop_delay_ps)
     out = []
-    for channel in range(dim):
+    for channel, mean in enumerate(means):
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(channel,)))
-        times = []
-        for n in range(n_steps):
-            count = rng.poisson(expected_pairs * record.probabilities[n, channel])
-            if count:
-                center = n * loop_delay_ps
-                times.append(rng.normal(center, cfg.jitter_ps, size=count)
-                             if cfg.jitter_ps > 0 else np.full(count, center))
-        bg_count = rng.poisson(expected_bg)
-        if bg_count:
-            times.append(rng.uniform(span[0], span[1], size=bg_count))
-        all_times = np.concatenate(times) if times else np.empty(0)
-        counts, _ = np.histogram(all_times, bins=edges)
-        out.append(ArrivalHistogram(channel, edges.copy(), counts))
+        out.append(ArrivalHistogram(channel, edges.copy(), rng.poisson(mean)))
     return out
 
 
 def expected_histograms(record: StageRecord, cfg: CountingConfig, loop_delay_ps: float) -> list:
     """Infinite-statistics limit of sample_run: expected counts per bin."""
-    if loop_delay_ps <= 0:
-        raise ValueError("loop_delay_ps must be positive")
-    _check_record(record)
-    n_steps, dim = record.probabilities.shape
-    edges = _histogram_edges(n_steps, cfg, loop_delay_ps)
-    expected_pairs = cfg.pair_rate_hz * cfg.duration_s
-    bg_per_bin = (cfg.background_rate_hz * cfg.duration_s) * cfg.bin_ps / (edges[-1] - edges[0])
-    out = []
-    for channel in range(dim):
-        counts = np.full(edges.size - 1, bg_per_bin)
-        for n in range(n_steps):
-            mean = expected_pairs * record.probabilities[n, channel]
-            center = n * loop_delay_ps
-            if cfg.jitter_ps > 0:
-                mass = np.diff(norm.cdf(edges, loc=center, scale=cfg.jitter_ps))
-            else:
-                mass = np.zeros(edges.size - 1)
-                idx = np.searchsorted(edges, center, side="right") - 1
-                if 0 <= idx < mass.size:
-                    mass[idx] = 1.0
-            counts = counts + mean * mass
-        out.append(ArrivalHistogram(channel, edges.copy(), counts))
-    return out
+    edges, means = _bin_means(record, cfg, loop_delay_ps)
+    return [ArrivalHistogram(channel, edges.copy(), mean) for channel, mean in enumerate(means)]
 
 
 def default_windows(n_steps: int, cfg: CountingConfig, loop_delay_ps: float) -> list:
@@ -156,8 +145,11 @@ def estimate_probabilities(histograms: list, windows: list, cfg: CountingConfig)
 
     Counts inside each step's gate are summed per channel, the expected
     uniform background inside the gate is subtracted (clipped at zero), and
-    each step is renormalized. Standard errors are binomial,
-    sqrt(p (1 - p) / N), with N the step's background-subtracted total.
+    each step is renormalized. Standard errors add the Poisson variance of
+    the subtracted background to the binomial term (delta method):
+    sqrt(p (1 - p) / S + b ((1 - p)^2 + (D - 1) p^2) / S^2), with S the step's
+    background-subtracted total, b the expected background per channel in
+    the gate and D the channel count. With no background this is binomial.
     """
     if not histograms:
         raise ValueError("need at least one histogram")
@@ -195,7 +187,8 @@ def estimate_probabilities(histograms: list, windows: list, cfg: CountingConfig)
             continue
         p = signal / total
         p_hat[n] = p
-        stderr[n] = np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / total)
+        stderr[n] = np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / total
+                            + bg_in_gate * ((1.0 - p) ** 2 + (dim - 1) * p ** 2) / total ** 2)
     return ProbabilityEstimates(p_hat, stderr, tuple(flags))
 
 

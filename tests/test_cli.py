@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import loopsim
 from loopsim.cli import config_from_dict, config_to_dict, main
 from loopsim.mesh import plan_from_json
 
@@ -189,6 +194,23 @@ class TestConfig:
         assert rc == 0
         assert read_probs(out / "theory.csv").shape == (2, 6)
 
+    @pytest.mark.parametrize("n_steps", ["4", "5"])
+    def test_steps_before_next_pump_pulse_accepted(self, tmp_path, n_steps):
+        # 400 ps delay, 50 ps jitter, 2000 ps pump period: step 5 ends at 1900 ps
+        rc = main(["--out", str(tmp_path), "simulate", "--n-steps", n_steps])
+        assert rc == 0
+
+    def test_step_on_next_pump_pulse_exits_two(self, tmp_path, capsys):
+        rc = main(["--out", str(tmp_path), "counts", "--n-steps", "6"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "2300.0 ps" in err and "2000.0 ps" in err
+
+    def test_pump_period_follows_rep_rate(self, tmp_path):
+        with pytest.raises(ValueError, match="pump pulse"):
+            config_from_dict({"chip": {"rep_rate_mhz": 1000.0}, "n_steps": 3})
+        config_from_dict({"chip": {"rep_rate_mhz": 250.0}, "n_steps": 9})
+
     def test_mismatched_dims_exit_two(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"model": {"epsilon": 1.0, "omega_hbar": 1.0,
@@ -196,3 +218,13 @@ class TestConfig:
         rc = main(["--config", str(cfgfile), "--out", str(tmp_path), "simulate"])
         assert rc == 2
         assert "dimension" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = str(Path(loopsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    code = "import sys, loopsim.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -1,13 +1,18 @@
 import io
+import time
+from dataclasses import replace
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from loopsim.loopchip import ChipConfig, conditional_probabilities, run_loop
 from loopsim.model import SpinBosonParams, build_hamiltonian, step_unitary
 from loopsim.montecarlo import (
     ArrivalHistogram,
     CountingConfig,
+    _histogram_edges,
     default_windows,
     estimate_probabilities,
     estimates_to_csv,
@@ -22,6 +27,62 @@ DELAY = 400.0
 
 def identity_record(n_steps=3):
     return run_loop(ChipConfig(lossless=True), np.eye(6), 0, n_steps)
+
+
+def model_record(n_steps=3, channel=0, lossless=True, params=(1.0, 1.0, 1.0)):
+    p = SpinBosonParams(*params)
+    mesh = step_unitary(build_hamiltonian(p), p.dt)
+    return run_loop(ChipConfig(lossless=lossless), mesh, channel, n_steps)
+
+
+def per_photon_sample_run(record, cfg, loop_delay_ps):
+    """Reference sampler: one Poisson count per (step, channel), then one
+    arrival time per photon, binned. Cost grows with the photon count."""
+    n_steps, dim = record.probabilities.shape
+    edges = _histogram_edges(n_steps, cfg, loop_delay_ps)
+    expected_pairs = cfg.pair_rate_hz * cfg.duration_s
+    expected_bg = cfg.background_rate_hz * cfg.duration_s
+    out = []
+    for channel in range(dim):
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(channel,)))
+        times = []
+        for n in range(n_steps):
+            count = rng.poisson(expected_pairs * record.probabilities[n, channel])
+            if count:
+                center = n * loop_delay_ps
+                times.append(rng.normal(center, cfg.jitter_ps, size=count)
+                             if cfg.jitter_ps > 0 else np.full(count, center))
+        bg_count = rng.poisson(expected_bg)
+        if bg_count:
+            times.append(rng.uniform(edges[0], edges[-1], size=bg_count))
+        all_times = np.concatenate(times) if times else np.empty(0)
+        counts, _ = np.histogram(all_times, bins=edges)
+        out.append(ArrivalHistogram(channel, edges.copy(), counts))
+    return out
+
+
+def per_channel_expected(record, cfg, loop_delay_ps):
+    """Reference expectation: jitter mass per (channel, step) via norm.cdf."""
+    n_steps, dim = record.probabilities.shape
+    edges = _histogram_edges(n_steps, cfg, loop_delay_ps)
+    expected_pairs = cfg.pair_rate_hz * cfg.duration_s
+    bg_per_bin = (cfg.background_rate_hz * cfg.duration_s) * cfg.bin_ps / (edges[-1] - edges[0])
+    out = []
+    for channel in range(dim):
+        counts = np.full(edges.size - 1, bg_per_bin)
+        for n in range(n_steps):
+            mean = expected_pairs * record.probabilities[n, channel]
+            center = n * loop_delay_ps
+            if cfg.jitter_ps > 0:
+                mass = np.diff(norm.cdf(edges, loc=center, scale=cfg.jitter_ps))
+            else:
+                mass = np.zeros(edges.size - 1)
+                idx = np.searchsorted(edges, center, side="right") - 1
+                if 0 <= idx < mass.size:
+                    mass[idx] = 1.0
+            counts = counts + mean * mass
+        out.append(ArrivalHistogram(channel, edges.copy(), counts))
+    return out
 
 
 class TestSampling:
@@ -105,6 +166,65 @@ class TestSampling:
             CountingConfig(duration_s=-1.0)
 
 
+class TestSamplerOracles:
+    def test_expected_histograms_match_per_channel_loop_exactly(self):
+        records = [identity_record(3), model_record(1), model_record(3, channel=4),
+                   model_record(5, lossless=False, params=(0.5, 1.2, 0.8))]
+        configs = [CountingConfig(),
+                   CountingConfig(pair_rate_hz=1e5, jitter_ps=0.0, background_rate_hz=0.0),
+                   CountingConfig(pair_rate_hz=3e3, jitter_ps=13.7, bin_ps=7.0,
+                                  background_rate_hz=200.0)]
+        for record in records:
+            for cfg in configs:
+                got = expected_histograms(record, cfg, DELAY)
+                want = per_channel_expected(record, cfg, DELAY)
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert g.channel == w.channel
+                    assert np.array_equal(g.bin_edges_ps, w.bin_edges_ps)
+                    assert np.array_equal(g.counts, w.counts)
+
+    @pytest.mark.parametrize("jitter_ps", [50.0, 0.0])
+    def test_pooled_samplers_agree_with_expectation(self, jitter_ps):
+        # Both samplers, pooled over many seeds, must match the expected
+        # histogram bin by bin within Poisson error.
+        record = model_record(3)
+        n_seeds = 200
+        base = CountingConfig(pair_rate_hz=2e3, duration_s=1.0, jitter_ps=jitter_ps,
+                              background_rate_hz=200.0)
+        expected = np.array([h.counts for h in expected_histograms(record, base, DELAY)])
+        target = n_seeds * expected
+        for sampler in (sample_run, per_photon_sample_run):
+            pooled = np.zeros_like(expected)
+            for seed in range(n_seeds):
+                hists = sampler(record, replace(base, seed=seed), DELAY)
+                pooled += np.array([h.counts for h in hists])
+            assert np.all(np.abs(pooled - target) <= 5.0 * np.sqrt(target)), sampler.__name__
+            chi2 = float(np.sum((pooled - target) ** 2 / target))
+            dof = target.size
+            assert abs(chi2 - dof) <= 5.0 * np.sqrt(2.0 * dof), sampler.__name__
+
+    def test_cost_independent_of_photon_count(self):
+        # 1e15 pairs: a per-photon sampler could not even allocate the times.
+        record = model_record(3)
+        cfg = CountingConfig(pair_rate_hz=1e14, duration_s=10.0, background_rate_hz=1e6)
+        sample_run(record, cfg, DELAY)  # warm up imports and caches
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            hists = sample_run(record, cfg, DELAY)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 1e6
+        expected = expected_histograms(record, cfg, DELAY)
+        for h, e in zip(hists, expected):
+            assert np.all(np.abs(h.counts - e.counts) <= 6.0 * np.sqrt(e.counts) + 1.0)
+        assert sum(float(h.counts.sum()) for h in hists) > 1e14
+
+
 class TestEstimation:
     def test_recovers_conditionals_from_large_sample(self):
         # oracle: estimates must approach the known conditional distributions
@@ -153,6 +273,49 @@ class TestEstimation:
         e2 = estimate_probabilities(sample_run(record, longer, DELAY),
                                     default_windows(1, longer, DELAY), longer)
         assert e2.stderr[0, 0] < e1.stderr[0, 0] / 5.0
+
+    def test_zero_background_stderr_is_binomial_bit_for_bit(self):
+        record = model_record(3)
+        cfg = CountingConfig(pair_rate_hz=1e4, duration_s=10.0,
+                             background_rate_hz=0.0, seed=13)
+        hists = sample_run(record, cfg, DELAY)
+        windows = default_windows(3, cfg, DELAY)
+        est = estimate_probabilities(hists, windows, cfg)
+        edges = hists[0].bin_edges_ps
+        for n, (lo, hi) in enumerate(windows):
+            sel = (edges[:-1] >= lo) & (edges[1:] <= hi)
+            signal = np.array([float(h.counts[sel].sum()) for h in hists])
+            total = signal.sum()
+            p = signal / total
+            binomial = np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / total)
+            assert np.array_equal(est.stderr[n], binomial)
+
+    def test_stderr_covers_background_noise(self):
+        # Lossy chip, default 10 Hz background: step 3 sits barely above the
+        # background, where a binomial-only stderr undercovers.
+        record = model_record(3, lossless=False)
+        truth = conditional_probabilities(record)
+        off = off_binomial = 0
+        for seed in range(6):
+            cfg = CountingConfig(seed=seed)
+            windows = default_windows(3, cfg, DELAY)
+            hists = sample_run(record, cfg, DELAY)
+            est = estimate_probabilities(hists, windows, cfg)
+            edges = hists[0].bin_edges_ps
+            span = edges[-1] - edges[0]
+            for n, (lo, hi) in enumerate(windows):
+                sel = (edges[:-1] >= lo) & (edges[1:] <= hi)
+                bg = cfg.background_rate_hz * cfg.duration_s * float(np.sum(np.diff(edges)[sel])) / span
+                raw = np.array([float(h.counts[sel].sum()) for h in hists])
+                total = np.maximum(raw - bg, 0.0).sum()
+                p = est.p_hat[n]
+                binomial = np.sqrt(p * (1.0 - p) / total)
+                assert np.all(est.stderr[n] >= binomial)
+                gap = np.abs(p - truth[n])
+                off += int(np.sum(gap > 5.0 * est.stderr[n]))
+                off_binomial += int(np.sum(gap > 5.0 * binomial))
+        assert off_binomial > 0
+        assert off == 0
 
     def test_low_statistics_flag_threshold(self):
         record = identity_record(1)
