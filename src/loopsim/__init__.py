@@ -11,7 +11,6 @@ from .calibrate import (
     error_metric,
     finite_diff_gradient,
     flatten_step_matrices,
-    forward_all_inputs,
     kl_loss,
     load_param_table,
     theory_step_matrices,
@@ -21,10 +20,8 @@ from .calibrate import (
 from .loopchip import (
     ChipConfig,
     DegenerateStepError,
-    PowerMatrix,
     StageRecord,
     conditional_probabilities,
-    power_matrix,
     run_loop,
     step_power_matrices,
 )
@@ -59,6 +56,7 @@ from .model import (
     build_hamiltonian,
     channel_index,
     evolve_exact,
+    propagate,
     step_unitary,
     truncated_ladder,
 )

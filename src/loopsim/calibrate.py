@@ -15,8 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .loopchip import ChipConfig, step_power_matrices
-from .mesh import MeshNoise, MeshPlan, MZICell, clements_decompose, forward_arrays, noise_offsets
-from .model import SpinBosonParams, build_hamiltonian, step_unitary
+from .mesh import (MeshNoise, MeshPlan, MZICell, clements_decompose, forward_arrays, mesh_forward,
+                   noise_offsets)
+from .model import SpinBosonParams, build_hamiltonian, propagate, step_unitary
 
 
 @dataclass(frozen=True)
@@ -116,36 +117,15 @@ def kl_loss(t: np.ndarray, e: np.ndarray, clamp_eps: float = 1e-12) -> float:
 def theory_step_matrices(unitary: np.ndarray, n_steps: int) -> np.ndarray:
     """Ideal conditional power matrices: entry [n, k, l] = |(U^(n+1))[l, k]|^2."""
     u = np.asarray(unitary, dtype=complex)
-    dim = u.shape[0]
-    out = np.empty((n_steps, dim, dim))
-    acc = np.eye(dim, dtype=complex)
-    for n in range(n_steps):
-        acc = u @ acc
-        out[n] = (np.abs(acc) ** 2).T
-    return out
+    power = np.abs(propagate(u, np.eye(u.shape[0], dtype=complex), n_steps)) ** 2
+    # A transposed view would change the summation order in error_metric.
+    return np.ascontiguousarray(power.transpose(0, 2, 1))
 
 
 def flatten_step_matrices(mats: np.ndarray) -> np.ndarray:
     """Flatten (n_steps, dim, dim) matrices input-major, then step, then channel."""
     mats = np.asarray(mats)
     return np.ascontiguousarray(np.transpose(mats, (1, 0, 2))).ravel()
-
-
-def forward_all_inputs(plan: MeshPlan, noise, config: ChipConfig, n_steps: int) -> np.ndarray:
-    """Chip conditional distributions for every input channel, flattened.
-
-    Concatenates conditional_probabilities over input channels (input-major,
-    then step, then output channel) into one vector of length
-    dim^2 * n_steps, suitable as the training estimate.
-    """
-    mats = step_power_matrices(config, _realized(plan, noise), n_steps, "row")
-    return flatten_step_matrices(mats)
-
-
-def _realized(plan: MeshPlan, noise) -> np.ndarray:
-    from .mesh import mesh_forward
-
-    return mesh_forward(plan, noise)
 
 
 def _plan_with_phases(plan: MeshPlan, thetas, phis) -> MeshPlan:
@@ -168,25 +148,22 @@ def finite_diff_gradient(fn, x: np.ndarray, eps: float) -> np.ndarray:
     return g
 
 
-def train(plan: MeshPlan, noise, target: np.ndarray, tc: TrainingConfig,
-          config: ChipConfig | None = None) -> TrainResult:
+def train(plan: MeshPlan, noise, target: np.ndarray, tc: TrainingConfig) -> TrainResult:
     """Adjust commanded cell phases to pull the noisy chip toward the target.
 
     The target is a flattened all-inputs distribution vector (see
-    forward_all_inputs); its length fixes the step count. Noise offsets are
-    frozen for the whole run. The best parameters seen are returned, so the
-    final loss never exceeds the initial one; convergence means reaching
-    tc.tol. An already-converged start returns immediately with a
-    one-entry trace.
+    flatten_step_matrices); its length fixes the step count. The chip is
+    modeled lossless, since row normalization cancels uniform loss and the
+    splitter ratios. Noise offsets are frozen for the whole run. The best
+    parameters seen are returned, so the final loss never exceeds the
+    initial one; convergence means reaching tc.tol. An already-converged
+    start returns immediately with a one-entry trace.
     """
     dim = plan.dim
     n_steps, rem = divmod(target.size, dim * dim)
     if rem != 0 or n_steps < 1:
         raise ValueError("target length must be a positive multiple of dim^2")
-    if config is None:
-        config = ChipConfig(dim=dim, lossless=True)
-    if config.dim != dim:
-        raise ValueError("config.dim must match plan.dim")
+    config = ChipConfig(dim=dim, lossless=True)
 
     n_cells = len(plan.cells)
     los = np.fromiter((c.lo for c in plan.cells), dtype=int, count=n_cells)
@@ -195,7 +172,7 @@ def train(plan: MeshPlan, noise, target: np.ndarray, tc: TrainingConfig,
 
     def loss_of(x):
         mesh_mat = forward_arrays(dim, los, x[:n_cells], x[n_cells:], out_phases, offsets)
-        mats = step_power_matrices(config, mesh_mat, n_steps, "row")
+        mats = step_power_matrices(config, mesh_mat, n_steps)
         return kl_loss(target, flatten_step_matrices(mats), tc.clamp_eps)
 
     x = np.concatenate([
@@ -258,25 +235,24 @@ def error_metric(t_mats: np.ndarray, e_mats: np.ndarray, n: int) -> float:
 
 
 def compare_methods(table: ParamTable, noise: MeshNoise, tc: TrainingConfig,
-                    n_steps: int = 3, seeds: int = 1,
-                    config: ChipConfig | None = None) -> MethodComparison:
+                    n_steps: int = 3, seeds: int = 1, n_boson: int = 3) -> MethodComparison:
     """Decomposition-only vs trained errors over the benchmark table.
 
     For each parameter row the ideal step propagator is compiled to a plan;
     'decomposition' evaluates that plan under noise as-is, 'trained' first
     optimizes the phases against the ideal target. seeds counts independent
     noise realizations per row; realization k of row r uses a seed derived
-    from (noise.seed, r, k), so results are reproducible.
+    from (noise.seed, r, k), so results are reproducible. n_boson sets the
+    model truncation and with it the chip's 2 * n_boson modes.
     """
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
-    if config is None:
-        config = ChipConfig(lossless=True)
+    config = ChipConfig(dim=2 * n_boson, lossless=True)
     dec_reports = []
     tr_reports = []
     flagged = []
     for row_id, (eps, omega, lam) in enumerate(table.rows, start=1):
-        params = SpinBosonParams(eps, omega, lam, n_boson=config.dim // 2)
+        params = SpinBosonParams(eps, omega, lam, n_boson=n_boson)
         u = step_unitary(build_hamiltonian(params), params.dt)
         plan = clements_decompose(u)
         t_mats = theory_step_matrices(u, n_steps)
@@ -284,9 +260,9 @@ def compare_methods(table: ParamTable, noise: MeshNoise, tc: TrainingConfig,
         for k in range(seeds):
             child = np.random.SeedSequence(noise.seed, spawn_key=(row_id, k))
             noise_k = replace(noise, seed=int(child.generate_state(1)[0]))
-            e_dec = step_power_matrices(config, _realized(plan, noise_k), n_steps, "row")
-            result = train(plan, noise_k, target, tc, config)
-            e_tr = step_power_matrices(config, _realized(result.plan, noise_k), n_steps, "row")
+            e_dec = step_power_matrices(config, mesh_forward(plan, noise_k), n_steps)
+            result = train(plan, noise_k, target, tc)
+            e_tr = step_power_matrices(config, mesh_forward(result.plan, noise_k), n_steps)
             dec_reports.append(ErrorReport(
                 tuple(error_metric(t_mats, e_dec, n) for n in range(1, n_steps + 1)),
                 "decomposition", row_id))
@@ -310,20 +286,3 @@ def win_stats(comparison: MethodComparison):
             else:
                 losses += 1
     return wins, ties, losses
-
-
-def reports_to_csv(comparison: MethodComparison, fileobj) -> None:
-    """Write reports as params_id,method,step,error rows."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["params_id", "method", "step", "error"])
-    for report in comparison.decomposition + comparison.trained:
-        for step, err in enumerate(report.per_step, start=1):
-            writer.writerow([report.params_id, report.method, step, repr(float(err))])
-
-
-def trace_to_csv(trace: np.ndarray, fileobj) -> None:
-    """Write a loss trace as iter,loss rows (iteration 0 is the initial loss)."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["iter", "loss"])
-    for i, value in enumerate(trace):
-        writer.writerow([i, repr(float(value))])

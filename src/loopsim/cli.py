@@ -9,6 +9,7 @@ under the output directory. Exit codes: 0 success, 2 invalid user input,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -118,32 +119,40 @@ def _outdir(cfg: RunConfig) -> Path:
     return path
 
 
-def _write_probs_csv(path: Path, probs: np.ndarray) -> None:
-    import csv
+def _write_csv(path: Path, header, rows) -> None:
+    """Write a header and rows of Python ints, floats and strings.
 
+    csv writes a float v as repr(v), the shortest string that reads back
+    bit for bit; numpy arrays enter through tolist() to keep it that way.
+    """
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["step", "channel", "prob"])
-        for n in range(probs.shape[0]):
-            for l in range(probs.shape[1]):
-                writer.writerow([n + 1, l, repr(float(probs[n, l]))])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _step_rows(*arrays):
+    """(step, channel, values...) rows of (n_steps, dim) arrays, step 1 first."""
+    n_steps, dim = arrays[0].shape
+    steps = [n for n in range(1, n_steps + 1) for _ in range(dim)]
+    return zip(steps, list(range(dim)) * n_steps, *(a.ravel().tolist() for a in arrays))
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     theory = model.evolve_exact(cfg.model, cfg.initial_channel, cfg.n_steps)
-    _write_probs_csv(out / "theory.csv", theory)
+    _write_csv(out / "theory.csv", ["step", "channel", "prob"], _step_rows(theory))
 
     u = model.step_unitary(model.build_hamiltonian(cfg.model), cfg.model.dt)
     record = loopchip.run_loop(cfg.chip, u, cfg.initial_channel, cfg.n_steps)
     chip = loopchip.conditional_probabilities(record)
-    _write_probs_csv(out / "chip.csv", chip)
+    _write_csv(out / "chip.csv", ["step", "channel", "prob"], _step_rows(chip))
 
     hists = montecarlo.sample_run(record, cfg.counting, cfg.chip.loop_delay_ps)
     windows = montecarlo.default_windows(cfg.n_steps, cfg.counting, cfg.chip.loop_delay_ps)
     est = montecarlo.estimate_probabilities(hists, windows, cfg.counting)
-    with (out / "mc.csv").open("w", newline="") as fh:
-        montecarlo.estimates_to_csv(est, fh)
+    _write_csv(out / "mc.csv", ["step", "channel", "p_hat", "stderr"],
+               _step_rows(est.p_hat, est.stderr))
     print(f"simulate: wrote theory.csv, chip.csv, mc.csv to {out}")
     return 0
 
@@ -185,8 +194,9 @@ def cmd_losses(cfg: RunConfig, platform_names, max_loops: int) -> int:
         chosen = list(table.values())
     ratios = losses.optimal_splitters(max_loops) if max_loops >= 2 else (0.5, 0.5)
     budgets = losses.platform_comparison(chosen, cfg.chip, ratios, max_loops)
-    with (out / "losses.csv").open("w", newline="") as fh:
-        losses.comparison_to_csv(budgets, fh)
+    _write_csv(out / "losses.csv", ["platform", "n", "loss_db"],
+               ((b.platform, n, float(db))
+                for b in budgets for n, db in enumerate(b.per_step_db, 1)))
     for n in range(2, max_loops + 1):
         r_loop, r_end = losses.optimal_splitters(n)
         print(f"optimal splitters for n={n}: r_loop={r_loop:.6f}, r_end={r_end:.6f}")
@@ -195,18 +205,13 @@ def cmd_losses(cfg: RunConfig, platform_names, max_loops: int) -> int:
 
 
 def cmd_scaling(cfg: RunConfig, modes, cell_length_cm: float) -> int:
-    import csv
-
     out = _outdir(cfg)
     table = {p.name: p for p in losses.load_platforms()}
     if cfg.platform not in table:
         raise ValueError(f"unknown platform: {cfg.platform!r}; have {sorted(table)}")
     platform = table[cfg.platform]
-    with (out / "scaling.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["modes", "loss_db"])
-        for m in modes:
-            writer.writerow([m, repr(losses.mode_scaling_loss(m, platform, cell_length_cm))])
+    _write_csv(out / "scaling.csv", ["modes", "loss_db"],
+               ((m, losses.mode_scaling_loss(m, platform, cell_length_cm)) for m in modes))
     print(f"scaling: wrote scaling.csv to {out}")
     return 0
 
@@ -216,11 +221,9 @@ def cmd_train(cfg: RunConfig) -> int:
     u = model.step_unitary(model.build_hamiltonian(cfg.model), cfg.model.dt)
     plan = mesh.clements_decompose(u)
     target = calibrate.flatten_step_matrices(calibrate.theory_step_matrices(u, cfg.n_steps))
-    result = calibrate.train(plan, cfg.noise, target, cfg.training,
-                             replace(cfg.chip, lossless=True))
+    result = calibrate.train(plan, cfg.noise, target, cfg.training)
     (out / "trained_plan.json").write_text(mesh.plan_to_json(result.plan))
-    with (out / "trace.csv").open("w", newline="") as fh:
-        calibrate.trace_to_csv(result.trace, fh)
+    _write_csv(out / "trace.csv", ["iter", "loss"], enumerate(result.trace.tolist()))
     status = "converged" if result.converged else "max_iters reached"
     print(f"train: initial loss {result.trace[0]:.6e}, final loss {result.trace[-1]:.6e}, "
           f"{len(result.trace) - 1} iterations ({status})")
@@ -232,9 +235,11 @@ def cmd_compare(cfg: RunConfig, table_path, seeds: int) -> int:
     table = calibrate.load_param_table(table_path)
     comparison = calibrate.compare_methods(table, cfg.noise, cfg.training,
                                            n_steps=cfg.n_steps, seeds=seeds,
-                                           config=replace(cfg.chip, lossless=True))
-    with (out / "errors.csv").open("w", newline="") as fh:
-        calibrate.reports_to_csv(comparison, fh)
+                                           n_boson=cfg.model.n_boson)
+    _write_csv(out / "errors.csv", ["params_id", "method", "step", "error"],
+               ((r.params_id, r.method, step, err)
+                for r in comparison.decomposition + comparison.trained
+                for step, err in enumerate(r.per_step, 1)))
     wins, ties, lost = calibrate.win_stats(comparison)
     total = wins + ties + lost
     dec_all = [e for r in comparison.decomposition for e in r.per_step]
@@ -267,12 +272,13 @@ def cmd_counts(cfg: RunConfig) -> int:
     u = model.step_unitary(model.build_hamiltonian(cfg.model), cfg.model.dt)
     record = loopchip.run_loop(cfg.chip, u, cfg.initial_channel, cfg.n_steps)
     hists = montecarlo.sample_run(record, cfg.counting, cfg.chip.loop_delay_ps)
-    with (out / "histograms.csv").open("w", newline="") as fh:
-        montecarlo.histograms_to_csv(hists, fh)
+    _write_csv(out / "histograms.csv", ["channel", "bin_start_ps", "count"],
+               ((h.channel, start, count) for h in hists
+                for start, count in zip(h.bin_edges_ps[:-1].tolist(), h.counts.tolist())))
     windows = montecarlo.default_windows(cfg.n_steps, cfg.counting, cfg.chip.loop_delay_ps)
     est = montecarlo.estimate_probabilities(hists, windows, cfg.counting)
-    with (out / "estimates.csv").open("w", newline="") as fh:
-        montecarlo.estimates_to_csv(est, fh)
+    _write_csv(out / "estimates.csv", ["step", "channel", "p_hat", "stderr"],
+               _step_rows(est.p_hat, est.stderr))
     ok, margin = montecarlo.peak_separation_check(hists, cfg.chip.loop_delay_ps,
                                                   cfg.counting.jitter_ps)
     print(f"counts: peak separation {'ok' if ok else 'MARGINAL'} (margin {margin:.1f} ps)")

@@ -8,10 +8,11 @@ Losses are tracked as scalar prefactors on a unitary core propagation, so
 uniform per-step loss cancels exactly in conditional distributions.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+from .model import propagate
 
 
 class DegenerateStepError(RuntimeError):
@@ -64,42 +65,59 @@ class ChipConfig:
 
 @dataclass
 class StageRecord:
-    """Amplitudes of one run: input, per-step loop contents, per-step outputs.
+    """Fields of one run on the detection arm, one row per loop step.
 
-    intermediates[n-1] is the field just after mesh pass n; outputs[n-1] is
-    the field on the detection arm after pass n; probabilities = |outputs|^2.
+    outputs[n-1] is the field on the detection arm after mesh pass n;
+    probabilities = |outputs|^2.
     """
 
-    x: np.ndarray
-    intermediates: np.ndarray
     outputs: np.ndarray
     probabilities: np.ndarray
-
-
-@dataclass
-class PowerMatrix:
-    """Input-to-output power map at a fixed step.
-
-    entries[k, l] is the power seen on channel l for input channel k, either
-    renormalized per input row ("row") or as raw detected fractions ("raw").
-    """
-
-    step: int
-    entries: np.ndarray
-    normalization: str
 
 
 def _db_to_amplitude(db: float) -> float:
     return 10.0 ** (-db / 20.0)
 
 
-def _amplitude_factors(config: ChipConfig):
+def _step_amplitudes(config: ChipConfig, n_steps: int):
+    """Detection-arm amplitude, and the in-loop amplitude of steps 1..n_steps.
+
+    The field enters with sqrt(ratio_in) times the chip loss; each further
+    pass multiplies it by sqrt((1-ratio_in)(1-ratio_out)) times loop and
+    chip losses. The output splitter taps sqrt(ratio_out) of it toward the
+    detectors, times the detection-path loss.
+    """
     if config.lossless:
-        return 1.0, 1.0, 1.0
-    amp_chip = _db_to_amplitude(config.alpha_db_per_cm * config.chip_length_cm)
-    amp_loop = _db_to_amplitude(config.alpha_db_per_cm * config.loop_length_cm)
-    amp_others = _db_to_amplitude(config.others_loss_db)
-    return amp_chip, amp_loop, amp_others
+        amp_chip = amp_loop = amp_others = 1.0
+    else:
+        amp_chip = _db_to_amplitude(config.alpha_db_per_cm * config.chip_length_cm)
+        amp_loop = _db_to_amplitude(config.alpha_db_per_cm * config.loop_length_cm)
+        amp_others = _db_to_amplitude(config.others_loss_db)
+    in_scalar = np.sqrt(config.ratio_in) * amp_chip
+    loop_scalar = (
+        np.sqrt((1.0 - config.ratio_in) * (1.0 - config.ratio_out)) * amp_loop * amp_chip
+    )
+    out_scalar = np.sqrt(config.ratio_out) * amp_others
+    return out_scalar, np.cumprod([in_scalar] + [loop_scalar] * (n_steps - 1))
+
+
+def _check_mesh(config: ChipConfig, mesh: np.ndarray, n_steps: int) -> np.ndarray:
+    m = np.asarray(mesh, dtype=complex)
+    if m.shape != (config.dim, config.dim):
+        raise ValueError("mesh must be a dim x dim matrix")
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    return m
+
+
+def _normalize_steps(power: np.ndarray) -> np.ndarray:
+    """power over its sum along the last axis; axis 0 counts loop steps."""
+    totals = power.sum(axis=-1, keepdims=True)
+    dead = totals < 1e-300
+    if np.any(dead):
+        step = int(np.argmax(dead.reshape(len(dead), -1).any(axis=1))) + 1
+        raise DegenerateStepError(f"step {step} has vanishing total output power")
+    return power / totals
 
 
 def run_loop(config: ChipConfig, mesh: np.ndarray, input_channel: int, n_steps: int) -> StageRecord:
@@ -110,34 +128,14 @@ def run_loop(config: ChipConfig, mesh: np.ndarray, input_channel: int, n_steps: 
     detection-path loss), while sqrt((1-ratio_out)(1-ratio_in)) of it, times
     loop and chip propagation losses, re-enters the mesh.
     """
-    m = np.asarray(mesh, dtype=complex)
-    if m.ndim != 2 or m.shape != (config.dim, config.dim):
-        raise ValueError("mesh must be a dim x dim matrix")
+    m = _check_mesh(config, mesh, n_steps)
     if not 0 <= input_channel < config.dim:
         raise ValueError("input_channel out of range")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-
-    amp_chip, amp_loop, amp_others = _amplitude_factors(config)
-    in_scalar = np.sqrt(config.ratio_in) * amp_chip
-    loop_scalar = (
-        np.sqrt((1.0 - config.ratio_in) * (1.0 - config.ratio_out)) * amp_loop * amp_chip
-    )
-    out_scalar = np.sqrt(config.ratio_out) * amp_others
-
+    out_scalar, scales = _step_amplitudes(config, n_steps)
     x = np.zeros(config.dim, dtype=complex)
     x[input_channel] = 1.0
-    core = x
-    scale = in_scalar
-    intermediates = np.empty((n_steps, config.dim), dtype=complex)
-    outputs = np.empty((n_steps, config.dim), dtype=complex)
-    for n in range(n_steps):
-        core = m @ core
-        intermediates[n] = scale * core
-        outputs[n] = out_scalar * intermediates[n]
-        scale *= loop_scalar
-    probabilities = np.abs(outputs) ** 2
-    return StageRecord(x, intermediates, outputs, probabilities)
+    outputs = out_scalar * (scales[:, None] * propagate(m, x, n_steps))
+    return StageRecord(outputs, np.abs(outputs) ** 2)
 
 
 def conditional_probabilities(record: StageRecord) -> np.ndarray:
@@ -147,84 +145,18 @@ def conditional_probabilities(record: StageRecord) -> np.ndarray:
     the lossless unitary evolution. Raises DegenerateStepError if a step
     carries no power at all.
     """
-    totals = record.probabilities.sum(axis=1)
-    if np.any(totals < 1e-300):
-        step = int(np.argmax(totals < 1e-300)) + 1
-        raise DegenerateStepError(f"step {step} has vanishing total output power")
-    return record.probabilities / totals[:, None]
+    return _normalize_steps(record.probabilities)
 
 
-def step_power_matrices(config: ChipConfig, mesh: np.ndarray, n_steps: int,
-                        normalization: str = "row") -> np.ndarray:
-    """All-inputs power matrices for steps 1..n_steps, shape (n_steps, dim, dim).
+def step_power_matrices(config: ChipConfig, mesh: np.ndarray, n_steps: int) -> np.ndarray:
+    """Row-normalized power matrices for steps 1..n_steps, shape (n_steps, dim, dim).
 
-    Equivalent to stacking run_loop over every input channel, but done as one
-    matrix propagation. Row k of matrix n is input k's step-n distribution.
+    Row k of matrix n is input k's step-n conditional distribution, as
+    conditional_probabilities(run_loop(config, mesh, k, n_steps)) gives it,
+    but all inputs propagate together as the columns of one matrix.
     """
-    if normalization not in ("row", "raw"):
-        raise ValueError("normalization must be 'row' or 'raw'")
-    m = np.asarray(mesh, dtype=complex)
-    if m.ndim != 2 or m.shape != (config.dim, config.dim):
-        raise ValueError("mesh must be a dim x dim matrix")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    amp_chip, amp_loop, amp_others = _amplitude_factors(config)
-    in_scalar = np.sqrt(config.ratio_in) * amp_chip
-    loop_scalar = (
-        np.sqrt((1.0 - config.ratio_in) * (1.0 - config.ratio_out)) * amp_loop * amp_chip
-    )
-    out_scalar = np.sqrt(config.ratio_out) * amp_others
-
-    core = np.eye(config.dim, dtype=complex)
-    scale = in_scalar
-    out = np.empty((n_steps, config.dim, config.dim))
-    for n in range(n_steps):
-        core = m @ core
-        power = np.abs(out_scalar * scale * core.T) ** 2
-        if normalization == "row":
-            totals = power.sum(axis=1)
-            if np.any(totals < 1e-300):
-                raise DegenerateStepError(f"step {n + 1} has vanishing total output power")
-            power = power / totals[:, None]
-        out[n] = power
-        scale *= loop_scalar
-    return out
-
-
-def power_matrix(config: ChipConfig, mesh: np.ndarray, step: int,
-                 normalization: str = "row") -> PowerMatrix:
-    """Input-to-output power map at one step, one run_loop per input row."""
-    if step < 1:
-        raise ValueError("step must be >= 1")
-    if normalization not in ("row", "raw"):
-        raise ValueError("normalization must be 'row' or 'raw'")
-    entries = np.empty((config.dim, config.dim))
-    for k in range(config.dim):
-        record = run_loop(config, mesh, k, step)
-        if normalization == "row":
-            entries[k] = conditional_probabilities(record)[step - 1]
-        else:
-            entries[k] = record.probabilities[step - 1]
-    return PowerMatrix(step, entries, normalization)
-
-
-def record_to_csv(record: StageRecord, fileobj) -> None:
-    """Write per-step output amplitudes as step,channel,re,im,prob rows."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["step", "channel", "re", "im", "prob"])
-    n_steps, dim = record.outputs.shape
-    for n in range(n_steps):
-        for l in range(dim):
-            y = record.outputs[n, l]
-            writer.writerow([n + 1, l, repr(float(y.real)), repr(float(y.imag)),
-                             repr(float(record.probabilities[n, l]))])
-
-
-def power_matrix_to_csv(pm: PowerMatrix, fileobj) -> None:
-    """Write a power matrix as step,k,l,value rows."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["step", "k", "l", "value"])
-    dim = pm.entries.shape[0]
-    for k in range(dim):
-        for l in range(dim):
-            writer.writerow([pm.step, k, l, repr(float(pm.entries[k, l]))])
+    m = _check_mesh(config, mesh, n_steps)
+    out_scalar, scales = _step_amplitudes(config, n_steps)
+    cores = propagate(m, np.eye(config.dim, dtype=complex), n_steps)
+    power = np.abs((out_scalar * scales)[:, None, None] * cores.transpose(0, 2, 1)) ** 2
+    return _normalize_steps(power)

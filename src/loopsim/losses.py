@@ -153,14 +153,3 @@ def mode_scaling_loss(n_modes: int, platform: PlatformSpec,
         platform.alpha_db_per_cm * n_modes * cell_length_cm
         + platform.mzi_extra_db * n_modes
     )
-
-
-def comparison_to_csv(budgets: list[LossBudget], fileobj) -> None:
-    """Write budgets as platform,n,loss_db rows."""
-    import csv
-
-    writer = csv.writer(fileobj)
-    writer.writerow(["platform", "n", "loss_db"])
-    for budget in budgets:
-        for n, db in enumerate(budget.per_step_db, start=1):
-            writer.writerow([budget.platform, n, repr(float(db))])

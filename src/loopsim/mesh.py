@@ -240,19 +240,20 @@ def _apply_right(w, lo, theta, phi):
     w[:, lo + 1] = ph * s * ca + c * cb
 
 
-def clements_decompose(unitary: np.ndarray, atol: float = _NULL_ATOL) -> MeshPlan:
+def clements_decompose(unitary: np.ndarray) -> MeshPlan:
     """Compile a unitary into a rectangular nearest-neighbor mesh plan.
 
     Exactly N(N-1)/2 cells are emitted for an N x N input (cells whose
     target entry is already zero appear with theta = 0). Raises
-    DecompositionError if the input is not unitary within atol or if any
-    nulling step fails to produce a zero.
+    DecompositionError if the input is not unitary or if any nulling step
+    fails to produce a zero; both checks use the absolute tolerance
+    _NULL_ATOL (1e-10).
     """
     u = np.asarray(unitary, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DecompositionError("input must be a square matrix")
     n = u.shape[0]
-    if np.max(np.abs(u.conj().T @ u - np.eye(n))) > atol:
+    if np.max(np.abs(u.conj().T @ u - np.eye(n))) > _NULL_ATOL:
         raise DecompositionError("input matrix is not unitary")
 
     w = u.copy()

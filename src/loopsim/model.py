@@ -134,6 +134,21 @@ def step_unitary(hamiltonian: np.ndarray, dt: float) -> np.ndarray:
     return u
 
 
+def propagate(matrix: np.ndarray, x: np.ndarray, n_steps: int) -> np.ndarray:
+    """matrix^n @ x for n = 1..n_steps, stacked on a new leading axis.
+
+    x is one vector or a matrix whose columns are inputs. Each step applies
+    matrix once to the previous step's result, as one pass of the loop does.
+    Iterating a vector and taking a column of the all-inputs result differ
+    in the last bit, so single-input callers pass a vector.
+    """
+    out = np.empty((n_steps,) + np.shape(x), dtype=complex)
+    for n in range(n_steps):
+        x = matrix @ x
+        out[n] = x
+    return out
+
+
 def evolve_exact(params: SpinBosonParams, initial_channel: int, n_steps: int) -> np.ndarray:
     """Channel probability distribution after each of n_steps applications
     of the step propagator, starting from a single occupied channel.
@@ -147,8 +162,4 @@ def evolve_exact(params: SpinBosonParams, initial_channel: int, n_steps: int) ->
     u = step_unitary(build_hamiltonian(params), params.dt)
     psi = np.zeros(params.dim, dtype=complex)
     psi[initial_channel] = 1.0
-    out = np.empty((n_steps, params.dim))
-    for n in range(n_steps):
-        psi = u @ psi
-        out[n] = np.abs(psi) ** 2
-    return out
+    return np.abs(propagate(u, psi, n_steps)) ** 2

@@ -6,7 +6,6 @@ top of a uniform background. Every channel owns an independent random
 substream, so adding or changing one channel never perturbs another's counts.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,24 +208,3 @@ def peak_separation_check(histograms: list, loop_delay_ps: float, jitter_ps: flo
         raise ValueError("histogram span covers fewer than two peaks")
     margin = loop_delay_ps - 6.0 * jitter_ps
     return margin >= 0.0, float(margin)
-
-
-def histograms_to_csv(histograms: list, fileobj) -> None:
-    """Write histograms as channel,bin_start_ps,count rows."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["channel", "bin_start_ps", "count"])
-    for h in histograms:
-        for start, count in zip(h.bin_edges_ps[:-1], h.counts):
-            writer.writerow([h.channel, repr(float(start)),
-                             int(count) if float(count).is_integer() else repr(float(count))])
-
-
-def estimates_to_csv(est: ProbabilityEstimates, fileobj) -> None:
-    """Write estimates as step,channel,p_hat,stderr rows."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["step", "channel", "p_hat", "stderr"])
-    n_steps, dim = est.p_hat.shape
-    for n in range(n_steps):
-        for l in range(dim):
-            writer.writerow([n + 1, l, repr(float(est.p_hat[n, l])),
-                             repr(float(est.stderr[n, l]))])

@@ -1,4 +1,4 @@
-import io
+import csv
 
 import numpy as np
 import pytest
@@ -14,19 +14,24 @@ from loopsim.calibrate import (
     error_metric,
     finite_diff_gradient,
     flatten_step_matrices,
-    forward_all_inputs,
     kl_loss,
     load_param_table,
-    reports_to_csv,
     theory_step_matrices,
-    trace_to_csv,
     train,
     win_stats,
 )
-from loopsim.loopchip import ChipConfig, conditional_probabilities, run_loop
+from loopsim.cli import main
+from loopsim.loopchip import ChipConfig, conditional_probabilities, run_loop, step_power_matrices
 from loopsim.mesh import MeshNoise, clements_decompose, mesh_forward
 from loopsim.model import SpinBosonParams, build_hamiltonian, evolve_exact, step_unitary
 from conftest import haar_unitary
+
+
+def chip_distributions(plan, noise, n_steps):
+    """The noisy chip's flattened all-inputs distributions, as train sees them."""
+    config = ChipConfig(plan.dim, lossless=True)
+    return flatten_step_matrices(step_power_matrices(config, mesh_forward(plan, noise), n_steps))
+
 
 LN2 = 0.6931471805599453
 
@@ -79,6 +84,23 @@ class TestTheoryMatrices:
             exact = evolve_exact(params, k, 3)
             assert np.max(np.abs(mats[:, k, :] - exact)) < 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.builds(SpinBosonParams, epsilon=st.floats(-2.0, 2.0),
+                     omega_hbar=st.floats(-2.0, 2.0), lam=st.floats(-2.0, 2.0),
+                     n_boson=st.integers(1, 8)),
+           st.integers(1, 5))
+    def test_propagation_paths_agree_across_dims(self, params, n_steps):
+        # four callers of the shared propagation kernel, one model, every input
+        u = step_unitary(build_hamiltonian(params), params.dt)
+        chip = ChipConfig(params.dim, lossless=True)
+        theory = theory_step_matrices(u, n_steps)
+        powers = step_power_matrices(chip, u, n_steps)
+        for k in range(params.dim):
+            exact = evolve_exact(params, k, n_steps)
+            cond = conditional_probabilities(run_loop(chip, u, k, n_steps))
+            for other in (theory[:, k, :], powers[:, k, :], cond):
+                assert np.max(np.abs(other - exact)) < 1e-13
+
     def test_rows_normalized(self, rng):
         mats = theory_step_matrices(haar_unitary(6, rng), 4)
         assert np.max(np.abs(mats.sum(axis=2) - 1.0)) < 1e-12
@@ -94,7 +116,7 @@ class TestTheoryMatrices:
 class TestForward:
     def test_identity_plan(self):
         plan = clements_decompose(np.eye(6))
-        flat = forward_all_inputs(plan, None, ChipConfig(lossless=True), 2)
+        flat = chip_distributions(plan, None, 2)
         mats = flat.reshape(6, 2, 6).transpose(1, 0, 2)
         assert np.max(np.abs(mats - np.eye(6))) < 1e-12
 
@@ -104,7 +126,7 @@ class TestForward:
         plan = clements_decompose(u)
         noise = MeshNoise(seed=5)
         config = ChipConfig(lossless=True)
-        flat = forward_all_inputs(plan, noise, config, 3)
+        flat = chip_distributions(plan, noise, 3)
         realized = mesh_forward(plan, noise)
         pieces = [
             conditional_probabilities(run_loop(config, realized, k, 3)).ravel()
@@ -160,7 +182,7 @@ class TestTrain:
         noise = MeshNoise(seed=11)
         tc = TrainingConfig(learning_rate=0.05, max_iters=15)
         result = train(plan, noise, target, tc)
-        realized = forward_all_inputs(result.plan, noise, ChipConfig(lossless=True), 3)
+        realized = chip_distributions(result.plan, noise, 3)
         final = kl_loss(target, realized)
         assert final <= result.trace[0] + 1e-15
         assert final == pytest.approx(min(result.trace), abs=1e-12)
@@ -304,18 +326,22 @@ class TestCompare:
 
 
 class TestCsv:
-    def test_reports_csv(self):
-        table = ParamTable(load_param_table().rows[:1])
-        noise = MeshNoise(0.0, 0.0, 0.0, seed=0)
-        comparison = compare_methods(table, noise, TrainingConfig(max_iters=1), n_steps=2)
-        buf = io.StringIO()
-        reports_to_csv(comparison, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "params_id,method,step,error"
-        assert len(lines) == 1 + 2 * 2
+    """The training outputs as the CLI writes them."""
 
-    def test_trace_csv(self):
-        buf = io.StringIO()
-        trace_to_csv(np.array([0.5, 0.25]), buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines == ["iter,loss", "0,0.5", "1,0.25"]
+    def test_reports_csv(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text('{"noise": {"sigma_theta": 0.0, "sigma_phi": 0.0, "sigma_split": 0.0},'
+                           ' "training": {"max_iters": 1}, "n_steps": 2}')
+        assert main(["--config", str(cfgfile), "--out", str(tmp_path), "compare"]) == 0
+        lines = (tmp_path / "errors.csv").read_text().strip().splitlines()
+        assert lines[0] == "params_id,method,step,error"
+        assert len(lines) == 1 + 2 * 20 * 2
+
+    def test_trace_csv(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text('{"noise": {"seed": 5}, "training": {"max_iters": 2}}')
+        assert main(["--config", str(cfgfile), "--out", str(tmp_path), "train"]) == 0
+        with open(tmp_path / "trace.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["iter", "loss"]
+        assert [r[0] for r in rows[1:]] == ["0", "1", "2"]

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,12 @@ import numpy as np
 import pytest
 
 import loopsim
-from loopsim.cli import config_from_dict, config_to_dict, main
-from loopsim.mesh import plan_from_json
+from loopsim.calibrate import TrainingConfig, flatten_step_matrices, theory_step_matrices, train
+from loopsim.cli import _write_csv, build_parser, config_from_dict, config_to_dict, main
+from loopsim.mesh import MeshNoise, clements_decompose, plan_from_json
+from loopsim.model import SpinBosonParams, build_hamiltonian, evolve_exact, step_unitary
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read_probs(path):
@@ -41,6 +46,12 @@ class TestSimulate:
         theory = read_probs(tmp_path / "theory.csv")
         assert theory.shape == (4, 6)
         assert np.max(np.abs(theory.sum(axis=1) - 1.0)) < 1e-10
+
+    def test_theory_csv_is_evolve_exact_bit_for_bit(self, tmp_path):
+        assert main(["--out", str(tmp_path), "simulate", "--epsilon", "0.5",
+                     "--omega-hbar", "1.2", "--lam", "0.8"]) == 0
+        exact = evolve_exact(SpinBosonParams(0.5, 1.2, 0.8), 0, 3)
+        assert np.array_equal(read_probs(tmp_path / "theory.csv"), exact)
 
     def test_bad_initial_channel_exits_two(self, tmp_path, capsys):
         rc = main(["--out", str(tmp_path), "simulate", "--initial-channel", "9"])
@@ -127,6 +138,20 @@ class TestTrain:
         assert rows[0]["iter"] == "0"
         losses = [float(r["loss"]) for r in rows]
         assert losses[-1] <= losses[0]
+
+    def test_trace_csv_is_loss_trace_bit_for_bit(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"training": {"max_iters": 10}}))
+        assert main(["--config", str(cfgfile), "--out", str(tmp_path), "--seed", "5",
+                     "train", "--n-steps", "2"]) == 0
+        u = step_unitary(build_hamiltonian(SpinBosonParams(1.0, 1.0, 1.0)), 1.0)
+        target = flatten_step_matrices(theory_step_matrices(u, 2))
+        result = train(clements_decompose(u), MeshNoise(seed=5), target,
+                       TrainingConfig(max_iters=10))
+        with open(tmp_path / "trace.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["iter"]) for r in rows] == list(range(result.trace.size))
+        assert np.array_equal([float(r["loss"]) for r in rows], result.trace)
 
 
 class TestCompare:
@@ -218,6 +243,21 @@ class TestConfig:
         rc = main(["--config", str(cfgfile), "--out", str(tmp_path), "simulate"])
         assert rc == 2
         assert "dimension" in capsys.readouterr().err
+
+
+def test_write_csv_formats_cells(tmp_path):
+    path = tmp_path / "t.csv"
+    _write_csv(path, ["a", "b", "c"], [(1, 0.1 + 0.2, "x,y"), (2, 1e-300, "z")])
+    assert path.read_bytes() == b'a,b,c\r\n1,0.30000000000000004,"x,y"\r\n2,1e-300,z\r\n'
+
+
+def test_readme_command_lines_parse():
+    text = README.read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("loopsim ")]
+    assert len(lines) >= 9
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
 
 
 def test_cli_import_leaves_out_scipy_stats():

@@ -1,13 +1,11 @@
-import io
-
 import numpy as np
 import pytest
 
+from loopsim.cli import main
 from loopsim.loopchip import ChipConfig
 from loopsim.losses import (
     LossBudget,
     PlatformSpec,
-    comparison_to_csv,
     load_platforms,
     mode_scaling_loss,
     optimal_splitters,
@@ -216,10 +214,8 @@ class TestModeScaling:
 
 
 class TestCsv:
-    def test_header_and_rows(self):
-        budgets = platform_comparison(load_platforms(), GEOMETRY, RATIOS, 2)
-        buf = io.StringIO()
-        comparison_to_csv(budgets, buf)
-        lines = buf.getvalue().strip().splitlines()
+    def test_header_and_rows(self, tmp_path):
+        assert main(["--out", str(tmp_path), "losses", "--max-loops", "2"]) == 0
+        lines = (tmp_path / "losses.csv").read_text().strip().splitlines()
         assert lines[0] == "platform,n,loss_db"
         assert len(lines) == 1 + 4 * 2

@@ -1,4 +1,3 @@
-import io
 import time
 from dataclasses import replace
 import tracemalloc
@@ -7,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from loopsim.cli import main
 from loopsim.loopchip import ChipConfig, conditional_probabilities, run_loop
 from loopsim.model import SpinBosonParams, build_hamiltonian, step_unitary
 from loopsim.montecarlo import (
@@ -15,9 +15,7 @@ from loopsim.montecarlo import (
     _histogram_edges,
     default_windows,
     estimate_probabilities,
-    estimates_to_csv,
     expected_histograms,
-    histograms_to_csv,
     peak_separation_check,
     sample_run,
 )
@@ -393,22 +391,17 @@ class TestPeakSeparation:
 
 
 class TestCsv:
-    def test_histogram_csv(self):
-        cfg = CountingConfig(seed=1)
-        hists = sample_run(identity_record(1), cfg, DELAY)
-        buf = io.StringIO()
-        histograms_to_csv(hists, buf)
-        lines = buf.getvalue().strip().splitlines()
+    """The counting outputs as the CLI writes them."""
+
+    def test_histogram_csv(self, tmp_path):
+        assert main(["--out", str(tmp_path), "--seed", "1", "counts", "--n-steps", "1"]) == 0
+        lines = (tmp_path / "histograms.csv").read_text().strip().splitlines()
         assert lines[0] == "channel,bin_start_ps,count"
-        n_bins = hists[0].counts.size
+        n_bins = _histogram_edges(1, CountingConfig(), DELAY).size - 1
         assert len(lines) == 1 + 6 * n_bins
 
-    def test_estimates_csv(self):
-        cfg = CountingConfig(seed=1)
-        hists = sample_run(identity_record(2), cfg, DELAY)
-        est = estimate_probabilities(hists, default_windows(2, cfg, DELAY), cfg)
-        buf = io.StringIO()
-        estimates_to_csv(est, buf)
-        lines = buf.getvalue().strip().splitlines()
+    def test_estimates_csv(self, tmp_path):
+        assert main(["--out", str(tmp_path), "--seed", "1", "counts", "--n-steps", "2"]) == 0
+        lines = (tmp_path / "estimates.csv").read_text().strip().splitlines()
         assert lines[0] == "step,channel,p_hat,stderr"
         assert len(lines) == 1 + 2 * 6
