@@ -50,11 +50,8 @@ from .mesh import (
     plan_to_json,
 )
 from .model import (
-    BasisLabel,
     SpinBosonParams,
-    basis_label,
     build_hamiltonian,
-    channel_index,
     evolve_exact,
     propagate,
     step_unitary,

@@ -20,29 +20,25 @@ from .mesh import (MeshNoise, MeshPlan, MZICell, clements_decompose, forward_arr
 from .model import SpinBosonParams, build_hamiltonian, propagate, step_unitary
 
 
+_GRAD_EPS = 1e-6  # central-difference step of the training gradient, in radians
+_CLAMP_EPS = 1e-12  # floor on both kl_loss arguments, so the log stays finite
+
+
 @dataclass(frozen=True)
 class TrainingConfig:
-    """Optimizer settings for phase training."""
+    """Optimizer settings for phase training (Adam)."""
 
     learning_rate: float = 0.01
     max_iters: int = 2000
     tol: float = 1e-6
-    grad_eps: float = 1e-6
-    optimizer: str = "adam"
-    clamp_eps: float = 1e-12
 
     def __post_init__(self):
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
-        for name in ("tol", "grad_eps", "clamp_eps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError("optimizer must be 'adam' or 'sgd'")
-        if self.clamp_eps >= 1e-6:
-            raise ValueError("clamp_eps must be below 1e-6")
 
 
 @dataclass
@@ -97,8 +93,8 @@ def load_param_table(path=None) -> ParamTable:
     return ParamTable(rows)
 
 
-def kl_loss(t: np.ndarray, e: np.ndarray, clamp_eps: float = 1e-12) -> float:
-    """sum(e * ln(e / t)) with both arguments clamped below at clamp_eps.
+def kl_loss(t: np.ndarray, e: np.ndarray) -> float:
+    """sum(e * ln(e / t)) with both arguments clamped below at 1e-12.
 
     t is the theoretical target, e the chip estimate; the estimate carries
     the weights. Not symmetric.
@@ -109,8 +105,8 @@ def kl_loss(t: np.ndarray, e: np.ndarray, clamp_eps: float = 1e-12) -> float:
         raise ValueError("t and e must have the same shape")
     if np.any(t < 0) or np.any(e < 0):
         raise ValueError("probabilities must be non-negative")
-    tc = np.maximum(t, clamp_eps)
-    ec = np.maximum(e, clamp_eps)
+    tc = np.maximum(t, _CLAMP_EPS)
+    ec = np.maximum(e, _CLAMP_EPS)
     return float(np.sum(ec * np.log(ec / tc)))
 
 
@@ -173,7 +169,7 @@ def train(plan: MeshPlan, noise, target: np.ndarray, tc: TrainingConfig) -> Trai
     def loss_of(x):
         mesh_mat = forward_arrays(dim, los, x[:n_cells], x[n_cells:], out_phases, offsets)
         mats = step_power_matrices(config, mesh_mat, n_steps)
-        return kl_loss(target, flatten_step_matrices(mats), tc.clamp_eps)
+        return kl_loss(target, flatten_step_matrices(mats))
 
     x = np.concatenate([
         np.fromiter((c.theta for c in plan.cells), dtype=float, count=n_cells),
@@ -190,24 +186,13 @@ def train(plan: MeshPlan, noise, target: np.ndarray, tc: TrainingConfig) -> Trai
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     converged = False
     for it in range(1, tc.max_iters + 1):
-        g = finite_diff_gradient(loss_of, x, tc.grad_eps)
-        if tc.optimizer == "adam":
-            m = beta1 * m + (1.0 - beta1) * g
-            v = beta2 * v + (1.0 - beta2) * g * g
-            m_hat = m / (1.0 - beta1 ** it)
-            v_hat = v / (1.0 - beta2 ** it)
-            x = x - tc.learning_rate * m_hat / (np.sqrt(v_hat) + adam_eps)
-            loss = loss_of(x)
-        else:
-            step = tc.learning_rate
-            for _ in range(100):
-                candidate = x - step * g
-                cand_loss = loss_of(candidate)
-                if cand_loss <= loss:
-                    x, loss = candidate, cand_loss
-                    break
-                step *= 0.5
-            # else: no non-increasing step found, stay put this iteration
+        g = finite_diff_gradient(loss_of, x, _GRAD_EPS)
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1 ** it)
+        v_hat = v / (1.0 - beta2 ** it)
+        x = x - tc.learning_rate * m_hat / (np.sqrt(v_hat) + adam_eps)
+        loss = loss_of(x)
         trace.append(loss)
         if loss < best_loss:
             best_loss, best_x = loss, x.copy()

@@ -1,18 +1,19 @@
 """Command-line interface.
 
 Subcommands: simulate, decompose, losses, scaling, train, compare, counts.
-A JSON config file supplies defaults; flags override it. All outputs land
-under the output directory. Exit codes: 0 success, 2 invalid user input,
-1 any other failure.
+A JSON config file overrides the built-in defaults (keys it leaves out keep
+them) and flags override the file. All outputs land under the output
+directory. Exit codes: 0 success, 2 invalid user input, 1 any other failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,69 +49,67 @@ class RunConfig:
                              f"not before the next pump pulse at {period} ps")
 
 
-_SECTIONS = {
-    "model": (model.SpinBosonParams, {"lambda": "lam"}),
-    "chip": (loopchip.ChipConfig, {}),
-    "noise": (mesh.MeshNoise, {}),
-    "training": (calibrate.TrainingConfig, {}),
-    "counting": (montecarlo.CountingConfig, {}),
-}
+# Config sections, each with its JSON-name -> attribute-name renames.
+_SECTIONS = {"model": {"lambda": "lam"}, "chip": {}, "noise": {}, "training": {}, "counting": {}}
+_TOP_LEVEL = ("platform", "n_steps", "initial_channel", "output_dir")
+_DEFAULTS = {f.name: f.default_factory() for f in fields(RunConfig) if f.name in _SECTIONS}
+# (argparse dest, section or None, key): where each flag lands in the config document.
+_FLAGS = (("seed", "noise", "seed"), ("seed", "counting", "seed"), ("out", None, "output_dir"),
+          ("epsilon", "model", "epsilon"), ("omega_hbar", "model", "omega_hbar"),
+          ("lam", "model", "lambda"), ("n_steps", None, "n_steps"),
+          ("initial_channel", None, "initial_channel"))
+
+
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return value
 
 
 def config_from_dict(doc: dict) -> RunConfig:
-    kwargs = {}
-    unknown = set(doc) - set(_SECTIONS) - {"platform", "n_steps", "initial_channel", "output_dir"}
+    """RunConfig from a config document; keys left out keep their defaults."""
+    unknown = set(_json_object(doc, "config")) - set(_SECTIONS) - set(_TOP_LEVEL)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for section, (cls, renames) in _SECTIONS.items():
+    kwargs = {key: doc[key] for key in _TOP_LEVEL if key in doc}
+    for section, renames in _SECTIONS.items():
         if section in doc:
-            payload = dict(doc[section])
-            for wire, attr in renames.items():
-                if wire in payload:
-                    payload[attr] = payload.pop(wire)
-            kwargs[section] = cls(**payload)
-    for key in ("platform", "n_steps", "initial_channel", "output_dir"):
-        if key in doc:
-            kwargs[key] = doc[key]
+            default = _DEFAULTS[section]
+            payload = {renames.get(k, k): v
+                       for k, v in _json_object(doc[section], f"config section {section!r}").items()}
+            unknown = set(payload) - {f.name for f in fields(default)}
+            if unknown:
+                raise ValueError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
+            kwargs[section] = replace(default, **payload)
     return RunConfig(**kwargs)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
     doc = {}
-    for section, (_, renames) in _SECTIONS.items():
+    for section, renames in _SECTIONS.items():
         payload = asdict(getattr(cfg, section))
         for wire, attr in renames.items():
             payload[wire] = payload.pop(attr)
         doc[section] = payload
-    doc["platform"] = cfg.platform
-    doc["n_steps"] = cfg.n_steps
-    doc["initial_channel"] = cfg.initial_channel
-    doc["output_dir"] = cfg.output_dir
+    for key in _TOP_LEVEL:
+        doc[key] = getattr(cfg, key)
     return doc
 
 
 def _load_config(args) -> RunConfig:
+    """The config file's document with the given flags laid into it."""
     doc = {}
     if args.config is not None:
-        doc = json.loads(Path(args.config).read_text())
-    cfg = config_from_dict(doc)
-    if args.seed is not None:
-        cfg = replace(cfg, noise=replace(cfg.noise, seed=args.seed),
-                      counting=replace(cfg.counting, seed=args.seed))
-    if args.out is not None:
-        cfg = replace(cfg, output_dir=str(args.out))
-    overrides = {}
-    for name in ("epsilon", "omega_hbar", "lam"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if overrides:
-        cfg = replace(cfg, model=replace(cfg.model, **overrides))
-    if getattr(args, "n_steps", None) is not None:
-        cfg = replace(cfg, n_steps=args.n_steps)
-    if getattr(args, "initial_channel", None) is not None:
-        cfg = replace(cfg, initial_channel=args.initial_channel)
-    return cfg
+        doc = _json_object(json.loads(Path(args.config).read_text()), "config file")
+    for dest, section, key in _FLAGS:
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        target = doc
+        if section is not None:
+            target = _json_object(doc.setdefault(section, {}), f"config section {section!r}")
+        target[key] = str(value) if isinstance(value, Path) else value
+    return config_from_dict(doc)
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -125,6 +124,7 @@ def _write_csv(path: Path, header, rows) -> None:
     csv writes a float v as repr(v), the shortest string that reads back
     bit for bit; numpy arrays enter through tolist() to keep it that way.
     """
+    rows = list(rows)  # a row that fails to build must not leave a truncated file
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -138,12 +138,12 @@ def _step_rows(*arrays):
     return zip(steps, list(range(dim)) * n_steps, *(a.ravel().tolist() for a in arrays))
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: RunConfig, args) -> int:
     out = _outdir(cfg)
-    theory = model.evolve_exact(cfg.model, cfg.initial_channel, cfg.n_steps)
+    u = model.step_unitary(model.build_hamiltonian(cfg.model), cfg.model.dt)
+    theory = model.evolve_exact(u, cfg.initial_channel, cfg.n_steps)
     _write_csv(out / "theory.csv", ["step", "channel", "prob"], _step_rows(theory))
 
-    u = model.step_unitary(model.build_hamiltonian(cfg.model), cfg.model.dt)
     record = loopchip.run_loop(cfg.chip, u, cfg.initial_channel, cfg.n_steps)
     chip = loopchip.conditional_probabilities(record)
     _write_csv(out / "chip.csv", ["step", "channel", "prob"], _step_rows(chip))
@@ -164,10 +164,10 @@ def _read_unitary(path: Path) -> np.ndarray:
     return np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
 
 
-def cmd_decompose(cfg: RunConfig, unitary_path) -> int:
+def cmd_decompose(cfg: RunConfig, args) -> int:
     out = _outdir(cfg)
-    if unitary_path is not None:
-        u = _read_unitary(Path(unitary_path))
+    if args.unitary is not None:
+        u = _read_unitary(args.unitary)
     else:
         u = model.step_unitary(model.build_hamiltonian(cfg.model), cfg.model.dt)
     plan = mesh.clements_decompose(u)
@@ -182,41 +182,41 @@ def cmd_decompose(cfg: RunConfig, unitary_path) -> int:
     return 0
 
 
-def cmd_losses(cfg: RunConfig, platform_names, max_loops: int) -> int:
+def cmd_losses(cfg: RunConfig, args) -> int:
     out = _outdir(cfg)
     table = {p.name: p for p in losses.load_platforms()}
-    if platform_names:
-        missing = [n for n in platform_names if n not in table]
+    if args.platforms:
+        missing = [n for n in args.platforms if n not in table]
         if missing:
             raise ValueError(f"unknown platform(s): {missing}; have {sorted(table)}")
-        chosen = [table[n] for n in platform_names]
+        chosen = [table[n] for n in args.platforms]
     else:
         chosen = list(table.values())
-    ratios = losses.optimal_splitters(max_loops) if max_loops >= 2 else (0.5, 0.5)
-    budgets = losses.platform_comparison(chosen, cfg.chip, ratios, max_loops)
+    ratios = losses.optimal_splitters(args.max_loops) if args.max_loops >= 2 else (0.5, 0.5)
+    budgets = losses.platform_comparison(chosen, cfg.chip, ratios, args.max_loops)
     _write_csv(out / "losses.csv", ["platform", "n", "loss_db"],
                ((b.platform, n, float(db))
                 for b in budgets for n, db in enumerate(b.per_step_db, 1)))
-    for n in range(2, max_loops + 1):
+    for n in range(2, args.max_loops + 1):
         r_loop, r_end = losses.optimal_splitters(n)
         print(f"optimal splitters for n={n}: r_loop={r_loop:.6f}, r_end={r_end:.6f}")
     print(f"losses: wrote losses.csv to {out}")
     return 0
 
 
-def cmd_scaling(cfg: RunConfig, modes, cell_length_cm: float) -> int:
+def cmd_scaling(cfg: RunConfig, args) -> int:
     out = _outdir(cfg)
     table = {p.name: p for p in losses.load_platforms()}
     if cfg.platform not in table:
         raise ValueError(f"unknown platform: {cfg.platform!r}; have {sorted(table)}")
     platform = table[cfg.platform]
     _write_csv(out / "scaling.csv", ["modes", "loss_db"],
-               ((m, losses.mode_scaling_loss(m, platform, cell_length_cm)) for m in modes))
+               ((m, losses.mode_scaling_loss(m, platform, args.cell_length)) for m in args.modes))
     print(f"scaling: wrote scaling.csv to {out}")
     return 0
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(cfg: RunConfig, args) -> int:
     out = _outdir(cfg)
     u = model.step_unitary(model.build_hamiltonian(cfg.model), cfg.model.dt)
     plan = mesh.clements_decompose(u)
@@ -230,11 +230,11 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_compare(cfg: RunConfig, table_path, seeds: int) -> int:
+def cmd_compare(cfg: RunConfig, args) -> int:
     out = _outdir(cfg)
-    table = calibrate.load_param_table(table_path)
+    table = calibrate.load_param_table(args.table)
     comparison = calibrate.compare_methods(table, cfg.noise, cfg.training,
-                                           n_steps=cfg.n_steps, seeds=seeds,
+                                           n_steps=cfg.n_steps, seeds=args.seeds,
                                            n_boson=cfg.model.n_boson)
     _write_csv(out / "errors.csv", ["params_id", "method", "step", "error"],
                ((r.params_id, r.method, step, err)
@@ -267,7 +267,7 @@ def cmd_compare(cfg: RunConfig, table_path, seeds: int) -> int:
     return 0
 
 
-def cmd_counts(cfg: RunConfig) -> int:
+def cmd_counts(cfg: RunConfig, args) -> int:
     out = _outdir(cfg)
     u = model.step_unitary(model.build_hamiltonian(cfg.model), cfg.model.dt)
     record = loopchip.run_loop(cfg.chip, u, cfg.initial_channel, cfg.n_steps)
@@ -286,6 +286,7 @@ def cmd_counts(cfg: RunConfig) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loopsim",
@@ -299,35 +300,41 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="exact evolution, chip distributions, counting run")
-    for p in (p_sim,):
-        p.add_argument("--epsilon", type=float)
-        p.add_argument("--omega-hbar", dest="omega_hbar", type=float)
-        p.add_argument("--lam", type=float)
+    p_sim.set_defaults(handler=cmd_simulate)
+    p_sim.add_argument("--epsilon", type=float)
+    p_sim.add_argument("--omega-hbar", dest="omega_hbar", type=float)
+    p_sim.add_argument("--lam", type=float)
     p_sim.add_argument("--n-steps", dest="n_steps", type=int)
     p_sim.add_argument("--initial-channel", dest="initial_channel", type=int)
 
     p_dec = sub.add_parser("decompose", help="compile a unitary into a mesh plan")
+    p_dec.set_defaults(handler=cmd_decompose)
     p_dec.add_argument("--unitary", type=Path,
                        help="JSON file with 're' and 'im' matrices; default: model propagator")
 
     p_loss = sub.add_parser("losses", help="loss budgets across platforms")
+    p_loss.set_defaults(handler=cmd_losses)
     p_loss.add_argument("--platforms", nargs="*", default=None,
                         help="platform names (default: all bundled)")
     p_loss.add_argument("--max-loops", dest="max_loops", type=int, default=3)
 
     p_scale = sub.add_parser("scaling", help="single-pass loss vs mode count")
+    p_scale.set_defaults(handler=cmd_scaling)
     p_scale.add_argument("--modes", type=int, nargs="+", default=[2, 4, 6, 8])
     p_scale.add_argument("--cell-length", dest="cell_length", type=float, default=0.5)
 
     p_train = sub.add_parser("train", help="train mesh phases against the model target")
+    p_train.set_defaults(handler=cmd_train)
     p_train.add_argument("--n-steps", dest="n_steps", type=int)
 
     p_cmp = sub.add_parser("compare", help="decomposition vs trained over the benchmark table")
+    p_cmp.set_defaults(handler=cmd_compare)
     p_cmp.add_argument("--table", type=Path, help="parameter table CSV (default: bundled)")
     p_cmp.add_argument("--seeds", type=int, default=1,
                        help="noise realizations per parameter row")
 
     p_counts = sub.add_parser("counts", help="sample a counting run and recover probabilities")
+    p_counts.set_defaults(handler=cmd_counts)
     p_counts.add_argument("--n-steps", dest="n_steps", type=int)
     p_counts.add_argument("--initial-channel", dest="initial_channel", type=int)
 
@@ -340,21 +347,7 @@ def run(argv=None) -> int:
     if args.dump_config:
         print(json.dumps(config_to_dict(cfg), indent=2))
         return 0
-    if args.command == "simulate":
-        return cmd_simulate(cfg)
-    if args.command == "decompose":
-        return cmd_decompose(cfg, args.unitary)
-    if args.command == "losses":
-        return cmd_losses(cfg, args.platforms, args.max_loops)
-    if args.command == "scaling":
-        return cmd_scaling(cfg, args.modes, args.cell_length)
-    if args.command == "train":
-        return cmd_train(cfg)
-    if args.command == "compare":
-        return cmd_compare(cfg, args.table, args.seeds)
-    if args.command == "counts":
-        return cmd_counts(cfg)
-    raise RuntimeError(f"unhandled command {args.command!r}")
+    return args.handler(cfg, args)
 
 
 def main(argv=None) -> int:

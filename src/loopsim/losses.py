@@ -11,7 +11,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .loopchip import ChipConfig
 
@@ -101,25 +100,11 @@ def optimal_splitters(n: int) -> tuple:
     """Splitter ratios maximizing the step-n output power.
 
     The step-n path keeps (1 - r) r^(n-1) per splitter, maximized at
-    r = (n - 1)/n. The analytic value is cross-checked on every call by
-    bracketing the objective's stationary point numerically (a direct
-    bounded maximizer cannot do better than ~1e-8 here because the
-    objective is flat at its peak).
+    r = (n - 1)/n.
     """
     if n < 2:
         raise ValueError("n must be >= 2 (step 1 wants no recirculation at all)")
     r_loop = (n - 1.0) / n
-
-    def transmitted(r):
-        return (1.0 - r) * r ** (n - 1)
-
-    h = 1e-6
-    numerical = brentq(lambda r: transmitted(r + h) - transmitted(r - h),
-                       0.5 / n, 1.0, xtol=1e-12)
-    if abs(numerical - r_loop) > 1e-9:
-        raise RuntimeError(
-            f"numerical maximizer disagrees with analytic optimum: {numerical} vs {r_loop}"
-        )
     return r_loop, 1.0 - r_loop
 
 

@@ -10,9 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SPIN_EXCITED = "excited"
-SPIN_GROUND = "ground"
-
 _HERMITIAN_ATOL = 1e-12
 _EIG_RESIDUAL_ATOL = 1e-9
 _UNITARY_ATOL = 1e-10
@@ -46,36 +43,6 @@ class SpinBosonParams:
     @property
     def dim(self) -> int:
         return 2 * self.n_boson
-
-
-@dataclass(frozen=True)
-class BasisLabel:
-    """Physical label of one channel: spin branch plus boson occupation."""
-
-    spin: str
-    boson_level: int
-
-    def __post_init__(self):
-        if self.spin not in (SPIN_EXCITED, SPIN_GROUND):
-            raise ValueError(f"spin must be '{SPIN_EXCITED}' or '{SPIN_GROUND}'")
-        if self.boson_level < 0:
-            raise ValueError("boson_level must be >= 0")
-
-
-def channel_index(label: BasisLabel, n_boson: int) -> int:
-    """Map a basis label to its channel index (excited block first)."""
-    if label.boson_level >= n_boson:
-        raise ValueError("boson_level exceeds truncation")
-    block = 0 if label.spin == SPIN_EXCITED else 1
-    return block * n_boson + label.boson_level
-
-
-def basis_label(channel: int, n_boson: int) -> BasisLabel:
-    """Inverse of channel_index."""
-    if not 0 <= channel < 2 * n_boson:
-        raise ValueError("channel out of range")
-    spin = SPIN_EXCITED if channel < n_boson else SPIN_GROUND
-    return BasisLabel(spin, channel % n_boson)
 
 
 def truncated_ladder(n_boson: int):
@@ -149,17 +116,17 @@ def propagate(matrix: np.ndarray, x: np.ndarray, n_steps: int) -> np.ndarray:
     return out
 
 
-def evolve_exact(params: SpinBosonParams, initial_channel: int, n_steps: int) -> np.ndarray:
+def evolve_exact(unitary: np.ndarray, initial_channel: int, n_steps: int) -> np.ndarray:
     """Channel probability distribution after each of n_steps applications
-    of the step propagator, starting from a single occupied channel.
+    of the step propagator unitary, starting from a single occupied channel.
 
     Returns an (n_steps, dim) array; row n-1 is the distribution after n steps.
     """
-    if not 0 <= initial_channel < params.dim:
+    dim = unitary.shape[0]
+    if not 0 <= initial_channel < dim:
         raise ValueError("initial_channel out of range")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    u = step_unitary(build_hamiltonian(params), params.dt)
-    psi = np.zeros(params.dim, dtype=complex)
+    psi = np.zeros(dim, dtype=complex)
     psi[initial_channel] = 1.0
-    return np.abs(propagate(u, psi, n_steps)) ** 2
+    return np.abs(propagate(unitary, psi, n_steps)) ** 2

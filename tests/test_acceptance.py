@@ -94,7 +94,7 @@ def test_3_dynamics_consistency():
         u = step_unitary(build_hamiltonian(params), params.dt)
         record = run_loop(ChipConfig(), u, 0, 3)
         cond = conditional_probabilities(record)
-        exact = evolve_exact(params, 0, 3)
+        exact = evolve_exact(u, 0, 3)
         worst_cell = max(worst_cell, float(np.max(np.abs(cond - exact))))
         worst_sum = max(worst_sum, float(np.max(np.abs(cond.sum(axis=1) - 1.0))))
     elapsed = time.perf_counter() - start

@@ -50,7 +50,8 @@ class TestSimulate:
     def test_theory_csv_is_evolve_exact_bit_for_bit(self, tmp_path):
         assert main(["--out", str(tmp_path), "simulate", "--epsilon", "0.5",
                      "--omega-hbar", "1.2", "--lam", "0.8"]) == 0
-        exact = evolve_exact(SpinBosonParams(0.5, 1.2, 0.8), 0, 3)
+        params = SpinBosonParams(0.5, 1.2, 0.8)
+        exact = evolve_exact(step_unitary(build_hamiltonian(params), params.dt), 0, 3)
         assert np.array_equal(read_probs(tmp_path / "theory.csv"), exact)
 
     def test_bad_initial_channel_exits_two(self, tmp_path, capsys):
@@ -105,6 +106,10 @@ class TestLosses:
         assert rc == 2
         assert "unknown platform" in capsys.readouterr().err
 
+    def test_many_loops(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path), "losses", "--max-loops", "200"]) == 0
+        assert "optimal splitters for n=200: r_loop=0.995000" in capsys.readouterr().out
+
 
 class TestScaling:
     def test_default_modes(self, tmp_path):
@@ -120,6 +125,17 @@ class TestScaling:
         rc = main(["--out", str(tmp_path), "scaling", "--modes", "3"])
         assert rc == 2
         assert "even" in capsys.readouterr().err
+
+    def test_failed_row_leaves_no_file(self, tmp_path):
+        assert main(["--out", str(tmp_path), "scaling", "--modes", "2", "4", "5"]) == 2
+        assert not (tmp_path / "scaling.csv").exists()
+
+    def test_runs_leave_the_parser_defaults_alone(self, tmp_path):
+        for out in ("a", "b"):
+            assert main(["--out", str(tmp_path / out), "scaling"]) == 0
+        assert (tmp_path / "a" / "scaling.csv").read_bytes() == \
+            (tmp_path / "b" / "scaling.csv").read_bytes()
+        assert build_parser().parse_args(["scaling"]).modes == [2, 4, 6, 8]
 
 
 class TestTrain:
@@ -236,6 +252,44 @@ class TestConfig:
             config_from_dict({"chip": {"rep_rate_mhz": 1000.0}, "n_steps": 3})
         config_from_dict({"chip": {"rep_rate_mhz": 250.0}, "n_steps": 9})
 
+    def test_partial_model_section_keeps_defaults(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"model": {"n_boson": 2}, "chip": {"dim": 4}}))
+        assert main(["--config", str(cfgfile), "--out", str(tmp_path), "simulate"]) == 0
+        assert read_probs(tmp_path / "theory.csv").shape == (3, 4)
+        capsys.readouterr()
+        assert main(["--config", str(cfgfile), "--dump-config", "simulate"]) == 0
+        model = json.loads(capsys.readouterr().out)["model"]
+        assert (model["epsilon"], model["omega_hbar"], model["lambda"]) == (1.0, 1.0, 1.0)
+        assert model["n_boson"] == 2
+
+    def test_unknown_section_key_exits_two(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"model": {"foo": 1}}))
+        assert main(["--config", str(cfgfile), "--out", str(tmp_path), "simulate"]) == 2
+        assert "foo" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--epsilon", "0.5"]])
+    def test_section_not_an_object_exits_two(self, tmp_path, capsys, flags):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"model": 5}))
+        rc = main(["--config", str(cfgfile), "--out", str(tmp_path), "simulate", *flags])
+        assert rc == 2
+        assert "'model' must be a JSON object" in capsys.readouterr().err
+
+    def test_flag_overrides_invalid_file_value(self, tmp_path):
+        # n_steps 6 alone would overlap the next pump pulse
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"n_steps": 6}))
+        assert main(["--config", str(cfgfile), "--out", str(tmp_path),
+                     "counts", "--n-steps", "3"]) == 0
+
+    def test_readme_config_block_is_accepted(self):
+        text = README.read_text()
+        block = text.split("## Configuration", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+        doc = json.loads(block)
+        assert config_to_dict(config_from_dict(doc)).keys() == doc.keys()
+
     def test_mismatched_dims_exit_two(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"model": {"epsilon": 1.0, "omega_hbar": 1.0,
@@ -261,10 +315,13 @@ def test_readme_command_lines_parse():
 
 
 def test_cli_import_leaves_out_scipy_stats():
+    # scipy.special is the only scipy subpackage loopsim uses
     src = str(Path(loopsim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    code = "import sys, loopsim.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, loopsim.cli; print(sorted(n for n, m in sys.modules.items() "
+            "if n.startswith('scipy.') and n.count('.') == 1 and hasattr(m, '__path__') "
+            "and not n.startswith('scipy._')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "['scipy.special']"

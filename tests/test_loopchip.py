@@ -102,7 +102,7 @@ class TestConditional:
         u = step_unitary(build_hamiltonian(params), params.dt)
         rec = run_loop(ChipConfig(), u, input_channel=0, n_steps=3)
         cond = conditional_probabilities(rec)
-        exact = evolve_exact(params, 0, 3)
+        exact = evolve_exact(u, 0, 3)
         assert np.max(np.abs(cond - exact)) < 1e-9
         assert np.max(np.abs(cond.sum(axis=1) - 1.0)) < 1e-10
 

@@ -136,6 +136,12 @@ class TestOptimalSplitters:
             assert obj(r) > obj(r + 1e-3)
             assert obj(r) > obj(r - 1e-3)
 
+    @pytest.mark.parametrize("n", [134, 200, 10_000])
+    def test_formula_at_many_loops(self, n):
+        r_loop, r_end = optimal_splitters(n)
+        assert r_loop == (n - 1.0) / n
+        assert r_end == pytest.approx(1.0 / n, rel=1e-9)
+
     def test_rejects_single_step(self):
         with pytest.raises(ValueError):
             optimal_splitters(1)

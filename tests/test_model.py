@@ -4,13 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopsim.model import (
-    SPIN_EXCITED,
-    SPIN_GROUND,
-    BasisLabel,
     SpinBosonParams,
-    basis_label,
     build_hamiltonian,
-    channel_index,
     evolve_exact,
     step_unitary,
     truncated_ladder,
@@ -155,7 +150,7 @@ class TestEvolveExact:
         psi0 = np.zeros(6, dtype=complex)
         psi0[0] = 1.0
         coeffs = v.conj().T @ psi0
-        probs = evolve_exact(p, 0, 5)
+        probs = evolve_exact(step_unitary(h, p.dt), 0, 5)
         for n in range(1, 6):
             psi_n = v @ (np.exp(-1j * w * n * p.dt) * coeffs)
             assert np.max(np.abs(probs[n - 1] - np.abs(psi_n) ** 2)) < 1e-12
@@ -163,13 +158,13 @@ class TestEvolveExact:
     def test_single_step_is_propagator_column(self):
         p = SpinBosonParams(0.5, 1.2, 0.8)
         u = step_unitary(build_hamiltonian(p), p.dt)
-        probs = evolve_exact(p, 2, 1)
+        probs = evolve_exact(u, 2, 1)
         assert np.allclose(probs[0], np.abs(u[:, 2]) ** 2, atol=1e-14)
 
     @settings(max_examples=30, deadline=None)
     @given(finite_params, st.integers(1, 6))
     def test_normalized(self, params, n_steps):
-        probs = evolve_exact(params, 0, n_steps)
+        probs = evolve_exact(step_unitary(build_hamiltonian(params), params.dt), 0, n_steps)
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-10
 
     @settings(max_examples=20, deadline=None)
@@ -186,32 +181,8 @@ class TestEvolveExact:
 
     def test_rejects_bad_channel(self):
         p = SpinBosonParams(1.0, 1.0, 1.0)
+        u = step_unitary(build_hamiltonian(p), p.dt)
         with pytest.raises(ValueError):
-            evolve_exact(p, 6, 1)
+            evolve_exact(u, 6, 1)
         with pytest.raises(ValueError):
-            evolve_exact(p, 0, 0)
-
-
-class TestBasisLayout:
-    def test_bijection(self):
-        for n_boson in (1, 3, 5):
-            seen = set()
-            for ch in range(2 * n_boson):
-                label = basis_label(ch, n_boson)
-                assert channel_index(label, n_boson) == ch
-                seen.add((label.spin, label.boson_level))
-            assert len(seen) == 2 * n_boson
-
-    def test_layout_order(self):
-        assert channel_index(BasisLabel(SPIN_EXCITED, 0), 3) == 0
-        assert channel_index(BasisLabel(SPIN_EXCITED, 2), 3) == 2
-        assert channel_index(BasisLabel(SPIN_GROUND, 0), 3) == 3
-        assert basis_label(5, 3) == BasisLabel(SPIN_GROUND, 2)
-
-    def test_rejects_bad_labels(self):
-        with pytest.raises(ValueError):
-            BasisLabel("sideways", 0)
-        with pytest.raises(ValueError):
-            channel_index(BasisLabel(SPIN_EXCITED, 3), 3)
-        with pytest.raises(ValueError):
-            basis_label(6, 3)
+            evolve_exact(u, 0, 0)
