@@ -64,7 +64,6 @@ from .montecarlo import (
     default_windows,
     estimate_probabilities,
     expected_histograms,
-    peak_separation_check,
     sample_run,
 )
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._fields import check_fields
 from .loopchip import ChipConfig, step_power_matrices
 from .mesh import (MeshNoise, MeshPlan, MZICell, clements_decompose, forward_arrays, mesh_forward,
                    noise_offsets)
@@ -33,12 +34,7 @@ class TrainingConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        check_fields(self, positive=("max_iters", "tol"), nonneg=("learning_rate",))
 
 
 @dataclass

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import check_fields
 from .model import propagate
 
 
@@ -43,24 +44,14 @@ class ChipConfig:
     lossless: bool = False
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        check_fields(self, positive=("dim", "chip_length_cm", "loop_delay_ps", "rep_rate_mhz"),
+                     nonneg=("alpha_db_per_cm", "others_loss_db"))
         for name in ("ratio_in", "ratio_out"):
             r = getattr(self, name)
             if not 0.0 < r < 1.0:
                 raise ValueError(f"{name} must lie strictly between 0 and 1")
-        if self.alpha_db_per_cm < 0:
-            raise ValueError("alpha_db_per_cm must be >= 0")
-        if self.others_loss_db < 0:
-            raise ValueError("others_loss_db must be >= 0")
-        if self.chip_length_cm <= 0:
-            raise ValueError("chip_length_cm must be positive")
         if self.loop_length_cm < 4.0:
             raise ValueError("loop_length_cm must be >= 4 (minimum feasible loop)")
-        if self.loop_delay_ps <= 0:
-            raise ValueError("loop_delay_ps must be positive")
-        if self.rep_rate_mhz <= 0:
-            raise ValueError("rep_rate_mhz must be positive")
 
 
 @dataclass

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._fields import check_fields
 from .loopchip import ChipConfig
 
 
@@ -30,11 +31,9 @@ class PlatformSpec:
     offchip_per_loop_db: float = 0.0
 
     def __post_init__(self):
+        check_fields(self, nonneg=("alpha_db_per_cm", "mzi_extra_db", "offchip_per_loop_db"))
         if not self.name:
             raise ValueError("name must be non-empty")
-        for field in ("alpha_db_per_cm", "mzi_extra_db", "offchip_per_loop_db"):
-            if getattr(self, field) < 0:
-                raise ValueError(f"{field} must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._fields import check_fields
+
 _NULL_ATOL = 1e-10
 _TWO_PI = 2.0 * np.pi
 
@@ -76,10 +78,7 @@ class MeshNoise:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("sigma_theta", "sigma_phi", "sigma_split"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0")
+        check_fields(self, nonneg=("sigma_theta", "sigma_phi", "sigma_split", "seed"))
 
 
 @dataclass(frozen=True)

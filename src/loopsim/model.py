@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import check_fields
+
 _HERMITIAN_ATOL = 1e-12
 _EIG_RESIDUAL_ATOL = 1e-9
 _UNITARY_ATOL = 1e-10
@@ -32,13 +34,7 @@ class SpinBosonParams:
     dt: float = 1.0
 
     def __post_init__(self):
-        if int(self.n_boson) != self.n_boson or self.n_boson < 1:
-            raise ValueError("n_boson must be an integer >= 1")
-        for name in ("epsilon", "omega_hbar", "lam", "h_field", "dt"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        check_fields(self, positive=("n_boson", "dt"))
 
     @property
     def dim(self) -> int:

@@ -11,7 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
+from ._fields import check_fields
 from .loopchip import StageRecord
+
+# Histogram bins per channel. sample_run holds dim x bins floats at once, so
+# the cap bounds its memory; a too-small bin_ps is rejected, not allocated.
+_MAX_BINS = 10**6
 
 
 @dataclass(frozen=True)
@@ -26,16 +31,8 @@ class CountingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.pair_rate_hz < 0:
-            raise ValueError("pair_rate_hz must be >= 0")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-        if self.jitter_ps < 0:
-            raise ValueError("jitter_ps must be >= 0")
-        if self.bin_ps <= 0:
-            raise ValueError("bin_ps must be positive")
-        if self.background_rate_hz < 0:
-            raise ValueError("background_rate_hz must be >= 0")
+        check_fields(self, positive=("duration_s", "bin_ps"),
+                     nonneg=("pair_rate_hz", "jitter_ps", "background_rate_hz", "seed"))
 
 
 @dataclass
@@ -70,13 +67,10 @@ def _histogram_edges(n_steps: int, cfg: CountingConfig, loop_delay_ps: float) ->
     lo = np.floor(-pad / cfg.bin_ps) * cfg.bin_ps
     hi = np.ceil(((n_steps - 1) * loop_delay_ps + pad) / cfg.bin_ps) * cfg.bin_ps
     n_bins = int(round((hi - lo) / cfg.bin_ps))
+    if n_bins > _MAX_BINS:
+        raise ValueError(f"bin_ps {cfg.bin_ps} gives {n_bins} histogram bins per channel, "
+                         f"more than {_MAX_BINS}")
     return lo + cfg.bin_ps * np.arange(n_bins + 1)
-
-
-def _check_record(record: StageRecord):
-    total = float(record.probabilities.sum())
-    if total > 1.0 + 1e-9:
-        raise ValueError(f"total detection probability {total} exceeds 1")
 
 
 def _bin_means(record: StageRecord, cfg: CountingConfig, loop_delay_ps: float):
@@ -88,7 +82,9 @@ def _bin_means(record: StageRecord, cfg: CountingConfig, loop_delay_ps: float):
     """
     if loop_delay_ps <= 0:
         raise ValueError("loop_delay_ps must be positive")
-    _check_record(record)
+    total = float(record.probabilities.sum())
+    if total > 1.0 + 1e-9:
+        raise ValueError(f"total detection probability {total} exceeds 1")
     n_steps, dim = record.probabilities.shape
     edges = _histogram_edges(n_steps, cfg, loop_delay_ps)
     centers = np.arange(n_steps) * loop_delay_ps
@@ -131,11 +127,13 @@ def expected_histograms(record: StageRecord, cfg: CountingConfig, loop_delay_ps:
 
 
 def default_windows(n_steps: int, cfg: CountingConfig, loop_delay_ps: float) -> list:
-    """Symmetric per-step gates: 6 sigma of jitter or 2 bins, non-overlapping."""
+    """Symmetric per-step gates, 6 sigma of jitter or 2 bins wide; raises if they overlap."""
+    _histogram_edges(n_steps, cfg, loop_delay_ps)  # raises past _MAX_BINS: one geometry check
     half = max(3.0 * cfg.jitter_ps, cfg.bin_ps)
     half = np.ceil(half / cfg.bin_ps) * cfg.bin_ps
     if 2 * half >= loop_delay_ps:
-        raise ValueError("jitter too large for non-overlapping gates at this delay")
+        raise ValueError(f"jitter too large for non-overlapping gates at this delay: jitter_ps "
+                         f"{cfg.jitter_ps} needs {2 * half} ps gates, loop_delay_ps is {loop_delay_ps}")
     return [((n * loop_delay_ps) - half, (n * loop_delay_ps) + half) for n in range(n_steps)]
 
 
@@ -190,21 +188,3 @@ def estimate_probabilities(histograms: list, windows: list, cfg: CountingConfig)
                             + bg_in_gate * ((1.0 - p) ** 2 + (dim - 1) * p ** 2) / total ** 2)
     return ProbabilityEstimates(p_hat, stderr, tuple(flags))
 
-
-def peak_separation_check(histograms: list, loop_delay_ps: float, jitter_ps: float):
-    """Whether adjacent step peaks stay resolvable: margin = delay - 6 jitter.
-
-    Requires the histogram span to cover at least two peaks; returns
-    (ok, margin_ps).
-    """
-    if loop_delay_ps <= 0:
-        raise ValueError("loop_delay_ps must be positive")
-    if jitter_ps < 0:
-        raise ValueError("jitter_ps must be >= 0")
-    if not histograms:
-        raise ValueError("need at least one histogram")
-    edges = histograms[0].bin_edges_ps
-    if edges[-1] - edges[0] <= loop_delay_ps:
-        raise ValueError("histogram span covers fewer than two peaks")
-    margin = loop_delay_ps - 6.0 * jitter_ps
-    return margin >= 0.0, float(margin)

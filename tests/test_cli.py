@@ -11,7 +11,8 @@ import pytest
 
 import loopsim
 from loopsim.calibrate import TrainingConfig, flatten_step_matrices, theory_step_matrices, train
-from loopsim.cli import _write_csv, build_parser, config_from_dict, config_to_dict, main
+from loopsim.cli import (RunConfig, _write_csv, build_parser, config_from_dict, config_to_dict,
+                         main)
 from loopsim.mesh import MeshNoise, clements_decompose, plan_from_json
 from loopsim.model import SpinBosonParams, build_hamiltonian, evolve_exact, step_unitary
 
@@ -203,6 +204,15 @@ class TestCounts:
         assert len(rows) == 3 * 6
         assert (tmp_path / "histograms.csv").exists()
 
+    def test_one_step_run_exits_zero(self, tmp_path, capsys):
+        # the histogram spans a single peak; the margin still follows from the gates
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"counting": {"jitter_ps": 10}}))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfgfile), "--out", str(out), "counts", "--n-steps", "1"]) == 0
+        assert "peak separation ok (margin 340.0 ps)" in capsys.readouterr().out
+        assert (out / "estimates.csv").exists()
+
     def test_seed_determinism(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -297,6 +307,80 @@ class TestConfig:
         rc = main(["--config", str(cfgfile), "--out", str(tmp_path), "simulate"])
         assert rc == 2
         assert "dimension" in capsys.readouterr().err
+
+
+class TestInvalidValues:
+    """A wrongly typed, non-finite or out-of-range value exits 2 before any file is written."""
+
+    @staticmethod
+    def _run(tmp_path, doc, argv):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = main(["--config", str(cfgfile), "--out", str(out), *argv])
+        return rc, out
+
+    @pytest.mark.parametrize("doc, section, key", [
+        ({"chip": {"lossless": "no"}}, "chip", "lossless"),
+        ({"n_steps": "3"}, None, "n_steps"),
+        ({"chip": {"dim": "6"}}, "chip", "dim"),
+        ({"model": {"n_boson": 3.0}}, "model", "n_boson"),
+        ({"training": {"max_iters": 2.5}}, "training", "max_iters"),
+        ({"initial_channel": True}, None, "initial_channel"),
+        ({"counting": {"seed": -1}}, "counting", "seed"),
+        ({"counting": {"jitter_ps": 70}}, "counting", "jitter_ps"),
+    ])
+    def test_simulate(self, tmp_path, capsys, doc, section, key):
+        rc, out = self._run(tmp_path, doc, ["simulate"])
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert key in err
+        assert section is None or f"config section '{section}'" in err
+
+    @pytest.mark.parametrize("doc, command, key", [
+        ({"chip": {"others_loss_db": float("nan")}}, "losses", "others_loss_db"),
+        ({"training": {"learning_rate": float("nan")}}, "train", "learning_rate"),
+    ])
+    def test_nan(self, tmp_path, capsys, doc, command, key):
+        rc, out = self._run(tmp_path, doc, [command])
+        assert rc == 2
+        assert not out.exists()
+        assert key in capsys.readouterr().err
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--seed", "-1", "simulate"]) == 2
+        assert not out.exists()
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    def test_too_many_bins(self):
+        # about 2e6 bins per channel at 7e-4 ps
+        with pytest.raises(ValueError, match="config section 'counting': bin_ps"):
+            config_from_dict({"counting": {"bin_ps": 7e-4}})
+
+    def test_every_field_rejects_a_wrong_type(self):
+        # A field added later without the type check fails here.
+        doc = config_to_dict(RunConfig())
+        leaves = [(None, key, value) for key, value in doc.items() if not isinstance(value, dict)]
+        leaves += [(section, key, value) for section, payload in doc.items()
+                   if isinstance(payload, dict) for key, value in payload.items()]
+        for section, key, default in leaves:
+            if isinstance(default, bool):
+                bad_values = ["x"]
+            elif isinstance(default, int):
+                bad_values = ["x", True, 2.5]
+            elif isinstance(default, float):
+                bad_values = ["x", True, float("nan")]
+            else:
+                bad_values = [5]
+            for bad in bad_values:
+                case = {key: bad} if section is None else {section: {key: bad}}
+                with pytest.raises(ValueError) as info:
+                    config_from_dict(case)
+                message = str(info.value)
+                assert ("lam" if key == "lambda" else key) in message, (case, message)
+                assert section is None or f"config section '{section}'" in message
 
 
 def test_write_csv_formats_cells(tmp_path):

@@ -16,7 +16,6 @@ from loopsim.montecarlo import (
     default_windows,
     estimate_probabilities,
     expected_histograms,
-    peak_separation_check,
     sample_run,
 )
 
@@ -353,41 +352,6 @@ class TestEstimation:
             assert hi == pytest.approx(n * DELAY + 160.0)
         with pytest.raises(ValueError, match="jitter too large"):
             default_windows(2, CountingConfig(jitter_ps=80.0), DELAY)
-
-
-class TestPeakSeparation:
-    def test_default_geometry_resolvable(self):
-        cfg = CountingConfig(jitter_ps=50.0)
-        hists = sample_run(identity_record(2), cfg, DELAY)
-        ok, margin = peak_separation_check(hists, DELAY, cfg.jitter_ps)
-        assert ok
-        assert margin == pytest.approx(100.0, abs=1e-12)
-
-    def test_crowded_delay_not_resolvable(self):
-        cfg = CountingConfig(jitter_ps=50.0)
-        hists = sample_run(identity_record(4), cfg, 200.0)
-        ok, margin = peak_separation_check(hists, 200.0, 50.0)
-        assert not ok
-        assert margin == pytest.approx(-100.0, abs=1e-12)
-
-    def test_zero_jitter_always_ok(self):
-        cfg = CountingConfig(jitter_ps=0.0)
-        hists = sample_run(identity_record(2), cfg, DELAY)
-        ok, margin = peak_separation_check(hists, DELAY, 0.0)
-        assert ok and margin == DELAY
-
-    def test_errors(self):
-        cfg = CountingConfig()
-        hists = sample_run(identity_record(2), cfg, DELAY)
-        with pytest.raises(ValueError):
-            peak_separation_check(hists, -1.0, 50.0)
-        with pytest.raises(ValueError):
-            peak_separation_check(hists, DELAY, -1.0)
-        with pytest.raises(ValueError):
-            peak_separation_check([], DELAY, 50.0)
-        narrow = [ArrivalHistogram(0, np.array([0.0, 100.0]), np.array([1]))]
-        with pytest.raises(ValueError, match="span"):
-            peak_separation_check(narrow, DELAY, 50.0)
 
 
 class TestCsv:
