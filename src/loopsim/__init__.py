@@ -2,7 +2,6 @@
 photonic processor that evolves a spin-boson system in unary encoding."""
 
 from .calibrate import (
-    ErrorReport,
     MethodComparison,
     ParamTable,
     TrainResult,
@@ -10,7 +9,6 @@ from .calibrate import (
     compare_methods,
     error_metric,
     finite_diff_gradient,
-    flatten_step_matrices,
     kl_loss,
     load_param_table,
     theory_step_matrices,
@@ -39,7 +37,6 @@ from .mesh import (
     DecompositionError,
     MeshNoise,
     MeshPlan,
-    MZICell,
     clements_decompose,
     embed_cell,
     imperfect_mzi,

@@ -16,8 +16,7 @@ import numpy as np
 
 from ._fields import check_fields
 from .loopchip import ChipConfig, step_power_matrices
-from .mesh import (MeshNoise, MeshPlan, MZICell, clements_decompose, forward_arrays, mesh_forward,
-                   noise_offsets)
+from .mesh import MeshNoise, MeshPlan, clements_decompose, forward_arrays, mesh_forward, noise_offsets
 from .model import SpinBosonParams, build_hamiltonian, propagate, step_unitary
 
 
@@ -46,21 +45,14 @@ class TrainResult:
     converged: bool
 
 
-@dataclass(frozen=True)
-class ErrorReport:
-    """Per-step relative errors of one method on one parameter row."""
-
-    per_step: tuple
-    method: str
-    params_id: int
-
-
 @dataclass
 class MethodComparison:
-    """Paired decomposition/trained reports plus non-convergence flags."""
+    """Per-step errors of both methods, shape (pairs, n_steps); a pair is one noise
+    realization of one table row, whose 1-based index params_id holds."""
 
-    decomposition: list
-    trained: list
+    params_id: tuple
+    decomposition: np.ndarray
+    trained: np.ndarray
     non_converged: tuple
 
 
@@ -114,18 +106,10 @@ def theory_step_matrices(unitary: np.ndarray, n_steps: int) -> np.ndarray:
     return np.ascontiguousarray(power.transpose(0, 2, 1))
 
 
-def flatten_step_matrices(mats: np.ndarray) -> np.ndarray:
-    """Flatten (n_steps, dim, dim) matrices input-major, then step, then channel."""
-    mats = np.asarray(mats)
+def _input_major(mats: np.ndarray) -> np.ndarray:
+    """Flatten (n_steps, dim, dim) matrices input-major, then step, then channel.
+    The order fixes kl_loss's summation order, and with it the training losses."""
     return np.ascontiguousarray(np.transpose(mats, (1, 0, 2))).ravel()
-
-
-def _plan_with_phases(plan: MeshPlan, thetas, phis) -> MeshPlan:
-    cells = tuple(
-        MZICell(c.lo, c.hi, float(th), float(ph), c.column)
-        for c, th, ph in zip(plan.cells, thetas, phis)
-    )
-    return MeshPlan(plan.dim, cells, plan.output_phases)
 
 
 def finite_diff_gradient(fn, x: np.ndarray, eps: float) -> np.ndarray:
@@ -143,8 +127,8 @@ def finite_diff_gradient(fn, x: np.ndarray, eps: float) -> np.ndarray:
 def train(plan: MeshPlan, noise, target: np.ndarray, tc: TrainingConfig) -> TrainResult:
     """Adjust commanded cell phases to pull the noisy chip toward the target.
 
-    The target is a flattened all-inputs distribution vector (see
-    flatten_step_matrices); its length fixes the step count. The chip is
+    The target holds the ideal (n_steps, dim, dim) step matrices (see
+    theory_step_matrices); its first axis fixes the step count. The chip is
     modeled lossless, since row normalization cancels uniform loss and the
     splitter ratios. Noise offsets are frozen for the whole run. The best
     parameters seen are returned, so the final loss never exceeds the
@@ -152,25 +136,22 @@ def train(plan: MeshPlan, noise, target: np.ndarray, tc: TrainingConfig) -> Trai
     start returns immediately with a one-entry trace.
     """
     dim = plan.dim
-    n_steps, rem = divmod(target.size, dim * dim)
-    if rem != 0 or n_steps < 1:
-        raise ValueError("target length must be a positive multiple of dim^2")
+    target = np.asarray(target, dtype=float)
+    if target.ndim != 3 or len(target) < 1 or target.shape[1:] != (dim, dim):
+        raise ValueError(f"target must have shape (n_steps >= 1, {dim}, {dim}), not {target.shape}")
+    n_steps = target.shape[0]
+    flat_target = _input_major(target)
     config = ChipConfig(dim=dim, lossless=True)
-
-    n_cells = len(plan.cells)
-    los = np.fromiter((c.lo for c in plan.cells), dtype=int, count=n_cells)
+    n_cells = len(plan.los)
     offsets = noise_offsets(noise, n_cells)
-    out_phases = plan.output_phases
 
     def loss_of(x):
-        mesh_mat = forward_arrays(dim, los, x[:n_cells], x[n_cells:], out_phases, offsets)
+        mesh_mat = forward_arrays(dim, plan.los, x[:n_cells], x[n_cells:], plan.output_phases,
+                                  offsets)
         mats = step_power_matrices(config, mesh_mat, n_steps)
-        return kl_loss(target, flatten_step_matrices(mats))
+        return kl_loss(flat_target, _input_major(mats))
 
-    x = np.concatenate([
-        np.fromiter((c.theta for c in plan.cells), dtype=float, count=n_cells),
-        np.fromiter((c.phi for c in plan.cells), dtype=float, count=n_cells),
-    ])
+    x = np.array(plan.thetas + plan.phis, dtype=float)
     loss = loss_of(x)
     trace = [loss]
     best_x, best_loss = x.copy(), loss
@@ -195,7 +176,8 @@ def train(plan: MeshPlan, noise, target: np.ndarray, tc: TrainingConfig) -> Trai
         if loss <= tc.tol:
             converged = True
             break
-    trained = _plan_with_phases(plan, best_x[:n_cells], best_x[n_cells:])
+    trained = replace(plan, thetas=tuple(best_x[:n_cells].tolist()),
+                      phis=tuple(best_x[n_cells:].tolist()))
     return TrainResult(trained, np.array(trace), converged)
 
 
@@ -229,41 +211,32 @@ def compare_methods(table: ParamTable, noise: MeshNoise, tc: TrainingConfig,
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
     config = ChipConfig(dim=2 * n_boson, lossless=True)
-    dec_reports = []
-    tr_reports = []
-    flagged = []
+    ids, dec, tr, flagged = [], [], [], []
     for row_id, (eps, omega, lam) in enumerate(table.rows, start=1):
         params = SpinBosonParams(eps, omega, lam, n_boson=n_boson)
         u = step_unitary(build_hamiltonian(params), params.dt)
         plan = clements_decompose(u)
         t_mats = theory_step_matrices(u, n_steps)
-        target = flatten_step_matrices(t_mats)
         for k in range(seeds):
             child = np.random.SeedSequence(noise.seed, spawn_key=(row_id, k))
             noise_k = replace(noise, seed=int(child.generate_state(1)[0]))
             e_dec = step_power_matrices(config, mesh_forward(plan, noise_k), n_steps)
-            result = train(plan, noise_k, target, tc)
+            result = train(plan, noise_k, t_mats, tc)
             e_tr = step_power_matrices(config, mesh_forward(result.plan, noise_k), n_steps)
-            dec_reports.append(ErrorReport(
-                tuple(error_metric(t_mats, e_dec, n) for n in range(1, n_steps + 1)),
-                "decomposition", row_id))
-            tr_reports.append(ErrorReport(
-                tuple(error_metric(t_mats, e_tr, n) for n in range(1, n_steps + 1)),
-                "trained", row_id))
+            ids.append(row_id)
+            dec.append([error_metric(t_mats, e_dec, n) for n in range(1, n_steps + 1)])
+            tr.append([error_metric(t_mats, e_tr, n) for n in range(1, n_steps + 1)])
             if not result.converged:
                 flagged.append(row_id)
-    return MethodComparison(dec_reports, tr_reports, tuple(flagged))
+    return MethodComparison(tuple(ids), np.array(dec), np.array(tr), tuple(flagged))
 
 
 def win_stats(comparison: MethodComparison):
-    """(wins, ties, losses) of trained vs decomposition over all (pair, step)."""
-    wins = ties = losses = 0
-    for dec, tr in zip(comparison.decomposition, comparison.trained):
-        for a, b in zip(dec.per_step, tr.per_step):
-            if b < a:
-                wins += 1
-            elif b == a:
-                ties += 1
-            else:
-                losses += 1
-    return wins, ties, losses
+    """(wins, ties, losses) of trained vs decomposition over all (pair, step).
+
+    A NaN on either side counts as a loss.
+    """
+    dec, tr = comparison.decomposition, comparison.trained
+    wins = int(np.count_nonzero(tr < dec))
+    ties = int(np.count_nonzero(tr == dec))
+    return wins, ties, dec.size - wins - ties

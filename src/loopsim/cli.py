@@ -45,8 +45,9 @@ class RunConfig:
         span = (self.n_steps - 1) * self.chip.loop_delay_ps + 6.0 * self.counting.jitter_ps
         period = 1e6 / self.chip.rep_rate_mhz
         if span >= period:
-            raise ValueError(f"last step plus 6 sigma of jitter ends at {span} ps, "
-                             f"not before the next pump pulse at {period} ps")
+            raise ValueError(f"last step plus 6 sigma of jitter ends at {span} ps, not before "
+                             f"the next pump pulse at {period} ps; lower n_steps, "
+                             f"chip.loop_delay_ps, counting.jitter_ps or chip.rep_rate_mhz")
         try:
             montecarlo.default_windows(self.n_steps, self.counting, self.chip.loop_delay_ps)
         except ValueError as exc:
@@ -180,9 +181,9 @@ def cmd_decompose(cfg: RunConfig, args) -> int:
     plan = mesh.clements_decompose(u)
     (out / "plan.json").write_text(mesh.plan_to_json(plan))
     err = float(np.max(np.abs(mesh.mesh_forward(plan) - u)))
-    report = {"dim": plan.dim, "cells": len(plan.cells), "max_roundtrip_error": err}
+    report = {"dim": plan.dim, "cells": len(plan.los), "max_roundtrip_error": err}
     (out / "decompose_report.json").write_text(json.dumps(report, indent=2))
-    print(f"decompose: {plan.dim} modes, {len(plan.cells)} cells, "
+    print(f"decompose: {plan.dim} modes, {len(plan.los)} cells, "
           f"round-trip error {err:.3e}")
     if err > 1e-8:
         raise RuntimeError(f"plan does not reproduce the unitary: error {err:.3e}")
@@ -227,7 +228,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     out = _outdir(cfg)
     u = model.step_unitary(model.build_hamiltonian(cfg.model), cfg.model.dt)
     plan = mesh.clements_decompose(u)
-    target = calibrate.flatten_step_matrices(calibrate.theory_step_matrices(u, cfg.n_steps))
+    target = calibrate.theory_step_matrices(u, cfg.n_steps)
     result = calibrate.train(plan, cfg.noise, target, cfg.training)
     (out / "trained_plan.json").write_text(mesh.plan_to_json(result.plan))
     _write_csv(out / "trace.csv", ["iter", "loss"], enumerate(result.trace.tolist()))
@@ -243,21 +244,21 @@ def cmd_compare(cfg: RunConfig, args) -> int:
     comparison = calibrate.compare_methods(table, cfg.noise, cfg.training,
                                            n_steps=cfg.n_steps, seeds=args.seeds,
                                            n_boson=cfg.model.n_boson)
+    methods = {"decomposition": comparison.decomposition, "trained": comparison.trained}
     _write_csv(out / "errors.csv", ["params_id", "method", "step", "error"],
-               ((r.params_id, r.method, step, err)
-                for r in comparison.decomposition + comparison.trained
-                for step, err in enumerate(r.per_step, 1)))
+               ((row_id, method, step, err)
+                for method, errors in methods.items()
+                for row_id, per_step in zip(comparison.params_id, errors.tolist())
+                for step, err in enumerate(per_step, 1)))
     wins, ties, lost = calibrate.win_stats(comparison)
     total = wins + ties + lost
-    dec_all = [e for r in comparison.decomposition for e in r.per_step]
-    tr_all = [e for r in comparison.trained for e in r.per_step]
     summary = {
         "pairs": total,
         "wins": wins,
         "ties": ties,
         "losses": lost,
-        "median_error_decomposition": float(np.median(dec_all)),
-        "median_error_trained": float(np.median(tr_all)),
+        "median_error_decomposition": float(np.median(comparison.decomposition)),
+        "median_error_trained": float(np.median(comparison.trained)),
         "non_converged_rows": list(comparison.non_converged),
     }
     if total == ties:

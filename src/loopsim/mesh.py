@@ -43,27 +43,6 @@ class DecompositionError(ValueError):
 
 
 @dataclass(frozen=True)
-class MZICell:
-    """One interferometer cell on modes (lo, lo+1) with its phase settings."""
-
-    lo: int
-    hi: int
-    theta: float
-    phi: float
-    column: int = 0
-
-    def __post_init__(self):
-        if self.lo < 0:
-            raise ValueError("lo must be >= 0")
-        if self.hi != self.lo + 1:
-            raise ValueError("cells couple adjacent modes only (hi must equal lo + 1)")
-        if self.column < 0:
-            raise ValueError("column must be >= 0")
-        if not (np.isfinite(self.theta) and np.isfinite(self.phi)):
-            raise ValueError("theta and phi must be finite")
-
-
-@dataclass(frozen=True)
 class MeshNoise:
     """Gaussian fabrication-error model for realized cells.
 
@@ -83,10 +62,13 @@ class MeshNoise:
 
 @dataclass(frozen=True)
 class MeshPlan:
-    """Immutable mesh program: cells in application order plus output phases."""
+    """Immutable mesh program: cell k couples modes (los[k], los[k] + 1) with phases
+    thetas[k], phis[k]; cells apply in order, output phases last."""
 
     dim: int
-    cells: tuple
+    los: tuple
+    thetas: tuple
+    phis: tuple
     output_phases: tuple
 
     def __post_init__(self):
@@ -94,9 +76,12 @@ class MeshPlan:
             raise ValueError("dim must be >= 1")
         if len(self.output_phases) != self.dim:
             raise ValueError("output_phases length must equal dim")
-        for cell in self.cells:
-            if cell.hi >= self.dim:
-                raise ValueError("cell mode index exceeds dim")
+        if not len(self.los) == len(self.thetas) == len(self.phis):
+            raise ValueError("los, thetas and phis must have equal lengths")
+        if not all(isinstance(lo, int) and 0 <= lo < self.dim - 1 for lo in self.los):
+            raise ValueError("cell mode index exceeds dim (each lo is an int, 0 <= lo < dim - 1)")
+        if not np.all(np.isfinite(self.thetas + self.phis + self.output_phases)):
+            raise ValueError("phases must be finite")
 
 
 def mzi_transfer(theta: float, phi: float) -> np.ndarray:
@@ -106,12 +91,12 @@ def mzi_transfer(theta: float, phi: float) -> np.ndarray:
     return np.array([[ph * c, -s], [ph * s, c]], dtype=complex)
 
 
-def embed_cell(cell: MZICell, dim: int) -> np.ndarray:
-    """Ideal cell as a dim x dim unitary, identity elsewhere."""
-    if cell.hi >= dim:
+def embed_cell(lo: int, theta: float, phi: float, dim: int) -> np.ndarray:
+    """Ideal cell on modes (lo, lo + 1) as a dim x dim unitary, identity elsewhere."""
+    if not 0 <= lo < dim - 1:
         raise ValueError("cell mode index exceeds dim")
     u = np.eye(dim, dtype=complex)
-    u[np.ix_([cell.lo, cell.hi], [cell.lo, cell.hi])] = mzi_transfer(cell.theta, cell.phi)
+    u[lo:lo + 2, lo:lo + 2] = mzi_transfer(theta, phi)
     return u
 
 
@@ -125,12 +110,10 @@ def imperfect_mzi(theta, phi, d_theta=0.0, d_phi=0.0, d_split1=0.0, d_split2=0.0
       coupler with power ratio 1/2 + d_split2,
       fixed compensation phases diag(-exp(-i theta_eff), exp(-i theta_eff)),
     with theta_eff = theta + d_theta. At zero error this equals
-    mzi_transfer(theta, phi) exactly. Always unitary.
+    mzi_transfer(theta, phi) exactly. Always unitary; a ratio outside [0, 1] raises.
     """
-    m = _cell_matrices(
-        np.array([theta]), np.array([phi]),
-        np.array([[d_theta, d_phi, d_split1, d_split2]]),
-    )
+    m = _cell_matrices(np.array([theta]), np.array([phi]),
+                       np.array([[d_theta, d_phi, d_split1, d_split2]]))
     return np.array([[m[0][0], m[1][0]], [m[2][0], m[3][0]]], dtype=complex)
 
 
@@ -138,8 +121,12 @@ def _cell_matrices(thetas, phis, offsets):
     """Vectorized 2x2 entries (m00, m01, m10, m11) for realized cells."""
     th = thetas + offsets[:, 0]
     ph = phis + offsets[:, 1]
-    r1 = np.clip(0.5 + offsets[:, 2], 0.0, 1.0)
-    r2 = np.clip(0.5 + offsets[:, 3], 0.0, 1.0)
+    ratios = 0.5 + offsets[:, 2:]
+    bad = np.flatnonzero(~((ratios >= 0.0) & (ratios <= 1.0)))
+    if bad.size:
+        raise ValueError(f"cell {bad[0] // 2}: coupler power ratio {ratios.flat[bad[0]]:.6g} "
+                         f"is outside [0, 1]; lower noise.sigma_split")
+    r1, r2 = ratios.T
     u1, v1 = np.sqrt(r1), np.sqrt(1.0 - r1)
     u2, v2 = np.sqrt(r2), np.sqrt(1.0 - r2)
     # Products of coupler amplitudes through the two internal paths.
@@ -202,12 +189,8 @@ def mesh_forward(plan: MeshPlan, noise: MeshNoise | None = None) -> np.ndarray:
     bit-identical to passing no noise at all. The result is always unitary,
     noisy or not.
     """
-    n = len(plan.cells)
-    los = np.fromiter((c.lo for c in plan.cells), dtype=int, count=n)
-    thetas = np.fromiter((c.theta for c in plan.cells), dtype=float, count=n)
-    phis = np.fromiter((c.phi for c in plan.cells), dtype=float, count=n)
-    return forward_arrays(plan.dim, los, thetas, phis, plan.output_phases,
-                          noise_offsets(noise, n))
+    return forward_arrays(plan.dim, plan.los, plan.thetas, plan.phis, plan.output_phases,
+                          noise_offsets(noise, len(plan.los)))
 
 
 def _null_angles(num, den):
@@ -297,36 +280,35 @@ def clements_decompose(unitary: np.ndarray) -> MeshPlan:
             psi[lo] = pb - phi + np.pi
         ordered.append((lo, theta, phi2))
 
-    depth = [0] * n
-    cells = []
-    for lo, theta, phi in ordered:
-        col = max(depth[lo], depth[lo + 1])
-        depth[lo] = depth[lo + 1] = col + 1
-        cells.append(MZICell(lo, lo + 1, float(theta), _canonical_angle(phi), col))
-    phases = tuple(_canonical_angle(p) for p in psi)
-    return MeshPlan(n, tuple(cells), phases)
+    return MeshPlan(n, tuple(lo for lo, _, _ in ordered),
+                    tuple(float(theta) for _, theta, _ in ordered),
+                    tuple(_canonical_angle(phi) for _, _, phi in ordered),
+                    tuple(_canonical_angle(p) for p in psi))
 
 
 def plan_to_json(plan: MeshPlan) -> str:
-    """Serialize a plan; numbers carry 17 significant digits."""
+    """Serialize a plan; numbers carry 17 significant digits. A cell's column is the
+    first one free on both its modes, the layout clements_decompose emits."""
 
     def num(x):
         return format(float(x), ".17g")
 
-    cells = ",".join(
-        '{"lo":%d,"hi":%d,"theta":%s,"phi":%s,"column":%d}'
-        % (c.lo, c.hi, num(c.theta), num(c.phi), c.column)
-        for c in plan.cells
-    )
+    depth = [0] * plan.dim
+    cells = []
+    for lo, theta, phi in zip(plan.los, plan.thetas, plan.phis):
+        col = max(depth[lo], depth[lo + 1])
+        depth[lo] = depth[lo + 1] = col + 1
+        cells.append('{"lo":%d,"hi":%d,"theta":%s,"phi":%s,"column":%d}'
+                     % (lo, lo + 1, num(theta), num(phi), col))
     phases = ",".join(num(p) for p in plan.output_phases)
-    return '{"dim":%d,"cells":[%s],"output_phases":[%s]}' % (plan.dim, cells, phases)
+    return '{"dim":%d,"cells":[%s],"output_phases":[%s]}' % (plan.dim, ",".join(cells), phases)
 
 
 def plan_from_json(text: str) -> MeshPlan:
-    """Inverse of plan_to_json."""
+    """Inverse of plan_to_json; the column entries are not read back."""
     doc = json.loads(text)
-    cells = tuple(
-        MZICell(c["lo"], c["hi"], c["theta"], c["phi"], c.get("column", 0))
-        for c in doc["cells"]
-    )
-    return MeshPlan(doc["dim"], cells, tuple(doc["output_phases"]))
+    cells = doc["cells"]
+    if any(c["hi"] != c["lo"] + 1 for c in cells):
+        raise ValueError("cells couple adjacent modes only (hi must equal lo + 1)")
+    return MeshPlan(doc["dim"], *(tuple(c[key] for c in cells) for key in ("lo", "theta", "phi")),
+                    tuple(doc["output_phases"]))

@@ -17,6 +17,9 @@ from .loopchip import StageRecord
 # Histogram bins per channel. sample_run holds dim x bins floats at once, so
 # the cap bounds its memory; a too-small bin_ps is rejected, not allocated.
 _MAX_BINS = 10**6
+# Expected pairs, and expected background counts, per run. A bin's Poisson
+# mean is at most their sum, which stays below numpy's limit of about 9.2e18.
+_MAX_COUNTS = 1e18
 
 
 @dataclass(frozen=True)
@@ -33,6 +36,9 @@ class CountingConfig:
     def __post_init__(self):
         check_fields(self, positive=("duration_s", "bin_ps"),
                      nonneg=("pair_rate_hz", "jitter_ps", "background_rate_hz", "seed"))
+        if max(self.pair_rate_hz, self.background_rate_hz) * self.duration_s > _MAX_COUNTS:
+            raise ValueError(f"pair_rate_hz and background_rate_hz times duration_s must not "
+                             f"exceed {_MAX_COUNTS:g} counts per run")
 
 
 @dataclass

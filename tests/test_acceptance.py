@@ -57,7 +57,7 @@ def test_1_mesh_roundtrip():
     for _ in range(100):
         u = haar_unitary(6, rng)
         plan = clements_decompose(u)
-        sizes_ok = sizes_ok and len(plan.cells) == 15
+        sizes_ok = sizes_ok and len(plan.los) == 15
         worst = max(worst, float(np.linalg.norm(mesh_forward(plan) - u)))
     elapsed = time.perf_counter() - start
     _report(1, worst < 1e-9 and sizes_ok and elapsed < 5.0,
@@ -189,8 +189,8 @@ def test_7_training_benefit():
     comparison = compare_methods(table, noise, tc, n_steps=3, seeds=1)
     wins, ties, losses_ = win_stats(comparison)
     win_rate = (wins + ties) / (wins + ties + losses_)
-    dec_all = np.array([e for r in comparison.decomposition for e in r.per_step])
-    tr_all = np.array([e for r in comparison.trained for e in r.per_step])
+    dec_all = comparison.decomposition.ravel()
+    tr_all = comparison.trained.ravel()
     med_dec = float(np.median(dec_all))
     med_tr = float(np.median(tr_all))
     elapsed = time.perf_counter() - start

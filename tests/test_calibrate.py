@@ -13,7 +13,6 @@ from loopsim.calibrate import (
     compare_methods,
     error_metric,
     finite_diff_gradient,
-    flatten_step_matrices,
     kl_loss,
     load_param_table,
     theory_step_matrices,
@@ -28,9 +27,14 @@ from conftest import haar_unitary
 
 
 def chip_distributions(plan, noise, n_steps):
-    """The noisy chip's flattened all-inputs distributions, as train sees them."""
+    """The noisy chip's (n_steps, dim, dim) step matrices, as train sees them."""
     config = ChipConfig(plan.dim, lossless=True)
-    return flatten_step_matrices(step_power_matrices(config, mesh_forward(plan, noise), n_steps))
+    return step_power_matrices(config, mesh_forward(plan, noise), n_steps)
+
+
+def input_major(mats):
+    """Input 0's step-1 row, its step-2 row, ..., then input 1's rows, and so on."""
+    return np.concatenate([mats[:, k, :].ravel() for k in range(mats.shape[1])])
 
 
 LN2 = 0.6931471805599453
@@ -106,33 +110,33 @@ class TestTheoryMatrices:
         assert np.max(np.abs(mats.sum(axis=2) - 1.0)) < 1e-12
 
     def test_flatten_order(self):
-        mats = np.arange(2 * 3 * 3, dtype=float).reshape(2, 3, 3)
-        flat = flatten_step_matrices(mats)
-        # input-major: input 0's step-0 row, then input 0's step-1 row, ...
-        expected = np.concatenate([mats[:, k, :].ravel() for k in range(3)])
-        assert np.array_equal(flat, expected)
+        # train sums its loss input-major, so the loss is bit-identical to this one
+        u = default_unitary()
+        plan = clements_decompose(u)
+        noise = MeshNoise(seed=3)
+        target = theory_step_matrices(u, 2)
+        result = train(plan, noise, target, TrainingConfig(max_iters=1))
+        expected = kl_loss(input_major(target), input_major(chip_distributions(plan, noise, 2)))
+        assert result.trace[0] == expected
 
 
 class TestForward:
     def test_identity_plan(self):
         plan = clements_decompose(np.eye(6))
-        flat = chip_distributions(plan, None, 2)
-        mats = flat.reshape(6, 2, 6).transpose(1, 0, 2)
+        mats = chip_distributions(plan, None, 2)
+        assert mats.shape == (2, 6, 6)
         assert np.max(np.abs(mats - np.eye(6))) < 1e-12
 
     def test_concatenation_oracle(self, rng):
-        # oracle: stitch the vector together from per-input run_loop calls
+        # oracle: stack the matrices from per-input run_loop calls
         u = haar_unitary(6, rng)
         plan = clements_decompose(u)
         noise = MeshNoise(seed=5)
         config = ChipConfig(lossless=True)
-        flat = chip_distributions(plan, noise, 3)
+        mats = chip_distributions(plan, noise, 3)
         realized = mesh_forward(plan, noise)
-        pieces = [
-            conditional_probabilities(run_loop(config, realized, k, 3)).ravel()
-            for k in range(6)
-        ]
-        assert np.max(np.abs(flat - np.concatenate(pieces))) < 1e-14
+        pieces = [conditional_probabilities(run_loop(config, realized, k, 3)) for k in range(6)]
+        assert np.max(np.abs(mats - np.stack(pieces, axis=1))) < 1e-14
 
 
 class TestGradient:
@@ -160,7 +164,7 @@ class TestGradient:
 class TestTrain:
     def test_zero_noise_returns_immediately(self):
         plan = clements_decompose(default_unitary())
-        target = flatten_step_matrices(theory_step_matrices(default_unitary(), 3))
+        target = theory_step_matrices(default_unitary(), 3)
         result = train(plan, None, target, TrainingConfig())
         assert result.converged
         assert result.trace.size == 1
@@ -168,7 +172,7 @@ class TestTrain:
 
     def test_zero_learning_rate_is_identity(self):
         plan = clements_decompose(default_unitary())
-        target = flatten_step_matrices(theory_step_matrices(default_unitary(), 3))
+        target = theory_step_matrices(default_unitary(), 3)
         noise = MeshNoise(seed=2)
         tc = TrainingConfig(learning_rate=0.0, max_iters=5)
         result = train(plan, noise, target, tc)
@@ -178,18 +182,18 @@ class TestTrain:
 
     def test_loss_never_worse_than_start(self):
         plan = clements_decompose(default_unitary())
-        target = flatten_step_matrices(theory_step_matrices(default_unitary(), 3))
+        target = theory_step_matrices(default_unitary(), 3)
         noise = MeshNoise(seed=11)
         tc = TrainingConfig(learning_rate=0.05, max_iters=15)
         result = train(plan, noise, target, tc)
         realized = chip_distributions(result.plan, noise, 3)
-        final = kl_loss(target, realized)
+        final = kl_loss(input_major(target), input_major(realized))
         assert final <= result.trace[0] + 1e-15
         assert final == pytest.approx(min(result.trace), abs=1e-12)
 
     def test_adam_reduces_loss_substantially(self):
         plan = clements_decompose(default_unitary())
-        target = flatten_step_matrices(theory_step_matrices(default_unitary(), 3))
+        target = theory_step_matrices(default_unitary(), 3)
         noise = MeshNoise(seed=7)
         tc = TrainingConfig(learning_rate=0.02, max_iters=150)
         result = train(plan, noise, target, tc)
@@ -197,7 +201,7 @@ class TestTrain:
 
     def test_converged_flag_tracks_tolerance(self):
         plan = clements_decompose(default_unitary())
-        target = flatten_step_matrices(theory_step_matrices(default_unitary(), 3))
+        target = theory_step_matrices(default_unitary(), 3)
         noise = MeshNoise(seed=7)
         loose = train(plan, noise, target, TrainingConfig(learning_rate=0.02,
                                                           max_iters=200, tol=1e-2))
@@ -209,8 +213,10 @@ class TestTrain:
 
     def test_bad_target_length(self):
         plan = clements_decompose(default_unitary())
-        with pytest.raises(ValueError):
-            train(plan, None, np.ones(35), TrainingConfig())
+        # (108,) is a valid target flattened: train takes the step matrices
+        for shape in [(35,), (108,), (3, 6, 5), (0, 6, 6), (3, 36)]:
+            with pytest.raises(ValueError, match="target must have shape"):
+                train(plan, None, np.ones(shape), TrainingConfig())
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -276,9 +282,10 @@ class TestCompare:
         noise = MeshNoise(0.0, 0.0, 0.0, seed=0)
         tc = TrainingConfig(max_iters=2)
         comparison = compare_methods(table, noise, tc, n_steps=2)
-        for dec, tr in zip(comparison.decomposition, comparison.trained):
-            assert max(dec.per_step) < 1e-8
-            assert max(tr.per_step) < 1e-8
+        assert comparison.params_id == (1, 2)
+        assert comparison.decomposition.shape == comparison.trained.shape == (2, 2)
+        assert comparison.decomposition.max() < 1e-8
+        assert comparison.trained.max() < 1e-8
         assert comparison.non_converged == ()
 
     def test_training_wins_under_noise(self):
@@ -296,16 +303,26 @@ class TestCompare:
         tc = TrainingConfig(learning_rate=0.05, max_iters=5)
         a = compare_methods(table, noise, tc, n_steps=2, seeds=2)
         b = compare_methods(table, noise, tc, n_steps=2, seeds=2)
-        assert [r.per_step for r in a.trained] == [r.per_step for r in b.trained]
-        assert [r.per_step for r in a.decomposition] == [r.per_step for r in b.decomposition]
+        assert np.array_equal(a.trained, b.trained)
+        assert np.array_equal(a.decomposition, b.decomposition)
 
     def test_seed_realizations_differ(self):
         table = ParamTable(load_param_table().rows[:1])
         noise = MeshNoise(seed=6)
         tc = TrainingConfig(learning_rate=0.05, max_iters=2)
         comparison = compare_methods(table, noise, tc, n_steps=2, seeds=2)
+        assert comparison.params_id == (1, 1)
         first, second = comparison.decomposition
-        assert first.per_step != second.per_step
+        assert not np.any(first == second)
+
+    def test_win_stats_counts_nan_as_loss(self):
+        comparison = MethodComparison(
+            params_id=(1, 2),
+            decomposition=np.array([[0.2, 0.1], [0.3, 0.4]]),
+            trained=np.array([[0.1, 0.1], [np.nan, 0.5]]),
+            non_converged=(),
+        )
+        assert win_stats(comparison) == (1, 1, 2)
 
     def test_rejects_zero_seeds(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import loopsim
-from loopsim.calibrate import TrainingConfig, flatten_step_matrices, theory_step_matrices, train
+from loopsim.calibrate import TrainingConfig, theory_step_matrices, train
 from loopsim.cli import (RunConfig, _write_csv, build_parser, config_from_dict, config_to_dict,
                          main)
 from loopsim.mesh import MeshNoise, clements_decompose, plan_from_json
@@ -67,7 +67,7 @@ class TestDecompose:
         assert rc == 0
         plan = plan_from_json((tmp_path / "plan.json").read_text())
         assert plan.dim == 6
-        assert len(plan.cells) == 15
+        assert len(plan.los) == 15
         report = json.loads((tmp_path / "decompose_report.json").read_text())
         assert report["max_roundtrip_error"] < 1e-9
 
@@ -149,7 +149,7 @@ class TestTrain:
         rc = main(["--config", str(cfgfile), "--out", str(tmp_path), "train"])
         assert rc == 0
         plan = plan_from_json((tmp_path / "trained_plan.json").read_text())
-        assert len(plan.cells) == 15
+        assert len(plan.los) == 15
         with open(tmp_path / "trace.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["iter"] == "0"
@@ -162,7 +162,7 @@ class TestTrain:
         assert main(["--config", str(cfgfile), "--out", str(tmp_path), "--seed", "5",
                      "train", "--n-steps", "2"]) == 0
         u = step_unitary(build_hamiltonian(SpinBosonParams(1.0, 1.0, 1.0)), 1.0)
-        target = flatten_step_matrices(theory_step_matrices(u, 2))
+        target = theory_step_matrices(u, 2)
         result = train(clements_decompose(u), MeshNoise(seed=5), target,
                        TrainingConfig(max_iters=10))
         with open(tmp_path / "trace.csv", newline="") as fh:
@@ -256,6 +256,8 @@ class TestConfig:
         assert rc == 2
         err = capsys.readouterr().err
         assert "2300.0 ps" in err and "2000.0 ps" in err
+        for key in ("n_steps", "chip.loop_delay_ps", "counting.jitter_ps", "chip.rep_rate_mhz"):
+            assert key in err
 
     def test_pump_period_follows_rep_rate(self, tmp_path):
         with pytest.raises(ValueError, match="pump pulse"):
@@ -329,6 +331,8 @@ class TestInvalidValues:
         ({"initial_channel": True}, None, "initial_channel"),
         ({"counting": {"seed": -1}}, "counting", "seed"),
         ({"counting": {"jitter_ps": 70}}, "counting", "jitter_ps"),
+        ({"counting": {"pair_rate_hz": 1e30}}, "counting", "pair_rate_hz"),
+        ({"counting": {"background_rate_hz": 1e18}}, "counting", "background_rate_hz"),
     ])
     def test_simulate(self, tmp_path, capsys, doc, section, key):
         rc, out = self._run(tmp_path, doc, ["simulate"])
@@ -347,6 +351,15 @@ class TestInvalidValues:
         assert rc == 2
         assert not out.exists()
         assert key in capsys.readouterr().err
+
+    def test_out_of_range_coupler_draw(self, tmp_path, capsys):
+        # at sigma_split 0.3, six of the 15 seed-0 cells draw a coupler ratio outside [0, 1]
+        doc = {"noise": {"sigma_split": 0.3}, "training": {"max_iters": 2}}
+        rc, out = self._run(tmp_path, doc, ["train"])
+        assert rc == 2
+        assert not (out / "trained_plan.json").exists()
+        err = capsys.readouterr().err
+        assert "cell" in err and "noise.sigma_split" in err
 
     def test_negative_seed_flag(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from loopsim.mesh import (
     DecompositionError,
     MeshNoise,
     MeshPlan,
-    MZICell,
     clements_decompose,
     embed_cell,
     imperfect_mzi,
@@ -23,15 +24,9 @@ angles = st.floats(0.0, 2.0 * np.pi)
 
 
 def zero_plan(dim):
-    cells = []
-    depth = [0] * dim
-    for col in range(dim):
-        start = col % 2
-        for lo in range(start, dim - 1, 2):
-            c = max(depth[lo], depth[lo + 1])
-            depth[lo] = depth[lo + 1] = c + 1
-            cells.append(MZICell(lo, lo + 1, 0.0, 0.0, c))
-    return MeshPlan(dim, tuple(cells), (0.0,) * dim)
+    los = tuple(lo for col in range(dim) for lo in range(col % 2, dim - 1, 2))
+    zeros = (0.0,) * len(los)
+    return MeshPlan(dim, los, zeros, zeros, (0.0,) * dim)
 
 
 class TestTransfer:
@@ -52,8 +47,7 @@ class TestTransfer:
         assert np.max(np.abs(t.conj().T @ t - np.eye(2))) < 1e-14
 
     def test_embed_identity_elsewhere(self):
-        cell = MZICell(1, 2, 0.4, 1.1)
-        u = embed_cell(cell, 5)
+        u = embed_cell(1, 0.4, 1.1, 5)
         mask = np.ones((5, 5), dtype=bool)
         mask[np.ix_([1, 2], [1, 2])] = False
         assert np.array_equal(u[mask], np.eye(5, dtype=complex)[mask])
@@ -61,11 +55,9 @@ class TestTransfer:
 
     def test_cell_validation(self):
         with pytest.raises(ValueError):
-            MZICell(1, 3, 0.0, 0.0)
+            embed_cell(-1, 0.0, 0.0, 5)
         with pytest.raises(ValueError):
-            MZICell(-1, 0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            embed_cell(MZICell(4, 5, 0.0, 0.0), 5)
+            embed_cell(4, 0.0, 0.0, 5)
 
 
 class TestImperfectCell:
@@ -92,22 +84,30 @@ class TestImperfectCell:
         ideal = mzi_transfer(0.4, 1.0)
         assert np.max(np.abs(np.abs(m) - np.abs(ideal))) > 1e-3
 
+    @pytest.mark.parametrize("d_split1, d_split2", [(0.7, 0.0), (0.0, -0.6)])
+    def test_ratio_outside_unit_interval_raises(self, d_split1, d_split2):
+        with pytest.raises(ValueError, match="outside"):
+            imperfect_mzi(0.4, 1.0, d_split1=d_split1, d_split2=d_split2)
+
+    def test_extreme_ratios_allowed(self):
+        # a ratio of exactly 0 or 1 is a valid (if useless) coupler
+        m = imperfect_mzi(0.4, 1.0, d_split1=0.5, d_split2=-0.5)
+        assert np.max(np.abs(m.conj().T @ m - np.eye(2))) < 1e-14
+
 
 class TestDecompose:
     def test_identity_gives_canonical_zero_plan(self):
         plan = clements_decompose(np.eye(6))
-        assert len(plan.cells) == 15
-        assert all(c.theta == 0.0 and c.phi == 0.0 for c in plan.cells)
+        assert len(plan.los) == 15
+        assert plan.thetas == plan.phis == (0.0,) * 15
         assert plan.output_phases == (0.0,) * 6
 
     def test_single_cell_recovered(self):
         theta, phi = 0.7, 2.3
-        u = embed_cell(MZICell(0, 1, theta, phi), 2)
-        plan = clements_decompose(u)
-        assert len(plan.cells) == 1
-        cell = plan.cells[0]
-        assert cell.theta == pytest.approx(theta, abs=1e-12)
-        assert cell.phi == pytest.approx(phi, abs=1e-12)
+        plan = clements_decompose(embed_cell(0, theta, phi, 2))
+        assert plan.los == (0,)
+        assert plan.thetas[0] == pytest.approx(theta, abs=1e-12)
+        assert plan.phis[0] == pytest.approx(phi, abs=1e-12)
         assert np.max(np.abs(np.asarray(plan.output_phases))) < 1e-12
 
     def test_roundtrip_haar(self, rng):
@@ -122,8 +122,8 @@ class TestDecompose:
         u = haar_unitary(6, rng)
         plan = clements_decompose(u)
         acc = np.eye(6, dtype=complex)
-        for cell in plan.cells:
-            acc = embed_cell(cell, 6) @ acc
+        for lo, theta, phi in zip(plan.los, plan.thetas, plan.phis):
+            acc = embed_cell(lo, theta, phi, 6) @ acc
         acc = np.diag(np.exp(1j * np.asarray(plan.output_phases))) @ acc
         assert np.max(np.abs(acc - u)) < 1e-10
         assert np.max(np.abs(mesh_forward(plan) - acc)) < 1e-12
@@ -131,29 +131,29 @@ class TestDecompose:
     @pytest.mark.parametrize("dim", [2, 4, 6, 8])
     def test_cell_count_law(self, dim, rng):
         plan = clements_decompose(haar_unitary(dim, rng))
-        assert len(plan.cells) == dim * (dim - 1) // 2
+        assert len(plan.los) == len(plan.thetas) == len(plan.phis) == dim * (dim - 1) // 2
 
     def test_canonical_ranges_and_columns(self, rng):
         plan = clements_decompose(haar_unitary(6, rng))
-        for c in plan.cells:
-            assert 0.0 <= c.theta <= np.pi / 2.0 + 1e-12
-            assert 0.0 <= c.phi < 2.0 * np.pi
-        assert all(0.0 <= p < 2.0 * np.pi for p in plan.output_phases)
-        # rectangular layout: no mode used twice in one column, depth <= dim
+        assert all(0.0 <= t <= np.pi / 2.0 + 1e-12 for t in plan.thetas)
+        assert all(0.0 <= p < 2.0 * np.pi for p in plan.phis + plan.output_phases)
+        # rectangular layout, as plan.json records it: no mode used twice in
+        # one column, depth <= dim
         by_col = {}
-        for c in plan.cells:
-            by_col.setdefault(c.column, []).append(c)
-        assert max(by_col) <= 5
+        for c in json.loads(plan_to_json(plan))["cells"]:
+            assert c["hi"] == c["lo"] + 1
+            by_col.setdefault(c["column"], []).append(c)
+        assert sorted(by_col) == list(range(6))
         for cells in by_col.values():
-            modes = [m for c in cells for m in (c.lo, c.hi)]
+            modes = [m for c in cells for m in (c["lo"], c["hi"])]
             assert len(modes) == len(set(modes))
 
     def test_theta_stable_under_redecomposition(self, rng):
         u = haar_unitary(6, rng)
         plan1 = clements_decompose(u)
         plan2 = clements_decompose(mesh_forward(plan1))
-        t1 = np.array([c.theta for c in plan1.cells])
-        t2 = np.array([c.theta for c in plan2.cells])
+        t1 = np.array(plan1.thetas)
+        t2 = np.array(plan2.thetas)
         assert np.max(np.abs(t1 - t2)) < 1e-8
 
     def test_rejects_non_unitary(self):
@@ -211,15 +211,34 @@ class TestPlanSerialization:
         assert again == plan
 
     def test_seventeen_digit_numbers(self):
-        plan = MeshPlan(2, (MZICell(0, 1, np.pi / 3.0, 1.0 / 3.0),),
-                        (0.1234567890123456789, 0.0))
+        plan = MeshPlan(2, (0,), (np.pi / 3.0,), (1.0 / 3.0,), (0.1234567890123456789, 0.0))
         text = plan_to_json(plan)
         assert '"theta":1.0471975511965976' in text
         assert '"phi":0.33333333333333331' in text
         assert "0.12345678901234568" in text
 
+    def test_columns_follow_cell_order(self):
+        # cells on (0,1), (2,3), (1,2), (0,1): the third waits for both neighbours
+        plan = MeshPlan(4, (0, 2, 1, 0), (0.1,) * 4, (0.2,) * 4, (0.0,) * 4)
+        cells = json.loads(plan_to_json(plan))["cells"]
+        assert [c["column"] for c in cells] == [0, 0, 1, 2]
+
     def test_plan_validation(self):
-        with pytest.raises(ValueError):
-            MeshPlan(2, (MZICell(1, 2, 0.0, 0.0),), (0.0, 0.0))
-        with pytest.raises(ValueError):
-            MeshPlan(2, (), (0.0,))
+        with pytest.raises(ValueError, match="exceeds dim"):
+            MeshPlan(2, (1,), (0.0,), (0.0,), (0.0, 0.0))
+        with pytest.raises(ValueError, match="exceeds dim"):
+            MeshPlan(2, (-1,), (0.0,), (0.0,), (0.0, 0.0))
+        with pytest.raises(ValueError, match="exceeds dim"):
+            MeshPlan(3, (0.5,), (0.0,), (0.0,), (0.0,) * 3)
+        with pytest.raises(ValueError, match="output_phases"):
+            MeshPlan(2, (), (), (), (0.0,))
+        with pytest.raises(ValueError, match="equal lengths"):
+            MeshPlan(3, (0, 1), (0.0,), (0.0, 0.0), (0.0,) * 3)
+        with pytest.raises(ValueError, match="finite"):
+            MeshPlan(3, (0,), (float("nan"),), (0.0,), (0.0,) * 3)
+
+    def test_from_json_rejects_non_adjacent_cell(self, rng):
+        doc = json.loads(plan_to_json(clements_decompose(haar_unitary(4, rng))))
+        doc["cells"][2]["hi"] += 1
+        with pytest.raises(ValueError, match="adjacent"):
+            plan_from_json(json.dumps(doc))

@@ -162,6 +162,15 @@ class TestSampling:
         with pytest.raises(ValueError):
             CountingConfig(duration_s=-1.0)
 
+    def test_expected_counts_cap(self):
+        # 1e18 expected pairs and background counts per run still sample
+        cfg = CountingConfig(pair_rate_hz=1e17, duration_s=10.0, background_rate_hz=1e17)
+        hists = sample_run(model_record(3), cfg, DELAY)
+        assert sum(float(h.counts.sum()) for h in hists) > 1e18
+        for key in ("pair_rate_hz", "background_rate_hz"):
+            with pytest.raises(ValueError, match="pair_rate_hz and background_rate_hz"):
+                CountingConfig(**{key: 1.1e17}, duration_s=10.0)
+
 
 class TestSamplerOracles:
     def test_expected_histograms_match_per_channel_loop_exactly(self):
