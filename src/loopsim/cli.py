@@ -120,10 +120,10 @@ def _load_config(args) -> RunConfig:
     return config_from_dict(doc)
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    path = Path(cfg.output_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _write_text(path: Path, text: str) -> None:
+    """Write an output file; the directory appears at the first write, not on a failed run."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -133,6 +133,7 @@ def _write_csv(path: Path, header, rows) -> None:
     bit for bit; numpy arrays enter through tolist() to keep it that way.
     """
     rows = list(rows)  # a row that fails to build must not leave a truncated file
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -147,7 +148,7 @@ def _step_rows(*arrays):
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    out = _outdir(cfg)
+    out = Path(cfg.output_dir)
     u = model.step_unitary(model.build_hamiltonian(cfg.model), cfg.model.dt)
     theory = model.evolve_exact(u, cfg.initial_channel, cfg.n_steps)
     _write_csv(out / "theory.csv", ["step", "channel", "prob"], _step_rows(theory))
@@ -173,16 +174,16 @@ def _read_unitary(path: Path) -> np.ndarray:
 
 
 def cmd_decompose(cfg: RunConfig, args) -> int:
-    out = _outdir(cfg)
+    out = Path(cfg.output_dir)
     if args.unitary is not None:
         u = _read_unitary(args.unitary)
     else:
         u = model.step_unitary(model.build_hamiltonian(cfg.model), cfg.model.dt)
     plan = mesh.clements_decompose(u)
-    (out / "plan.json").write_text(mesh.plan_to_json(plan))
+    _write_text(out / "plan.json", mesh.plan_to_json(plan))
     err = float(np.max(np.abs(mesh.mesh_forward(plan) - u)))
     report = {"dim": plan.dim, "cells": len(plan.los), "max_roundtrip_error": err}
-    (out / "decompose_report.json").write_text(json.dumps(report, indent=2))
+    _write_text(out / "decompose_report.json", json.dumps(report, indent=2))
     print(f"decompose: {plan.dim} modes, {len(plan.los)} cells, "
           f"round-trip error {err:.3e}")
     if err > 1e-8:
@@ -191,7 +192,7 @@ def cmd_decompose(cfg: RunConfig, args) -> int:
 
 
 def cmd_losses(cfg: RunConfig, args) -> int:
-    out = _outdir(cfg)
+    out = Path(cfg.output_dir)
     table = {p.name: p for p in losses.load_platforms()}
     if args.platforms:
         missing = [n for n in args.platforms if n not in table]
@@ -213,7 +214,7 @@ def cmd_losses(cfg: RunConfig, args) -> int:
 
 
 def cmd_scaling(cfg: RunConfig, args) -> int:
-    out = _outdir(cfg)
+    out = Path(cfg.output_dir)
     table = {p.name: p for p in losses.load_platforms()}
     if cfg.platform not in table:
         raise ValueError(f"unknown platform: {cfg.platform!r}; have {sorted(table)}")
@@ -225,12 +226,12 @@ def cmd_scaling(cfg: RunConfig, args) -> int:
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
-    out = _outdir(cfg)
+    out = Path(cfg.output_dir)
     u = model.step_unitary(model.build_hamiltonian(cfg.model), cfg.model.dt)
     plan = mesh.clements_decompose(u)
     target = calibrate.theory_step_matrices(u, cfg.n_steps)
     result = calibrate.train(plan, cfg.noise, target, cfg.training)
-    (out / "trained_plan.json").write_text(mesh.plan_to_json(result.plan))
+    _write_text(out / "trained_plan.json", mesh.plan_to_json(result.plan))
     _write_csv(out / "trace.csv", ["iter", "loss"], enumerate(result.trace.tolist()))
     status = "converged" if result.converged else "max_iters reached"
     print(f"train: initial loss {result.trace[0]:.6e}, final loss {result.trace[-1]:.6e}, "
@@ -239,7 +240,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 
 def cmd_compare(cfg: RunConfig, args) -> int:
-    out = _outdir(cfg)
+    out = Path(cfg.output_dir)
     table = calibrate.load_param_table(args.table)
     comparison = calibrate.compare_methods(table, cfg.noise, cfg.training,
                                            n_steps=cfg.n_steps, seeds=args.seeds,
@@ -270,13 +271,13 @@ def cmd_compare(cfg: RunConfig, args) -> int:
               f"({100.0 * (wins + ties) / total:.1f}%)")
     if comparison.non_converged:
         print(f"compare: rows not converged: {sorted(set(comparison.non_converged))}")
-    (out / "summary.json").write_text(json.dumps(summary, indent=2))
+    _write_text(out / "summary.json", json.dumps(summary, indent=2))
     print(f"compare: wrote errors.csv, summary.json to {out}")
     return 0
 
 
 def cmd_counts(cfg: RunConfig, args) -> int:
-    out = _outdir(cfg)
+    out = Path(cfg.output_dir)
     u = model.step_unitary(model.build_hamiltonian(cfg.model), cfg.model.dt)
     record = loopchip.run_loop(cfg.chip, u, cfg.initial_channel, cfg.n_steps)
     hists = montecarlo.sample_run(record, cfg.counting, cfg.chip.loop_delay_ps)

@@ -9,6 +9,7 @@ uniform per-step loss cancels exactly in conditional distributions.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,8 +71,10 @@ def _db_to_amplitude(db: float) -> float:
     return 10.0 ** (-db / 20.0)
 
 
+@lru_cache(maxsize=128)
 def _step_amplitudes(config: ChipConfig, n_steps: int):
-    """Detection-arm amplitude, and the in-loop amplitude of steps 1..n_steps.
+    """Detection-arm amplitude, and the in-loop amplitude of steps 1..n_steps
+    as a read-only array; cached, since training asks for them on every loss.
 
     The field enters with sqrt(ratio_in) times the chip loss; each further
     pass multiplies it by sqrt((1-ratio_in)(1-ratio_out)) times loop and
@@ -89,7 +92,9 @@ def _step_amplitudes(config: ChipConfig, n_steps: int):
         np.sqrt((1.0 - config.ratio_in) * (1.0 - config.ratio_out)) * amp_loop * amp_chip
     )
     out_scalar = np.sqrt(config.ratio_out) * amp_others
-    return out_scalar, np.cumprod([in_scalar] + [loop_scalar] * (n_steps - 1))
+    scales = np.cumprod([in_scalar] + [loop_scalar] * (n_steps - 1))
+    scales.setflags(write=False)
+    return out_scalar, scales
 
 
 def _check_mesh(config: ChipConfig, mesh: np.ndarray, n_steps: int) -> np.ndarray:

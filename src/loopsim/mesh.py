@@ -117,11 +117,11 @@ def imperfect_mzi(theta, phi, d_theta=0.0, d_phi=0.0, d_split1=0.0, d_split2=0.0
     return np.array([[m[0][0], m[1][0]], [m[2][0], m[3][0]]], dtype=complex)
 
 
-def _cell_matrices(thetas, phis, offsets):
-    """Vectorized 2x2 entries (m00, m01, m10, m11) for realized cells."""
-    th = thetas + offsets[:, 0]
-    ph = phis + offsets[:, 1]
-    ratios = 0.5 + offsets[:, 2:]
+@lru_cache(maxsize=128)
+def _coupler_products(splits: bytes):
+    """Read-only (p, q, ps, qs) of cells given the float64 bytes of their (d_split1, d_split2);
+    cached, as training freezes the offsets. A bad ratio raises on every call (none cached)."""
+    ratios = 0.5 + np.frombuffer(splits).reshape(-1, 2)
     bad = np.flatnonzero(~((ratios >= 0.0) & (ratios <= 1.0)))
     if bad.size:
         raise ValueError(f"cell {bad[0] // 2}: coupler power ratio {ratios.flat[bad[0]]:.6g} "
@@ -130,10 +130,17 @@ def _cell_matrices(thetas, phis, offsets):
     u1, v1 = np.sqrt(r1), np.sqrt(1.0 - r1)
     u2, v2 = np.sqrt(r2), np.sqrt(1.0 - r2)
     # Products of coupler amplitudes through the two internal paths.
-    p = u1 * u2
-    q = v1 * v2
-    ps = u1 * v2
-    qs = u2 * v1
+    products = (u1 * u2, v1 * v2, u1 * v2, u2 * v1)
+    for a in products:
+        a.setflags(write=False)
+    return products
+
+
+def _cell_matrices(thetas, phis, offsets):
+    """Vectorized 2x2 entries (m00, m01, m10, m11) for realized cells."""
+    th = thetas + offsets[:, 0]
+    ph = phis + offsets[:, 1]
+    p, q, ps, qs = _coupler_products(np.ascontiguousarray(offsets[:, 2:], dtype=float).tobytes())
     eip = np.exp(1j * th)
     ein = np.conj(eip)
     eif = np.exp(1j * ph)
@@ -168,17 +175,34 @@ def noise_offsets(noise, n_cells: int) -> np.ndarray:
     return _cached_offsets(noise, n_cells)
 
 
+@lru_cache(maxsize=128)
+def _columns(dim: int, los: tuple):
+    """Each cell's column, the first free on both its modes (so one column's cells act on
+    disjoint pairs), a read-only identity stack (n_columns >= 1, dim, dim), and the flat
+    positions in it of every cell's m00, then m01, m10, m11."""
+    depth = [0] * dim
+    cols = []
+    for lo in los:
+        col = max(depth[lo], depth[lo + 1])
+        depth[lo] = depth[lo + 1] = col + 1
+        cols.append(col)
+    stack = np.tile(np.eye(dim, dtype=complex), (max(1, *depth), 1, 1))
+    stack.setflags(write=False)
+    diag = np.array(cols, dtype=np.intp) * dim * dim + np.array(los, dtype=np.intp) * (dim + 1)
+    positions = np.concatenate([diag, diag + 1, diag + dim, diag + dim + 1])
+    return tuple(cols), stack, positions
+
+
 def forward_arrays(dim, los, thetas, phis, output_phases, offsets) -> np.ndarray:
-    """Low-level mesh evaluation from parallel arrays (see mesh_forward)."""
-    m00, m01, m10, m11 = _cell_matrices(thetas, phis, offsets)
-    u = np.eye(dim, dtype=complex)
-    for k, lo in enumerate(los):
-        ra = u[lo].copy()
-        rb = u[lo + 1]
-        u[lo] = m00[k] * ra + m01[k] * rb
-        u[lo + 1] = m10[k] * ra + m11[k] * rb
-    u *= np.exp(1j * np.asarray(output_phases))[:, None]
-    return u
+    """Low-level mesh evaluation from parallel arrays (see mesh_forward): a product of
+    block-diagonal column matrices (see _columns), first column rightmost, output phases last."""
+    _, stack, positions = _columns(dim, tuple(los))
+    mats = stack.copy()
+    mats.reshape(-1)[positions] = np.concatenate(_cell_matrices(thetas, phis, offsets))
+    u = mats[0]
+    for column in mats[1:]:
+        u = column @ u
+    return u * np.exp(1j * np.asarray(output_phases))[:, None]
 
 
 def mesh_forward(plan: MeshPlan, noise: MeshNoise | None = None) -> np.ndarray:
@@ -293,13 +317,10 @@ def plan_to_json(plan: MeshPlan) -> str:
     def num(x):
         return format(float(x), ".17g")
 
-    depth = [0] * plan.dim
-    cells = []
-    for lo, theta, phi in zip(plan.los, plan.thetas, plan.phis):
-        col = max(depth[lo], depth[lo + 1])
-        depth[lo] = depth[lo + 1] = col + 1
-        cells.append('{"lo":%d,"hi":%d,"theta":%s,"phi":%s,"column":%d}'
-                     % (lo, lo + 1, num(theta), num(phi), col))
+    cols, _, _ = _columns(plan.dim, plan.los)
+    cells = ['{"lo":%d,"hi":%d,"theta":%s,"phi":%s,"column":%d}'
+             % (lo, lo + 1, num(theta), num(phi), col)
+             for lo, theta, phi, col in zip(plan.los, plan.thetas, plan.phis, cols)]
     phases = ",".join(num(p) for p in plan.output_phases)
     return '{"dim":%d,"cells":[%s],"output_phases":[%s]}' % (plan.dim, ",".join(cells), phases)
 

@@ -2,7 +2,8 @@
 
 perfbench/spans.py raises TraceError when a function it lists is missing,
 but only when the benchmark runs. Installing the tracer here catches a
-rename or removal in the regular test run.
+rename or removal in the regular test run, and a change to the work one
+training iteration does that the train-table self-check would reject.
 """
 
 import sys
@@ -24,3 +25,28 @@ def test_tracer_covers_every_listed_function(monkeypatch):
     finally:
         tracer.uninstall()
     assert sys.modules["loopsim.cli"].run is original
+
+
+def test_training_iteration_matches_train_table_self_check(monkeypatch):
+    # train-table's traced run requires 2P + 1 loss evaluations per Adam
+    # iteration (P phases); read through the benchmark's own metric.
+    monkeypatch.syspath_prepend(str(ROOT))
+    import loopsim.cli  # noqa: F401  (the tracer patches every loopsim module)
+    from loopsim import calibrate, mesh, model
+    from perfbench.spans import Tracer
+
+    params = model.SpinBosonParams(1.0, 1.0, 1.0, n_boson=2)
+    u = model.step_unitary(model.build_hamiltonian(params), params.dt)
+    plan = mesh.clements_decompose(u)
+    target = calibrate.theory_step_matrices(u, 3)
+    tc = calibrate.TrainingConfig(max_iters=2, tol=1e-30)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        result = calibrate.train(plan, mesh.MeshNoise(), target, tc)
+    finally:
+        tracer.uninstall()
+    assert len(result.trace) == 3 and not result.converged
+    phases = 2 * len(plan.los)
+    assert phases == 12
+    assert tracer.metrics(1, 1.0)["calibrate.loss_evals_per_iter"][0] == 2 * phases + 1

@@ -357,7 +357,7 @@ class TestInvalidValues:
         doc = {"noise": {"sigma_split": 0.3}, "training": {"max_iters": 2}}
         rc, out = self._run(tmp_path, doc, ["train"])
         assert rc == 2
-        assert not (out / "trained_plan.json").exists()
+        assert not out.exists()
         err = capsys.readouterr().err
         assert "cell" in err and "noise.sigma_split" in err
 

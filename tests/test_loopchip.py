@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from loopsim import loopchip
 from loopsim.loopchip import (
     ChipConfig,
     DegenerateStepError,
@@ -59,6 +60,10 @@ class TestLoopRecursion:
         powers = rec.probabilities.sum(axis=1)
         ratios = powers[1:] / powers[:-1]
         assert np.max(np.abs(ratios - ratios[0])) < 1e-12
+
+    def test_cached_step_amplitudes_read_only(self):
+        _, scales = loopchip._step_amplitudes(ChipConfig(), 3)
+        assert scales.shape == (3,) and not scales.flags.writeable
 
     def test_validation(self):
         with pytest.raises(ValueError):

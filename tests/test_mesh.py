@@ -2,15 +2,17 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from loopsim import mesh
 from loopsim.mesh import (
     DecompositionError,
     MeshNoise,
     MeshPlan,
     clements_decompose,
     embed_cell,
+    forward_arrays,
     imperfect_mzi,
     mesh_forward,
     mzi_transfer,
@@ -202,6 +204,64 @@ class TestNoise:
     def test_noise_validation(self):
         with pytest.raises(ValueError):
             MeshNoise(sigma_theta=-0.1)
+
+
+@st.composite
+def mesh_cases(draw):
+    """A dim, an arbitrary cell order on it (repeats and gaps allowed), phases and
+    offsets whose coupler ratios stay inside [0, 1]."""
+    dim = draw(st.integers(1, 16))
+    los = draw(st.lists(st.integers(0, dim - 2), max_size=3 * dim)) if dim > 1 else []
+    n = len(los)
+    phases = draw(st.lists(angles, min_size=2 * n + dim, max_size=2 * n + dim))
+    splits = st.floats(-0.5, 0.5)
+    offsets = [draw(st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2), splits, splits))
+               for _ in range(n)]
+    return dim, tuple(los), phases, np.array(offsets, dtype=float).reshape(n, 4)
+
+
+class TestColumnKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(mesh_cases())
+    @example((1, (), [0.3], np.zeros((0, 4))))
+    @example((2, (0,), [0.4, 1.0, 0.2, 2.0], np.array([[0.01, -0.02, 0.5, -0.5]])))
+    @example((3, (1, 1, 1), [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.0, 1.0, 2.0], np.zeros((3, 4))))
+    def test_matches_ordered_cell_product(self, case):
+        dim, los, phases, offsets = case
+        n = len(los)
+        thetas, phis, out = (np.array(phases[:n]), np.array(phases[n:2 * n]),
+                             np.array(phases[2 * n:]))
+        expected = np.eye(dim, dtype=complex)
+        for k, lo in enumerate(los):
+            cell = np.eye(dim, dtype=complex)
+            cell[lo:lo + 2, lo:lo + 2] = imperfect_mzi(thetas[k], phis[k], *offsets[k])
+            expected = cell @ expected
+        expected = np.diag(np.exp(1j * out)) @ expected
+        got = forward_arrays(dim, los, thetas, phis, out, offsets)
+        assert np.max(np.abs(got - expected)) <= 1e-15 * (n + 1)
+
+    def test_out_of_range_draw_raises_on_every_call(self):
+        offsets = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.6, 0.0]])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="cell 1: coupler power ratio 1.1"):
+                forward_arrays(3, (0, 1), np.zeros(2), np.zeros(2), np.zeros(3), offsets)
+
+    def test_offsets_mutated_in_place_give_fresh_products(self, rng):
+        plan = clements_decompose(haar_unitary(4, rng))
+        offsets = noise_offsets(MeshNoise(seed=4), len(plan.los)).copy()
+        args = (plan.dim, plan.los, np.array(plan.thetas), np.array(plan.phis), plan.output_phases)
+        before = forward_arrays(*args, offsets)
+        offsets[:, 2:] *= -1.0
+        after = forward_arrays(*args, offsets)
+        assert np.max(np.abs(after - before)) > 1e-4
+        mesh._coupler_products.cache_clear()
+        assert np.array_equal(forward_arrays(*args, offsets), after)
+
+    def test_cached_arrays_read_only(self):
+        _, stack, _ = mesh._columns(4, (0, 2, 1, 0))
+        assert stack.shape == (3, 4, 4) and not stack.flags.writeable
+        splits = np.array([[0.01, -0.02]]).tobytes()
+        assert not any(a.flags.writeable for a in mesh._coupler_products(splits))
 
 
 class TestPlanSerialization:
