@@ -91,7 +91,8 @@ def kl_loss(t: np.ndarray, e: np.ndarray) -> float:
     e = np.asarray(e, dtype=float)
     if t.shape != e.shape:
         raise ValueError("t and e must have the same shape")
-    if np.any(t < 0) or np.any(e < 0):
+    # fmin skips NaN, as np.any(x < 0) does; initial 0 lets empty arrays pass
+    if np.fmin.reduce(t, axis=None, initial=0.0) < 0 or np.fmin.reduce(e, axis=None, initial=0.0) < 0:
         raise ValueError("probabilities must be non-negative")
     tc = np.maximum(t, _CLAMP_EPS)
     ec = np.maximum(e, _CLAMP_EPS)

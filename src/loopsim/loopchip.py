@@ -109,10 +109,10 @@ def _check_mesh(config: ChipConfig, mesh: np.ndarray, n_steps: int) -> np.ndarra
 def _normalize_steps(power: np.ndarray) -> np.ndarray:
     """power over its sum along the last axis; axis 0 counts loop steps."""
     totals = power.sum(axis=-1, keepdims=True)
-    dead = totals < 1e-300
-    if np.any(dead):
-        step = int(np.argmax(dead.reshape(len(dead), -1).any(axis=1))) + 1
-        raise DegenerateStepError(f"step {step} has vanishing total output power")
+    # fmin skips NaN, so a NaN step cannot hide a dead one
+    if np.fmin.reduce(totals, axis=None, initial=np.inf) < 1e-300:
+        dead = (totals < 1e-300).reshape(len(totals), -1).any(axis=1)
+        raise DegenerateStepError(f"step {int(np.argmax(dead)) + 1} has vanishing total output power")
     return power / totals
 
 
@@ -153,6 +153,9 @@ def step_power_matrices(config: ChipConfig, mesh: np.ndarray, n_steps: int) -> n
     """
     m = _check_mesh(config, mesh, n_steps)
     out_scalar, scales = _step_amplitudes(config, n_steps)
-    cores = propagate(m, np.eye(config.dim, dtype=complex), n_steps)
+    cores = np.empty((n_steps,) + m.shape, dtype=complex)
+    cores[0] = m
+    for n in range(1, n_steps):
+        cores[n] = m @ cores[n - 1]
     power = np.abs((out_scalar * scales)[:, None, None] * cores.transpose(0, 2, 1)) ** 2
     return _normalize_steps(power)

@@ -68,6 +68,9 @@ class TestKlLoss:
             kl_loss(np.array([0.5, 0.5]), np.array([1.0]))
         with pytest.raises(ValueError):
             kl_loss(np.array([-0.1, 1.1]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError):  # a NaN must not hide a negative entry
+            kl_loss(np.array([0.5, 0.5]), np.array([np.nan, -0.1]))
+        assert np.isnan(kl_loss(np.array([np.nan, 0.5]), np.array([0.5, 0.5])))
 
     @settings(max_examples=200, deadline=None)
     @given(hnp.arrays(float, 6, elements=st.floats(1e-6, 1.0)),

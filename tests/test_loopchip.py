@@ -116,6 +116,11 @@ class TestConditional:
                            probabilities=np.zeros((2, 6)))
         with pytest.raises(DegenerateStepError, match="step 1"):
             conditional_probabilities(dead)
+        # a NaN step must not hide a dead one
+        nan_then_dead = StageRecord(outputs=np.zeros((2, 6), complex),
+                                    probabilities=np.array([[np.nan] * 6, [0.0] * 6]))
+        with pytest.raises(DegenerateStepError, match="step 2"):
+            conditional_probabilities(nan_then_dead)
         # m lights every output on pass 1, but m @ m = 0
         nilpotent = np.array([[1.0, 1.0], [-1.0, -1.0]])
         with pytest.raises(DegenerateStepError, match="step 2"):

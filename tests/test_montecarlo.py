@@ -4,7 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from loopsim.cli import main
 from loopsim.loopchip import ChipConfig, conditional_probabilities, run_loop
@@ -13,6 +15,7 @@ from loopsim.montecarlo import (
     ArrivalHistogram,
     CountingConfig,
     _histogram_edges,
+    _normal_cdf,
     default_windows,
     estimate_probabilities,
     expected_histograms,
@@ -59,7 +62,7 @@ def per_photon_sample_run(record, cfg, loop_delay_ps):
 
 
 def per_channel_expected(record, cfg, loop_delay_ps):
-    """Reference expectation: jitter mass per (channel, step) via norm.cdf."""
+    """Reference expectation: jitter mass for one (channel, step) at a time."""
     n_steps, dim = record.probabilities.shape
     edges = _histogram_edges(n_steps, cfg, loop_delay_ps)
     expected_pairs = cfg.pair_rate_hz * cfg.duration_s
@@ -71,7 +74,7 @@ def per_channel_expected(record, cfg, loop_delay_ps):
             mean = expected_pairs * record.probabilities[n, channel]
             center = n * loop_delay_ps
             if cfg.jitter_ps > 0:
-                mass = np.diff(norm.cdf(edges, loc=center, scale=cfg.jitter_ps))
+                mass = np.diff(_normal_cdf((edges - center) / cfg.jitter_ps))
             else:
                 mass = np.zeros(edges.size - 1)
                 idx = np.searchsorted(edges, center, side="right") - 1
@@ -80,6 +83,35 @@ def per_channel_expected(record, cfg, loop_delay_ps):
             counts = counts + mean * mass
         out.append(ArrivalHistogram(channel, edges.copy(), counts))
     return out
+
+
+def assert_close_to_ndtr(x):
+    got = _normal_cdf(x)
+    want = ndtr(x)
+    assert got.shape == np.shape(x)
+    diff = np.abs(got - want)
+    assert np.all(diff <= 2.3e-16)
+    above = want > 1e-300
+    assert np.all(diff[above] <= 1e-13 * want[above])
+
+
+class TestNormalCdf:
+    def test_matches_scipy_on_a_dense_grid(self):
+        assert_close_to_ndtr(np.linspace(-40.0, 40.0, 200_001))
+
+    def test_keeps_2d_shape(self):
+        x = np.linspace(-40.0, 40.0, 219).reshape(3, 73)
+        assert_close_to_ndtr(x)
+        assert_close_to_ndtr(x.T)  # a non-contiguous view
+
+    def test_limits(self):
+        got = _normal_cdf(np.array([-np.inf, -40.0, 0.0, 40.0, np.inf]))
+        assert np.array_equal(got, [0.0, 0.0, 0.5, 1.0, 1.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=40))
+    def test_matches_scipy_at_random_points(self, values):
+        assert_close_to_ndtr(np.array(values))
 
 
 class TestSampling:
