@@ -18,7 +18,6 @@ from .calibrate import (
 from .loopchip import (
     ChipConfig,
     DegenerateStepError,
-    StageRecord,
     conditional_probabilities,
     run_loop,
     step_power_matrices,

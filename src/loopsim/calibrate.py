@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from ._fields import check_fields
-from .loopchip import ChipConfig, step_power_matrices
+from .loopchip import step_power_matrices
 from .mesh import MeshNoise, MeshPlan, clements_decompose, forward_arrays, mesh_forward, noise_offsets
-from .model import SpinBosonParams, build_hamiltonian, propagate, step_unitary
+from .model import SpinBosonParams, build_hamiltonian, step_unitary
 
 
 _GRAD_EPS = 1e-6  # central-difference step of the training gradient, in radians
@@ -100,11 +100,10 @@ def kl_loss(t: np.ndarray, e: np.ndarray) -> float:
 
 
 def theory_step_matrices(unitary: np.ndarray, n_steps: int) -> np.ndarray:
-    """Ideal conditional power matrices: entry [n, k, l] = |(U^(n+1))[l, k]|^2."""
-    u = np.asarray(unitary, dtype=complex)
-    power = np.abs(propagate(u, np.eye(u.shape[0], dtype=complex), n_steps)) ** 2
-    # A transposed view would change the summation order in error_metric.
-    return np.ascontiguousarray(power.transpose(0, 2, 1))
+    """Ideal conditional power matrices: entry [n, k, l] = |(U^(n+1))[l, k]|^2,
+    each row normalized; the loop chip's map of the ideal unitary."""
+    # A transposed layout would change the summation order in error_metric.
+    return np.ascontiguousarray(step_power_matrices(unitary, n_steps))
 
 
 def _input_major(mats: np.ndarray) -> np.ndarray:
@@ -129,12 +128,12 @@ def train(plan: MeshPlan, noise, target: np.ndarray, tc: TrainingConfig) -> Trai
     """Adjust commanded cell phases to pull the noisy chip toward the target.
 
     The target holds the ideal (n_steps, dim, dim) step matrices (see
-    theory_step_matrices); its first axis fixes the step count. The chip is
-    modeled lossless, since row normalization cancels uniform loss and the
-    splitter ratios. Noise offsets are frozen for the whole run. The best
-    parameters seen are returned, so the final loss never exceeds the
-    initial one; convergence means reaching tc.tol. An already-converged
-    start returns immediately with a one-entry trace.
+    theory_step_matrices); its first axis fixes the step count. The chip's
+    losses and splitter ratios are left out: they scale every step
+    uniformly, so row normalization cancels them. Noise offsets are frozen
+    for the whole run. The best parameters seen are returned, so the final
+    loss never exceeds the initial one; convergence means reaching tc.tol.
+    An already-converged start returns immediately with a one-entry trace.
     """
     dim = plan.dim
     target = np.asarray(target, dtype=float)
@@ -142,14 +141,13 @@ def train(plan: MeshPlan, noise, target: np.ndarray, tc: TrainingConfig) -> Trai
         raise ValueError(f"target must have shape (n_steps >= 1, {dim}, {dim}), not {target.shape}")
     n_steps = target.shape[0]
     flat_target = _input_major(target)
-    config = ChipConfig(dim=dim, lossless=True)
     n_cells = len(plan.los)
     offsets = noise_offsets(noise, n_cells)
 
     def loss_of(x):
         mesh_mat = forward_arrays(dim, plan.los, x[:n_cells], x[n_cells:], plan.output_phases,
                                   offsets)
-        mats = step_power_matrices(config, mesh_mat, n_steps)
+        mats = step_power_matrices(mesh_mat, n_steps)
         return kl_loss(flat_target, _input_major(mats))
 
     x = np.array(plan.thetas + plan.phis, dtype=float)
@@ -211,7 +209,6 @@ def compare_methods(table: ParamTable, noise: MeshNoise, tc: TrainingConfig,
     """
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
-    config = ChipConfig(dim=2 * n_boson, lossless=True)
     ids, dec, tr, flagged = [], [], [], []
     for row_id, (eps, omega, lam) in enumerate(table.rows, start=1):
         params = SpinBosonParams(eps, omega, lam, n_boson=n_boson)
@@ -221,9 +218,9 @@ def compare_methods(table: ParamTable, noise: MeshNoise, tc: TrainingConfig,
         for k in range(seeds):
             child = np.random.SeedSequence(noise.seed, spawn_key=(row_id, k))
             noise_k = replace(noise, seed=int(child.generate_state(1)[0]))
-            e_dec = step_power_matrices(config, mesh_forward(plan, noise_k), n_steps)
+            e_dec = step_power_matrices(mesh_forward(plan, noise_k), n_steps)
             result = train(plan, noise_k, t_mats, tc)
-            e_tr = step_power_matrices(config, mesh_forward(result.plan, noise_k), n_steps)
+            e_tr = step_power_matrices(mesh_forward(result.plan, noise_k), n_steps)
             ids.append(row_id)
             dec.append([error_metric(t_mats, e_dec, n) for n in range(1, n_steps + 1)])
             tr.append([error_metric(t_mats, e_tr, n) for n in range(1, n_steps + 1)])

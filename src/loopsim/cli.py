@@ -153,11 +153,11 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     theory = model.evolve_exact(u, cfg.initial_channel, cfg.n_steps)
     _write_csv(out / "theory.csv", ["step", "channel", "prob"], _step_rows(theory))
 
-    record = loopchip.run_loop(cfg.chip, u, cfg.initial_channel, cfg.n_steps)
-    chip = loopchip.conditional_probabilities(record)
+    power = loopchip.run_loop(cfg.chip, u, cfg.initial_channel, cfg.n_steps)
+    chip = loopchip.conditional_probabilities(power)
     _write_csv(out / "chip.csv", ["step", "channel", "prob"], _step_rows(chip))
 
-    hists = montecarlo.sample_run(record, cfg.counting, cfg.chip.loop_delay_ps)
+    hists = montecarlo.sample_run(power, cfg.counting, cfg.chip.loop_delay_ps)
     windows = montecarlo.default_windows(cfg.n_steps, cfg.counting, cfg.chip.loop_delay_ps)
     est = montecarlo.estimate_probabilities(hists, windows, cfg.counting)
     _write_csv(out / "mc.csv", ["step", "channel", "p_hat", "stderr"],
@@ -186,7 +186,7 @@ def cmd_decompose(cfg: RunConfig, args) -> int:
     _write_text(out / "decompose_report.json", json.dumps(report, indent=2))
     print(f"decompose: {plan.dim} modes, {len(plan.los)} cells, "
           f"round-trip error {err:.3e}")
-    if err > 1e-8:
+    if not err <= 1e-8:
         raise RuntimeError(f"plan does not reproduce the unitary: error {err:.3e}")
     return 0
 
@@ -279,8 +279,8 @@ def cmd_compare(cfg: RunConfig, args) -> int:
 def cmd_counts(cfg: RunConfig, args) -> int:
     out = Path(cfg.output_dir)
     u = model.step_unitary(model.build_hamiltonian(cfg.model), cfg.model.dt)
-    record = loopchip.run_loop(cfg.chip, u, cfg.initial_channel, cfg.n_steps)
-    hists = montecarlo.sample_run(record, cfg.counting, cfg.chip.loop_delay_ps)
+    power = loopchip.run_loop(cfg.chip, u, cfg.initial_channel, cfg.n_steps)
+    hists = montecarlo.sample_run(power, cfg.counting, cfg.chip.loop_delay_ps)
     _write_csv(out / "histograms.csv", ["channel", "bin_start_ps", "count"],
                ((h.channel, start, count) for h in hists
                 for start, count in zip(h.bin_edges_ps[:-1].tolist(), h.counts.tolist())))

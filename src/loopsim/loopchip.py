@@ -55,18 +55,6 @@ class ChipConfig:
             raise ValueError("loop_length_cm must be >= 4 (minimum feasible loop)")
 
 
-@dataclass
-class StageRecord:
-    """Fields of one run on the detection arm, one row per loop step.
-
-    outputs[n-1] is the field on the detection arm after mesh pass n;
-    probabilities = |outputs|^2.
-    """
-
-    outputs: np.ndarray
-    probabilities: np.ndarray
-
-
 def _db_to_amplitude(db: float) -> float:
     return 10.0 ** (-db / 20.0)
 
@@ -74,7 +62,7 @@ def _db_to_amplitude(db: float) -> float:
 @lru_cache(maxsize=128)
 def _step_amplitudes(config: ChipConfig, n_steps: int):
     """Detection-arm amplitude, and the in-loop amplitude of steps 1..n_steps
-    as a read-only array; cached, since training asks for them on every loss.
+    as a read-only array; cached, since run_loop asks for them on every call.
 
     The field enters with sqrt(ratio_in) times the chip loss; each further
     pass multiplies it by sqrt((1-ratio_in)(1-ratio_out)) times loop and
@@ -97,10 +85,10 @@ def _step_amplitudes(config: ChipConfig, n_steps: int):
     return out_scalar, scales
 
 
-def _check_mesh(config: ChipConfig, mesh: np.ndarray, n_steps: int) -> np.ndarray:
+def _check_mesh(mesh: np.ndarray, n_steps: int) -> np.ndarray:
     m = np.asarray(mesh, dtype=complex)
-    if m.shape != (config.dim, config.dim):
-        raise ValueError("mesh must be a dim x dim matrix")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("mesh must be a square matrix")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     return m
@@ -116,46 +104,48 @@ def _normalize_steps(power: np.ndarray) -> np.ndarray:
     return power / totals
 
 
-def run_loop(config: ChipConfig, mesh: np.ndarray, input_channel: int, n_steps: int) -> StageRecord:
-    """Propagate a single-channel input through n_steps loop passes.
+def run_loop(config: ChipConfig, mesh: np.ndarray, input_channel: int, n_steps: int) -> np.ndarray:
+    """Detected power of a single-channel input over n_steps loop passes,
+    shape (n_steps, dim); row n-1 holds each output's power after pass n.
 
     Step n applies the mesh for the n-th time; the output splitter taps
     sqrt(ratio_out) of the circulating field toward the detectors (times the
     detection-path loss), while sqrt((1-ratio_out)(1-ratio_in)) of it, times
     loop and chip propagation losses, re-enters the mesh.
     """
-    m = _check_mesh(config, mesh, n_steps)
+    m = _check_mesh(mesh, n_steps)
+    if m.shape[0] != config.dim:
+        raise ValueError("mesh must be a dim x dim matrix")
     if not 0 <= input_channel < config.dim:
         raise ValueError("input_channel out of range")
     out_scalar, scales = _step_amplitudes(config, n_steps)
     x = np.zeros(config.dim, dtype=complex)
     x[input_channel] = 1.0
-    outputs = out_scalar * (scales[:, None] * propagate(m, x, n_steps))
-    return StageRecord(outputs, np.abs(outputs) ** 2)
+    return np.abs(out_scalar * (scales[:, None] * propagate(m, x, n_steps))) ** 2
 
 
-def conditional_probabilities(record: StageRecord) -> np.ndarray:
-    """Per-step output distributions, renormalized over channels.
+def conditional_probabilities(power: np.ndarray) -> np.ndarray:
+    """Per-step output distributions of run_loop's power, renormalized over channels.
 
     Uniform per-step loss cancels here, so for a unitary mesh these match
     the lossless unitary evolution. Raises DegenerateStepError if a step
     carries no power at all.
     """
-    return _normalize_steps(record.probabilities)
+    return _normalize_steps(power)
 
 
-def step_power_matrices(config: ChipConfig, mesh: np.ndarray, n_steps: int) -> np.ndarray:
+def step_power_matrices(mesh: np.ndarray, n_steps: int) -> np.ndarray:
     """Row-normalized power matrices for steps 1..n_steps, shape (n_steps, dim, dim).
 
     Row k of matrix n is input k's step-n conditional distribution, as
     conditional_probabilities(run_loop(config, mesh, k, n_steps)) gives it,
-    but all inputs propagate together as the columns of one matrix.
+    but all inputs propagate together as the columns of one matrix. Losses
+    and splitter ratios scale each step uniformly and cancel in the row
+    normalization, so no config enters.
     """
-    m = _check_mesh(config, mesh, n_steps)
-    out_scalar, scales = _step_amplitudes(config, n_steps)
+    m = _check_mesh(mesh, n_steps)
     cores = np.empty((n_steps,) + m.shape, dtype=complex)
     cores[0] = m
     for n in range(1, n_steps):
         cores[n] = m @ cores[n - 1]
-    power = np.abs((out_scalar * scales)[:, None, None] * cores.transpose(0, 2, 1)) ** 2
-    return _normalize_steps(power)
+    return _normalize_steps(np.abs(cores.transpose(0, 2, 1)) ** 2)

@@ -259,7 +259,7 @@ def clements_decompose(unitary: np.ndarray) -> MeshPlan:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DecompositionError("input must be a square matrix")
     n = u.shape[0]
-    if np.max(np.abs(u.conj().T @ u - np.eye(n))) > _NULL_ATOL:
+    if not np.max(np.abs(u.conj().T @ u - np.eye(n))) <= _NULL_ATOL:
         raise DecompositionError("input matrix is not unitary")
 
     w = u.copy()
@@ -275,7 +275,7 @@ def clements_decompose(unitary: np.ndarray) -> MeshPlan:
                 lo = i - 1
                 theta, phi = _null_angles(-w[i, j], w[i - 1, j])
                 _apply_left(w, lo, theta, phi)
-                if abs(w[i, j]) > _NULL_ATOL:
+                if not abs(w[i, j]) <= _NULL_ATOL:
                     raise DecompositionError(f"failed to null entry ({i}, {j})")
                 w[i, j] = 0.0
                 left_ops.append((lo, theta, phi))
@@ -285,7 +285,7 @@ def clements_decompose(unitary: np.ndarray) -> MeshPlan:
                 lo = j
                 theta, phi = _null_angles(w[i, j], w[i, j + 1])
                 _apply_right(w, lo, theta, phi)
-                if abs(w[i, j]) > _NULL_ATOL:
+                if not abs(w[i, j]) <= _NULL_ATOL:
                     raise DecompositionError(f"failed to null entry ({i}, {j})")
                 w[i, j] = 0.0
                 right_ops.append((lo, theta, phi))

@@ -82,17 +82,17 @@ def step_unitary(hamiltonian: np.ndarray, dt: float) -> np.ndarray:
     h = np.asarray(hamiltonian, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("hamiltonian must be a square matrix")
-    if np.max(np.abs(h - h.conj().T)) > _HERMITIAN_ATOL:
+    if not np.max(np.abs(h - h.conj().T)) <= _HERMITIAN_ATOL:
         raise ValueError("hamiltonian is not Hermitian")
     if not np.isfinite(dt):
         raise ValueError("dt must be finite")
     w, v = np.linalg.eigh(h)
     residual = np.max(np.abs(h @ v - v * w))
-    if residual > _EIG_RESIDUAL_ATOL:
+    if not residual <= _EIG_RESIDUAL_ATOL:
         raise RuntimeError(f"eigendecomposition residual {residual:.3e} too large")
     u = (v * np.exp(-1j * w * dt)) @ v.conj().T
     defect = np.max(np.abs(u.conj().T @ u - np.eye(h.shape[0])))
-    if defect > _UNITARY_ATOL:
+    if not defect <= _UNITARY_ATOL:
         raise RuntimeError(f"propagator unitarity defect {defect:.3e} too large")
     return u
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fields import check_fields
-from .loopchip import StageRecord
 
 # Histogram bins per channel. sample_run holds dim x bins floats at once, so
 # the cap bounds its memory; a too-small bin_ps is rejected, not allocated.
@@ -89,7 +88,7 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
     return 0.5 * np.fromiter(map(math.erfc, flat), float, count=x.size).reshape(x.shape)
 
 
-def _bin_means(record: StageRecord, cfg: CountingConfig, loop_delay_ps: float):
+def _bin_means(power: np.ndarray, cfg: CountingConfig, loop_delay_ps: float):
     """Histogram edges and the expected signal-plus-background count per bin.
 
     Returns (edges, means) with means of shape (dim, bins). Each step's jitter
@@ -98,10 +97,10 @@ def _bin_means(record: StageRecord, cfg: CountingConfig, loop_delay_ps: float):
     """
     if loop_delay_ps <= 0:
         raise ValueError("loop_delay_ps must be positive")
-    total = float(record.probabilities.sum())
+    total = float(power.sum())
     if total > 1.0 + 1e-9:
         raise ValueError(f"total detection probability {total} exceeds 1")
-    n_steps, dim = record.probabilities.shape
+    n_steps, dim = power.shape
     edges = _histogram_edges(n_steps, cfg, loop_delay_ps)
     centers = np.arange(n_steps) * loop_delay_ps
     if cfg.jitter_ps > 0:
@@ -113,22 +112,24 @@ def _bin_means(record: StageRecord, cfg: CountingConfig, loop_delay_ps: float):
     bg_per_bin = (cfg.background_rate_hz * cfg.duration_s) * cfg.bin_ps / (edges[-1] - edges[0])
     means = np.full((dim, edges.size - 1), bg_per_bin)
     for n in range(n_steps):
-        means = means + (expected_pairs * record.probabilities[n])[:, None] * mass[n]
+        means = means + (expected_pairs * power[n])[:, None] * mass[n]
     return edges, means
 
 
-def sample_run(record: StageRecord, cfg: CountingConfig, loop_delay_ps: float) -> list:
+def sample_run(power: np.ndarray, cfg: CountingConfig, loop_delay_ps: float) -> list:
     """Sample arrival-time histograms for one experimental run.
 
+    power is run_loop's (n_steps, dim) detection probability per pair.
     Signal per (step, channel) is a Poisson process with mean
-    pair_rate_hz * duration_s * probability, centered at the step's delay
-    with Gaussian jitter; background is uniform over the histogram span.
+    pair_rate_hz * duration_s * power[step, channel], centered at the
+    step's delay with Gaussian jitter; background is uniform over the
+    histogram span.
     Binned, each bin is an independent Poisson count whose mean is the
     expected_histograms value, so each bin is drawn as one Poisson variate:
     cost is O(channels x bins) and does not depend on the photon count.
     Channel c draws from SeedSequence(cfg.seed, spawn_key=(c,)).
     """
-    edges, means = _bin_means(record, cfg, loop_delay_ps)
+    edges, means = _bin_means(power, cfg, loop_delay_ps)
     out = []
     for channel, mean in enumerate(means):
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(channel,)))
@@ -136,9 +137,9 @@ def sample_run(record: StageRecord, cfg: CountingConfig, loop_delay_ps: float) -
     return out
 
 
-def expected_histograms(record: StageRecord, cfg: CountingConfig, loop_delay_ps: float) -> list:
+def expected_histograms(power: np.ndarray, cfg: CountingConfig, loop_delay_ps: float) -> list:
     """Infinite-statistics limit of sample_run: expected counts per bin."""
-    edges, means = _bin_means(record, cfg, loop_delay_ps)
+    edges, means = _bin_means(power, cfg, loop_delay_ps)
     return [ArrivalHistogram(channel, edges.copy(), mean) for channel, mean in enumerate(means)]
 
 

@@ -28,8 +28,7 @@ from conftest import haar_unitary
 
 def chip_distributions(plan, noise, n_steps):
     """The noisy chip's (n_steps, dim, dim) step matrices, as train sees them."""
-    config = ChipConfig(plan.dim, lossless=True)
-    return step_power_matrices(config, mesh_forward(plan, noise), n_steps)
+    return step_power_matrices(mesh_forward(plan, noise), n_steps)
 
 
 def input_major(mats):
@@ -101,7 +100,7 @@ class TestTheoryMatrices:
         u = step_unitary(build_hamiltonian(params), params.dt)
         chip = ChipConfig(params.dim, lossless=True)
         theory = theory_step_matrices(u, n_steps)
-        powers = step_power_matrices(chip, u, n_steps)
+        powers = step_power_matrices(u, n_steps)
         for k in range(params.dim):
             exact = evolve_exact(u, k, n_steps)
             cond = conditional_probabilities(run_loop(chip, u, k, n_steps))

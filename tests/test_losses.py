@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from loopsim.cli import main
-from loopsim.loopchip import ChipConfig
+from loopsim.loopchip import ChipConfig, run_loop
 from loopsim.losses import (
     LossBudget,
     PlatformSpec,
@@ -76,6 +76,15 @@ class TestTotalLoss:
             expected = 2.0 * ratio_loss_db(RATIOS[1]) + 2.0 * (n - 1) * ratio_loss_db(RATIOS[0])
             assert total_loss_db(free, geometry, RATIOS, n) == pytest.approx(
                 expected, abs=1e-12)
+
+    @pytest.mark.parametrize("r", [0.5, 2.0 / 3.0, 0.8])
+    def test_matches_loop_amplitudes(self, r):
+        # oracle: run_loop's amplitude recursion models the same path loss
+        sin = next(p for p in load_platforms() if p.name == "SiN on-chip")
+        cfg = ChipConfig(ratio_in=r, ratio_out=r)
+        detected_db = -10.0 * np.log10(run_loop(cfg, np.eye(6), 0, 6).sum(axis=1))
+        budget = [total_loss_db(sin, cfg, (1.0 - r, r), n) for n in range(1, 7)]
+        assert np.max(np.abs(detected_db - budget)) < 1e-12
 
     def test_offchip_delay_penalty(self):
         onchip = PlatformSpec("SiN on-chip", 0.6)

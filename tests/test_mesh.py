@@ -161,6 +161,10 @@ class TestDecompose:
     def test_rejects_non_unitary(self):
         with pytest.raises(DecompositionError, match="not unitary"):
             clements_decompose(np.ones((4, 4)))
+        nan_entry = np.eye(4, dtype=complex)
+        nan_entry[2, 1] = np.nan
+        with pytest.raises(DecompositionError, match="not unitary"):
+            clements_decompose(nan_entry)
         with pytest.raises(DecompositionError):
             clements_decompose(np.ones((3, 4)))
 

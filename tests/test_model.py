@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopsim.mesh import clements_decompose, mesh_forward
 from loopsim.model import (
     SpinBosonParams,
     build_hamiltonian,
@@ -29,15 +30,19 @@ def expm_taylor(m, order=30, squarings=None):
     return out
 
 
-finite_params = st.builds(
-    SpinBosonParams,
-    epsilon=st.floats(-2.0, 2.0),
-    omega_hbar=st.floats(-2.0, 2.0),
-    lam=st.floats(-2.0, 2.0),
-    h_field=st.floats(-2.0, 2.0),
-    n_boson=st.integers(1, 4),
-    dt=st.floats(0.1, 2.0),
-)
+def params_up_to(max_boson):
+    return st.builds(
+        SpinBosonParams,
+        epsilon=st.floats(-2.0, 2.0),
+        omega_hbar=st.floats(-2.0, 2.0),
+        lam=st.floats(-2.0, 2.0),
+        h_field=st.floats(-2.0, 2.0),
+        n_boson=st.integers(1, max_boson),
+        dt=st.floats(0.1, 2.0),
+    )
+
+
+finite_params = params_up_to(4)
 
 
 class TestLadder:
@@ -139,6 +144,19 @@ class TestStepUnitary:
             step_unitary(m, 1.0)
         with pytest.raises(ValueError):
             step_unitary(np.ones((2, 3)), 1.0)
+        nan_on_diagonal = np.eye(3)
+        nan_on_diagonal[1, 1] = np.nan
+        with pytest.raises(ValueError, match="not Hermitian"):
+            step_unitary(nan_on_diagonal, 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(params_up_to(16))
+    def test_tolerances_hold_up_to_32_modes(self, params):
+        # step_unitary raises if its own eigen-residual or unitarity check
+        # fails; the decomposition must then round-trip within decompose's 1e-8
+        u = step_unitary(build_hamiltonian(params), params.dt)
+        plan = clements_decompose(u)
+        assert np.max(np.abs(mesh_forward(plan) - u)) <= 1e-8
 
 
 class TestEvolveExact:

@@ -25,20 +25,20 @@ from loopsim.montecarlo import (
 DELAY = 400.0
 
 
-def identity_record(n_steps=3):
+def identity_power(n_steps=3):
     return run_loop(ChipConfig(lossless=True), np.eye(6), 0, n_steps)
 
 
-def model_record(n_steps=3, channel=0, lossless=True, params=(1.0, 1.0, 1.0)):
+def model_power(n_steps=3, channel=0, lossless=True, params=(1.0, 1.0, 1.0)):
     p = SpinBosonParams(*params)
     mesh = step_unitary(build_hamiltonian(p), p.dt)
     return run_loop(ChipConfig(lossless=lossless), mesh, channel, n_steps)
 
 
-def per_photon_sample_run(record, cfg, loop_delay_ps):
+def per_photon_sample_run(power, cfg, loop_delay_ps):
     """Reference sampler: one Poisson count per (step, channel), then one
     arrival time per photon, binned. Cost grows with the photon count."""
-    n_steps, dim = record.probabilities.shape
+    n_steps, dim = power.shape
     edges = _histogram_edges(n_steps, cfg, loop_delay_ps)
     expected_pairs = cfg.pair_rate_hz * cfg.duration_s
     expected_bg = cfg.background_rate_hz * cfg.duration_s
@@ -47,7 +47,7 @@ def per_photon_sample_run(record, cfg, loop_delay_ps):
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(channel,)))
         times = []
         for n in range(n_steps):
-            count = rng.poisson(expected_pairs * record.probabilities[n, channel])
+            count = rng.poisson(expected_pairs * power[n, channel])
             if count:
                 center = n * loop_delay_ps
                 times.append(rng.normal(center, cfg.jitter_ps, size=count)
@@ -61,9 +61,9 @@ def per_photon_sample_run(record, cfg, loop_delay_ps):
     return out
 
 
-def per_channel_expected(record, cfg, loop_delay_ps):
+def per_channel_expected(power, cfg, loop_delay_ps):
     """Reference expectation: jitter mass for one (channel, step) at a time."""
-    n_steps, dim = record.probabilities.shape
+    n_steps, dim = power.shape
     edges = _histogram_edges(n_steps, cfg, loop_delay_ps)
     expected_pairs = cfg.pair_rate_hz * cfg.duration_s
     bg_per_bin = (cfg.background_rate_hz * cfg.duration_s) * cfg.bin_ps / (edges[-1] - edges[0])
@@ -71,7 +71,7 @@ def per_channel_expected(record, cfg, loop_delay_ps):
     for channel in range(dim):
         counts = np.full(edges.size - 1, bg_per_bin)
         for n in range(n_steps):
-            mean = expected_pairs * record.probabilities[n, channel]
+            mean = expected_pairs * power[n, channel]
             center = n * loop_delay_ps
             if cfg.jitter_ps > 0:
                 mass = np.diff(_normal_cdf((edges - center) / cfg.jitter_ps))
@@ -119,8 +119,8 @@ class TestSampling:
         # identity mesh dumps everything on channel 0 with 1/9 decay per step
         cfg = CountingConfig(pair_rate_hz=1e5, duration_s=10.0,
                              background_rate_hz=0.0, seed=1)
-        record = identity_record(3)
-        hists = sample_run(record, cfg, DELAY)
+        power = identity_power(3)
+        hists = sample_run(power, cfg, DELAY)
         windows = default_windows(3, cfg, DELAY)
         edges = hists[0].bin_edges_ps
         totals = []
@@ -137,7 +137,7 @@ class TestSampling:
     def test_zero_pair_rate_background_only(self):
         cfg = CountingConfig(pair_rate_hz=0.0, duration_s=5.0,
                              background_rate_hz=5.0, seed=3)
-        hists = sample_run(identity_record(2), cfg, DELAY)
+        hists = sample_run(identity_power(2), cfg, DELAY)
         for h in hists:
             assert h.counts.sum() > 0
         windows = default_windows(2, cfg, DELAY)
@@ -147,7 +147,7 @@ class TestSampling:
     def test_zero_jitter_single_bin_peaks(self):
         cfg = CountingConfig(pair_rate_hz=1e4, duration_s=1.0, jitter_ps=0.0,
                              background_rate_hz=0.0, seed=2)
-        hists = sample_run(identity_record(2), cfg, DELAY)
+        hists = sample_run(identity_power(2), cfg, DELAY)
         h = hists[0]
         occupied = np.nonzero(h.counts)[0]
         assert occupied.size == 2
@@ -157,11 +157,11 @@ class TestSampling:
 
     def test_deterministic_per_seed(self):
         cfg = CountingConfig(seed=9)
-        a = sample_run(identity_record(2), cfg, DELAY)
-        b = sample_run(identity_record(2), cfg, DELAY)
+        a = sample_run(identity_power(2), cfg, DELAY)
+        b = sample_run(identity_power(2), cfg, DELAY)
         for ha, hb in zip(a, b):
             assert np.array_equal(ha.counts, hb.counts)
-        c = sample_run(identity_record(2), CountingConfig(seed=10), DELAY)
+        c = sample_run(identity_power(2), CountingConfig(seed=10), DELAY)
         assert any(not np.array_equal(ha.counts, hc.counts) for ha, hc in zip(a, c))
 
     def test_channel_streams_independent(self):
@@ -175,7 +175,7 @@ class TestSampling:
 
     def test_edges_aligned_and_cover_peaks(self):
         cfg = CountingConfig()
-        hists = sample_run(identity_record(3), cfg, DELAY)
+        hists = sample_run(identity_power(3), cfg, DELAY)
         edges = hists[0].bin_edges_ps
         assert np.max(np.abs(np.diff(edges) - cfg.bin_ps)) < 1e-9
         assert edges[0] <= -6.0 * cfg.jitter_ps
@@ -184,9 +184,8 @@ class TestSampling:
     def test_rejects_bad_inputs(self):
         cfg = CountingConfig()
         with pytest.raises(ValueError):
-            sample_run(identity_record(2), cfg, 0.0)
-        fat = identity_record(2)
-        fat.probabilities = fat.probabilities * 0 + 1.0
+            sample_run(identity_power(2), cfg, 0.0)
+        fat = np.ones_like(identity_power(2))
         with pytest.raises(ValueError, match="exceeds 1"):
             sample_run(fat, cfg, DELAY)
         with pytest.raises(ValueError):
@@ -197,7 +196,7 @@ class TestSampling:
     def test_expected_counts_cap(self):
         # 1e18 expected pairs and background counts per run still sample
         cfg = CountingConfig(pair_rate_hz=1e17, duration_s=10.0, background_rate_hz=1e17)
-        hists = sample_run(model_record(3), cfg, DELAY)
+        hists = sample_run(model_power(3), cfg, DELAY)
         assert sum(float(h.counts.sum()) for h in hists) > 1e18
         for key in ("pair_rate_hz", "background_rate_hz"):
             with pytest.raises(ValueError, match="pair_rate_hz and background_rate_hz"):
@@ -206,16 +205,16 @@ class TestSampling:
 
 class TestSamplerOracles:
     def test_expected_histograms_match_per_channel_loop_exactly(self):
-        records = [identity_record(3), model_record(1), model_record(3, channel=4),
-                   model_record(5, lossless=False, params=(0.5, 1.2, 0.8))]
+        powers = [identity_power(3), model_power(1), model_power(3, channel=4),
+                   model_power(5, lossless=False, params=(0.5, 1.2, 0.8))]
         configs = [CountingConfig(),
                    CountingConfig(pair_rate_hz=1e5, jitter_ps=0.0, background_rate_hz=0.0),
                    CountingConfig(pair_rate_hz=3e3, jitter_ps=13.7, bin_ps=7.0,
                                   background_rate_hz=200.0)]
-        for record in records:
+        for power in powers:
             for cfg in configs:
-                got = expected_histograms(record, cfg, DELAY)
-                want = per_channel_expected(record, cfg, DELAY)
+                got = expected_histograms(power, cfg, DELAY)
+                want = per_channel_expected(power, cfg, DELAY)
                 assert len(got) == len(want)
                 for g, w in zip(got, want):
                     assert g.channel == w.channel
@@ -226,16 +225,16 @@ class TestSamplerOracles:
     def test_pooled_samplers_agree_with_expectation(self, jitter_ps):
         # Both samplers, pooled over many seeds, must match the expected
         # histogram bin by bin within Poisson error.
-        record = model_record(3)
+        power = model_power(3)
         n_seeds = 200
         base = CountingConfig(pair_rate_hz=2e3, duration_s=1.0, jitter_ps=jitter_ps,
                               background_rate_hz=200.0)
-        expected = np.array([h.counts for h in expected_histograms(record, base, DELAY)])
+        expected = np.array([h.counts for h in expected_histograms(power, base, DELAY)])
         target = n_seeds * expected
         for sampler in (sample_run, per_photon_sample_run):
             pooled = np.zeros_like(expected)
             for seed in range(n_seeds):
-                hists = sampler(record, replace(base, seed=seed), DELAY)
+                hists = sampler(power, replace(base, seed=seed), DELAY)
                 pooled += np.array([h.counts for h in hists])
             assert np.all(np.abs(pooled - target) <= 5.0 * np.sqrt(target)), sampler.__name__
             chi2 = float(np.sum((pooled - target) ** 2 / target))
@@ -244,20 +243,20 @@ class TestSamplerOracles:
 
     def test_cost_independent_of_photon_count(self):
         # 1e15 pairs: a per-photon sampler could not even allocate the times.
-        record = model_record(3)
+        power = model_power(3)
         cfg = CountingConfig(pair_rate_hz=1e14, duration_s=10.0, background_rate_hz=1e6)
-        sample_run(record, cfg, DELAY)  # warm up imports and caches
+        sample_run(power, cfg, DELAY)  # warm up imports and caches
         tracemalloc.start()
         try:
             start = time.perf_counter()
-            hists = sample_run(record, cfg, DELAY)
+            hists = sample_run(power, cfg, DELAY)
             elapsed = time.perf_counter() - start
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert elapsed < 1.0
         assert peak < 1e6
-        expected = expected_histograms(record, cfg, DELAY)
+        expected = expected_histograms(power, cfg, DELAY)
         for h, e in zip(hists, expected):
             assert np.all(np.abs(h.counts - e.counts) <= 6.0 * np.sqrt(e.counts) + 1.0)
         assert sum(float(h.counts.sum()) for h in hists) > 1e14
@@ -267,11 +266,11 @@ class TestEstimation:
     def test_recovers_conditionals_from_large_sample(self):
         # oracle: estimates must approach the known conditional distributions
         mesh = np.eye(6)
-        record = run_loop(ChipConfig(lossless=True), mesh, 0, 2)
-        cond = conditional_probabilities(record)
+        power = run_loop(ChipConfig(lossless=True), mesh, 0, 2)
+        cond = conditional_probabilities(power)
         cfg = CountingConfig(pair_rate_hz=1e6, duration_s=1.0,
                              background_rate_hz=0.0, seed=5)
-        hists = sample_run(record, cfg, DELAY)
+        hists = sample_run(power, cfg, DELAY)
         est = estimate_probabilities(hists, default_windows(2, cfg, DELAY), cfg)
         assert np.max(np.abs(est.p_hat - cond)) < 0.01
         assert est.p_hat.shape == (2, 6)
@@ -280,19 +279,19 @@ class TestEstimation:
     def test_infinite_statistics_exact(self):
         # the analytic expectation path recovers conditionals to rounding
         params_mesh = np.eye(6)
-        record = run_loop(ChipConfig(lossless=True), params_mesh, 2, 3)
-        cond = conditional_probabilities(record)
+        power = run_loop(ChipConfig(lossless=True), params_mesh, 2, 3)
+        cond = conditional_probabilities(power)
         cfg = CountingConfig(pair_rate_hz=1e5, background_rate_hz=0.0)
-        hists = expected_histograms(record, cfg, DELAY)
+        hists = expected_histograms(power, cfg, DELAY)
         est = estimate_probabilities(hists, default_windows(3, cfg, DELAY), cfg)
         assert np.max(np.abs(est.p_hat - cond)) < 1e-12
 
     def test_background_subtraction_unbiased(self):
-        record = identity_record(2)
-        cond = conditional_probabilities(record)
+        power = identity_power(2)
+        cond = conditional_probabilities(power)
         cfg = CountingConfig(pair_rate_hz=1e5, duration_s=10.0,
                              background_rate_hz=200.0, seed=8)
-        hists = expected_histograms(record, cfg, DELAY)
+        hists = expected_histograms(power, cfg, DELAY)
         est = estimate_probabilities(hists, default_windows(2, cfg, DELAY), cfg)
         # expected background is removed exactly in the expectation limit;
         # only the jitter tail clipped by the gate remains
@@ -301,22 +300,22 @@ class TestEstimation:
     def test_stderr_shrinks_with_duration(self):
         params = SpinBosonParams(1.0, 1.0, 1.0)
         mesh = step_unitary(build_hamiltonian(params), params.dt)
-        record = run_loop(ChipConfig(lossless=True), mesh, 0, 1)
+        power = run_loop(ChipConfig(lossless=True), mesh, 0, 1)
         base = CountingConfig(pair_rate_hz=1e4, duration_s=1.0,
                               background_rate_hz=0.0, seed=11)
         longer = CountingConfig(pair_rate_hz=1e4, duration_s=100.0,
                                 background_rate_hz=0.0, seed=11)
-        e1 = estimate_probabilities(sample_run(record, base, DELAY),
+        e1 = estimate_probabilities(sample_run(power, base, DELAY),
                                     default_windows(1, base, DELAY), base)
-        e2 = estimate_probabilities(sample_run(record, longer, DELAY),
+        e2 = estimate_probabilities(sample_run(power, longer, DELAY),
                                     default_windows(1, longer, DELAY), longer)
         assert e2.stderr[0, 0] < e1.stderr[0, 0] / 5.0
 
     def test_zero_background_stderr_is_binomial_bit_for_bit(self):
-        record = model_record(3)
+        power = model_power(3)
         cfg = CountingConfig(pair_rate_hz=1e4, duration_s=10.0,
                              background_rate_hz=0.0, seed=13)
-        hists = sample_run(record, cfg, DELAY)
+        hists = sample_run(power, cfg, DELAY)
         windows = default_windows(3, cfg, DELAY)
         est = estimate_probabilities(hists, windows, cfg)
         edges = hists[0].bin_edges_ps
@@ -331,13 +330,13 @@ class TestEstimation:
     def test_stderr_covers_background_noise(self):
         # Lossy chip, default 10 Hz background: step 3 sits barely above the
         # background, where a binomial-only stderr undercovers.
-        record = model_record(3, lossless=False)
-        truth = conditional_probabilities(record)
+        power = model_power(3, lossless=False)
+        truth = conditional_probabilities(power)
         off = off_binomial = 0
         for seed in range(6):
             cfg = CountingConfig(seed=seed)
             windows = default_windows(3, cfg, DELAY)
-            hists = sample_run(record, cfg, DELAY)
+            hists = sample_run(power, cfg, DELAY)
             est = estimate_probabilities(hists, windows, cfg)
             edges = hists[0].bin_edges_ps
             span = edges[-1] - edges[0]
@@ -356,28 +355,28 @@ class TestEstimation:
         assert off == 0
 
     def test_low_statistics_flag_threshold(self):
-        record = identity_record(1)
+        power = identity_power(1)
         sparse = CountingConfig(pair_rate_hz=5.0, duration_s=1.0,
                                 background_rate_hz=0.0, seed=12)
         dense = CountingConfig(pair_rate_hz=1e5, duration_s=1.0,
                                background_rate_hz=0.0, seed=12)
-        es = estimate_probabilities(sample_run(record, sparse, DELAY),
+        es = estimate_probabilities(sample_run(power, sparse, DELAY),
                                     default_windows(1, sparse, DELAY), sparse)
-        ed = estimate_probabilities(sample_run(record, dense, DELAY),
+        ed = estimate_probabilities(sample_run(power, dense, DELAY),
                                     default_windows(1, dense, DELAY), dense)
         assert es.low_statistics == (True,)
         assert ed.low_statistics == (False,)
 
     def test_window_validation(self):
         cfg = CountingConfig()
-        hists = sample_run(identity_record(2), cfg, DELAY)
+        hists = sample_run(identity_power(2), cfg, DELAY)
         with pytest.raises(ValueError, match="overlap"):
             estimate_probabilities(hists, [(-100.0, 300.0), (250.0, 600.0)], cfg)
         with pytest.raises(ValueError, match="narrower"):
             estimate_probabilities(hists, [(-100.0, 100.0), (300.0, 500.0)], cfg)
         with pytest.raises(ValueError, match="positive width"):
             estimate_probabilities(hists, [(100.0, -100.0), (300.0, 500.0)], cfg)
-        other = sample_run(identity_record(3), cfg, DELAY)
+        other = sample_run(identity_power(3), cfg, DELAY)
         with pytest.raises(ValueError, match="share"):
             estimate_probabilities([hists[0], other[1]],
                                    default_windows(2, cfg, DELAY), cfg)
