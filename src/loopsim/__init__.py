@@ -37,10 +37,7 @@ from .mesh import (
     MeshNoise,
     MeshPlan,
     clements_decompose,
-    embed_cell,
-    imperfect_mzi,
     mesh_forward,
-    mzi_transfer,
     noise_offsets,
     plan_from_json,
     plan_to_json,

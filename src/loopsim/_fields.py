@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 
 # Annotation, or its name under `from __future__ import annotations` -> (types, message).
-_KINDS = {int: ((int, np.integer), "an integer"), bool: ((bool,), "true or false"),
+_KINDS = {int: ((int, np.integer), "an integer"),
           float: ((int, float, np.integer, np.floating), "a finite number"),
           str: ((str,), "a string")}
 _KINDS.update({t.__name__: kind for t, kind in list(_KINDS.items())})
@@ -15,12 +15,12 @@ _KINDS.update({t.__name__: kind for t, kind in list(_KINDS.items())})
 
 def check_fields(obj, positive=(), nonneg=()) -> None:
     """Raise ValueError unless each field of dataclass obj fits its annotation
-    (only bool fields take bools, float fields take finite values), each name
-    in positive is > 0 and each name in nonneg is >= 0."""
+    (no int, float or str field takes a bool, float fields take finite values),
+    each name in positive is > 0 and each name in nonneg is >= 0."""
     for f in fields(obj):
         types, what = _KINDS.get(f.type, ((object,), None))
         value = getattr(obj, f.name)
-        ok = isinstance(value, types) and isinstance(value, bool) == (bool in types)
+        ok = isinstance(value, types) and not isinstance(value, bool)
         if ok and float in types:  # rejects NaN, infinities and ints too large for a float
             ok = abs(value) < (sys.float_info.max if isinstance(value, int) else math.inf)
         if what and not ok:

@@ -29,8 +29,8 @@ class ChipConfig:
     the first pass; ratio_out is the output splitter's power fraction sent
     to the detectors each pass. alpha_db_per_cm and the lengths set the
     propagation losses; others_loss_db lumps the remaining fixed losses on
-    the detection path. lossless=True zeroes every dB figure but keeps the
-    splitters.
+    the detection path. A lossless chip sets alpha_db_per_cm and
+    others_loss_db to 0 and keeps the splitters.
     """
 
     dim: int = 6
@@ -42,7 +42,6 @@ class ChipConfig:
     others_loss_db: float = 5.0
     loop_delay_ps: float = 400.0
     rep_rate_mhz: float = 500.0
-    lossless: bool = False
 
     def __post_init__(self):
         check_fields(self, positive=("dim", "chip_length_cm", "loop_delay_ps", "rep_rate_mhz"),
@@ -69,12 +68,9 @@ def _step_amplitudes(config: ChipConfig, n_steps: int):
     chip losses. The output splitter taps sqrt(ratio_out) of it toward the
     detectors, times the detection-path loss.
     """
-    if config.lossless:
-        amp_chip = amp_loop = amp_others = 1.0
-    else:
-        amp_chip = _db_to_amplitude(config.alpha_db_per_cm * config.chip_length_cm)
-        amp_loop = _db_to_amplitude(config.alpha_db_per_cm * config.loop_length_cm)
-        amp_others = _db_to_amplitude(config.others_loss_db)
+    amp_chip = _db_to_amplitude(config.alpha_db_per_cm * config.chip_length_cm)
+    amp_loop = _db_to_amplitude(config.alpha_db_per_cm * config.loop_length_cm)
+    amp_others = _db_to_amplitude(config.others_loss_db)
     in_scalar = np.sqrt(config.ratio_in) * amp_chip
     loop_scalar = (
         np.sqrt((1.0 - config.ratio_in) * (1.0 - config.ratio_out)) * amp_loop * amp_chip
@@ -94,8 +90,14 @@ def _check_mesh(mesh: np.ndarray, n_steps: int) -> np.ndarray:
     return m
 
 
-def _normalize_steps(power: np.ndarray) -> np.ndarray:
-    """power over its sum along the last axis; axis 0 counts loop steps."""
+def conditional_probabilities(power: np.ndarray) -> np.ndarray:
+    """Per-step output distributions of run_loop's power, renormalized over channels.
+
+    power may also stack several inputs, as step_power_matrices does: axis 0
+    counts loop steps and the last axis is normalized. Uniform per-step loss
+    cancels here, so for a unitary mesh these match the lossless unitary
+    evolution. Raises DegenerateStepError if a step carries no power at all.
+    """
     totals = power.sum(axis=-1, keepdims=True)
     # fmin skips NaN, so a NaN step cannot hide a dead one
     if np.fmin.reduce(totals, axis=None, initial=np.inf) < 1e-300:
@@ -119,19 +121,7 @@ def run_loop(config: ChipConfig, mesh: np.ndarray, input_channel: int, n_steps: 
     if not 0 <= input_channel < config.dim:
         raise ValueError("input_channel out of range")
     out_scalar, scales = _step_amplitudes(config, n_steps)
-    x = np.zeros(config.dim, dtype=complex)
-    x[input_channel] = 1.0
-    return np.abs(out_scalar * (scales[:, None] * propagate(m, x, n_steps))) ** 2
-
-
-def conditional_probabilities(power: np.ndarray) -> np.ndarray:
-    """Per-step output distributions of run_loop's power, renormalized over channels.
-
-    Uniform per-step loss cancels here, so for a unitary mesh these match
-    the lossless unitary evolution. Raises DegenerateStepError if a step
-    carries no power at all.
-    """
-    return _normalize_steps(power)
+    return np.abs(out_scalar * (scales[:, None] * propagate(m, m[:, input_channel], n_steps))) ** 2
 
 
 def step_power_matrices(mesh: np.ndarray, n_steps: int) -> np.ndarray:
@@ -144,8 +134,4 @@ def step_power_matrices(mesh: np.ndarray, n_steps: int) -> np.ndarray:
     normalization, so no config enters.
     """
     m = _check_mesh(mesh, n_steps)
-    cores = np.empty((n_steps,) + m.shape, dtype=complex)
-    cores[0] = m
-    for n in range(1, n_steps):
-        cores[n] = m @ cores[n - 1]
-    return _normalize_steps(np.abs(cores.transpose(0, 2, 1)) ** 2)
+    return conditional_probabilities(np.abs(propagate(m, m, n_steps).transpose(0, 2, 1)) ** 2)

@@ -84,39 +84,6 @@ class MeshPlan:
             raise ValueError("phases must be finite")
 
 
-def mzi_transfer(theta: float, phi: float) -> np.ndarray:
-    """2x2 transfer matrix of one ideal cell."""
-    c, s = np.cos(theta), np.sin(theta)
-    ph = np.exp(1j * phi)
-    return np.array([[ph * c, -s], [ph * s, c]], dtype=complex)
-
-
-def embed_cell(lo: int, theta: float, phi: float, dim: int) -> np.ndarray:
-    """Ideal cell on modes (lo, lo + 1) as a dim x dim unitary, identity elsewhere."""
-    if not 0 <= lo < dim - 1:
-        raise ValueError("cell mode index exceeds dim")
-    u = np.eye(dim, dtype=complex)
-    u[lo:lo + 2, lo:lo + 2] = mzi_transfer(theta, phi)
-    return u
-
-
-def imperfect_mzi(theta, phi, d_theta=0.0, d_phi=0.0, d_split1=0.0, d_split2=0.0) -> np.ndarray:
-    """Realized cell: two imperfect couplers around an internal phase.
-
-    Composition, input to output:
-      phase exp(i (phi + d_phi)) on the lo port,
-      coupler with power ratio 1/2 + d_split1,
-      internal phase exp(i (2 theta_eff + pi)) on the lo arm,
-      coupler with power ratio 1/2 + d_split2,
-      fixed compensation phases diag(-exp(-i theta_eff), exp(-i theta_eff)),
-    with theta_eff = theta + d_theta. At zero error this equals
-    mzi_transfer(theta, phi) exactly. Always unitary; a ratio outside [0, 1] raises.
-    """
-    m = _cell_matrices(np.array([theta]), np.array([phi]),
-                       np.array([[d_theta, d_phi, d_split1, d_split2]]))
-    return np.array([[m[0][0], m[1][0]], [m[2][0], m[3][0]]], dtype=complex)
-
-
 @lru_cache(maxsize=128)
 def _coupler_products(splits: bytes):
     """Read-only (p, q, ps, qs) of cells given the float64 bytes of their (d_split1, d_split2);
@@ -137,7 +104,12 @@ def _coupler_products(splits: bytes):
 
 
 def _cell_matrices(thetas, phis, offsets):
-    """Vectorized 2x2 entries (m00, m01, m10, m11) for realized cells."""
+    """Vectorized 2x2 entries (m00, m01, m10, m11) of realized cells; offsets rows are
+    (d_theta, d_phi, d_split1, d_split2). Input to output: phase exp(i phi') on the lo
+    port, coupler of power ratio 1/2 + d_split1, phase exp(i (2 theta' + pi)) on the lo
+    arm, coupler of ratio 1/2 + d_split2, then diag(-exp(-i theta'), exp(-i theta')),
+    with theta' = theta + d_theta, phi' = phi + d_phi. At zero offsets this is
+    T(theta, phi) up to rounding. Always unitary; a ratio outside [0, 1] raises."""
     th = thetas + offsets[:, 0]
     ph = phis + offsets[:, 1]
     p, q, ps, qs = _coupler_products(np.ascontiguousarray(offsets[:, 2:], dtype=float).tobytes())
@@ -227,23 +199,13 @@ def _null_angles(num, den):
 
 
 def _apply_left(w, lo, theta, phi):
-    """w <- T(theta, phi) w on rows (lo, lo+1)."""
+    """w <- T(theta, phi) w on rows (lo, lo+1), in place (w may be a view)."""
     c, s = np.cos(theta), np.sin(theta)
     ph = np.exp(1j * phi)
     ra = w[lo].copy()
     rb = w[lo + 1]
     w[lo] = ph * c * ra - s * rb
     w[lo + 1] = ph * s * ra + c * rb
-
-
-def _apply_right(w, lo, theta, phi):
-    """w <- w T(theta, phi)^{-1} on columns (lo, lo+1)."""
-    c, s = np.cos(theta), np.sin(theta)
-    ph = np.exp(-1j * phi)
-    ca = w[:, lo].copy()
-    cb = w[:, lo + 1]
-    w[:, lo] = ph * c * ca - s * cb
-    w[:, lo + 1] = ph * s * ca + c * cb
 
 
 def clements_decompose(unitary: np.ndarray) -> MeshPlan:
@@ -266,29 +228,27 @@ def clements_decompose(unitary: np.ndarray) -> MeshPlan:
     left_ops = []
     right_ops = []
     # Null anti-diagonal i - j = diag + 1 of the lower triangle, largest
-    # offset first, alternating the side the cell acts from.
+    # offset first, alternating the side the cell acts from. A cell from the
+    # left is T(theta, phi) on rows (i - 1, i); one from the right is
+    # T(theta, phi)^{-1} on columns (j, j + 1), which is T(theta, -phi) on
+    # the rows of the transposed view.
     for diag in range(n - 2, -1, -1):
         size = n - 1 - diag
-        if diag % 2 == 0:
-            for j in range(size):
-                i = diag + j + 1
+        left = diag % 2 == 0
+        for j in range(size) if left else range(size - 1, -1, -1):
+            i = diag + j + 1
+            if left:
                 lo = i - 1
                 theta, phi = _null_angles(-w[i, j], w[i - 1, j])
                 _apply_left(w, lo, theta, phi)
-                if not abs(w[i, j]) <= _NULL_ATOL:
-                    raise DecompositionError(f"failed to null entry ({i}, {j})")
-                w[i, j] = 0.0
-                left_ops.append((lo, theta, phi))
-        else:
-            for j in range(size - 1, -1, -1):
-                i = diag + j + 1
+            else:
                 lo = j
                 theta, phi = _null_angles(w[i, j], w[i, j + 1])
-                _apply_right(w, lo, theta, phi)
-                if not abs(w[i, j]) <= _NULL_ATOL:
-                    raise DecompositionError(f"failed to null entry ({i}, {j})")
-                w[i, j] = 0.0
-                right_ops.append((lo, theta, phi))
+                _apply_left(w.T, lo, theta, -phi)
+            if not abs(w[i, j]) <= _NULL_ATOL:
+                raise DecompositionError(f"failed to null entry ({i}, {j})")
+            w[i, j] = 0.0
+            (left_ops if left else right_ops).append((lo, theta, phi))
 
     psi = list(np.angle(np.diag(w)))
     ordered = list(right_ops)

@@ -97,18 +97,18 @@ def step_unitary(hamiltonian: np.ndarray, dt: float) -> np.ndarray:
     return u
 
 
-def propagate(matrix: np.ndarray, x: np.ndarray, n_steps: int) -> np.ndarray:
-    """matrix^n @ x for n = 1..n_steps, stacked on a new leading axis.
+def propagate(matrix: np.ndarray, first: np.ndarray, n_steps: int) -> np.ndarray:
+    """Loop-pass outputs for passes 1..n_steps, stacked on a new leading axis.
 
-    x is one vector or a matrix whose columns are inputs. Each step applies
-    matrix once to the previous step's result, as one pass of the loop does.
-    Iterating a vector and taking a column of the all-inputs result differ
-    in the last bit, so single-input callers pass a vector.
+    first is pass 1's output: one vector, or a matrix whose columns are
+    inputs. Each further pass applies matrix once to the previous pass's
+    output, as one trip round the loop does. A column of the all-inputs
+    result can differ in the last bit from that input alone.
     """
-    out = np.empty((n_steps,) + np.shape(x), dtype=complex)
-    for n in range(n_steps):
-        x = matrix @ x
-        out[n] = x
+    out = np.empty((n_steps,) + np.shape(first), dtype=complex)
+    out[0] = first
+    for n in range(1, n_steps):
+        out[n] = matrix @ out[n - 1]
     return out
 
 
@@ -118,11 +118,8 @@ def evolve_exact(unitary: np.ndarray, initial_channel: int, n_steps: int) -> np.
 
     Returns an (n_steps, dim) array; row n-1 is the distribution after n steps.
     """
-    dim = unitary.shape[0]
-    if not 0 <= initial_channel < dim:
+    if not 0 <= initial_channel < unitary.shape[0]:
         raise ValueError("initial_channel out of range")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    psi = np.zeros(dim, dtype=complex)
-    psi[initial_channel] = 1.0
-    return np.abs(propagate(unitary, psi, n_steps)) ** 2
+    return np.abs(propagate(unitary, unitary[:, initial_channel], n_steps)) ** 2

@@ -35,7 +35,7 @@ from loopsim.montecarlo import (
     estimate_probabilities,
     sample_run,
 )
-from conftest import haar_unitary
+from conftest import haar_unitary, lossless_chip
 
 
 def _report(n, ok, desc):
@@ -141,7 +141,7 @@ def test_5_platform_ordering():
 
 def test_6_counting_statistics():
     start = time.perf_counter()
-    record = run_loop(ChipConfig(lossless=True), _default_mesh(), 0, 3)
+    record = run_loop(lossless_chip(), _default_mesh(), 0, 3)
     truth = conditional_probabilities(record)
     within = 0
     total = 0

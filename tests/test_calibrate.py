@@ -20,10 +20,10 @@ from loopsim.calibrate import (
     win_stats,
 )
 from loopsim.cli import main
-from loopsim.loopchip import ChipConfig, conditional_probabilities, run_loop, step_power_matrices
+from loopsim.loopchip import conditional_probabilities, run_loop, step_power_matrices
 from loopsim.mesh import MeshNoise, clements_decompose, mesh_forward
 from loopsim.model import SpinBosonParams, build_hamiltonian, evolve_exact, step_unitary
-from conftest import haar_unitary
+from conftest import haar_unitary, lossless_chip
 
 
 def chip_distributions(plan, noise, n_steps):
@@ -98,7 +98,7 @@ class TestTheoryMatrices:
     def test_propagation_paths_agree_across_dims(self, params, n_steps):
         # four callers of the shared propagation kernel, one model, every input
         u = step_unitary(build_hamiltonian(params), params.dt)
-        chip = ChipConfig(params.dim, lossless=True)
+        chip = lossless_chip(dim=params.dim)
         theory = theory_step_matrices(u, n_steps)
         powers = step_power_matrices(u, n_steps)
         for k in range(params.dim):
@@ -134,7 +134,7 @@ class TestForward:
         u = haar_unitary(6, rng)
         plan = clements_decompose(u)
         noise = MeshNoise(seed=5)
-        config = ChipConfig(lossless=True)
+        config = lossless_chip()
         mats = chip_distributions(plan, noise, 3)
         realized = mesh_forward(plan, noise)
         pieces = [conditional_probabilities(run_loop(config, realized, k, 3)) for k in range(6)]

@@ -276,10 +276,17 @@ class TestConfig:
         assert model["n_boson"] == 2
 
     def test_unknown_section_key_exits_two(self, tmp_path, capsys):
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"model": {"foo": 1}}))
-        assert main(["--config", str(cfgfile), "--out", str(tmp_path), "simulate"]) == 2
-        assert "foo" in capsys.readouterr().err
+        # chip.lossless is gone: zero the dB figures for a lossless chip
+        for section, key in (("model", "foo"), ("chip", "lossless")):
+            cfgfile = tmp_path / "cfg.json"
+            cfgfile.write_text(json.dumps({section: {key: True}}))
+            assert main(["--config", str(cfgfile), "--out", str(tmp_path), "simulate"]) == 2
+            assert f"unknown keys in config section '{section}': ['{key}']" in capsys.readouterr().err
+
+    def test_settable_value_count(self):
+        # a new config knob is a deliberate edit here
+        doc = config_to_dict(RunConfig())
+        assert sum(len(v) if isinstance(v, dict) else 1 for v in doc.values()) == 32
 
     @pytest.mark.parametrize("flags", [[], ["--epsilon", "0.5"]])
     def test_section_not_an_object_exits_two(self, tmp_path, capsys, flags):

@@ -15,7 +15,6 @@ def test_numpy_scalars_accepted():
 @pytest.mark.parametrize("build, match", [
     (lambda: ChipConfig(dim=True), "dim must be an integer"),
     (lambda: ChipConfig(ratio_in=True), "ratio_in must be a finite number"),
-    (lambda: ChipConfig(lossless=1), "lossless must be true or false"),
     (lambda: ChipConfig(others_loss_db=10**400), "others_loss_db must be a finite number"),
     (lambda: MeshNoise(seed=1.5), "seed must be an integer"),
     (lambda: MeshNoise(seed=-1), "seed must be >= 0"),

@@ -10,11 +10,7 @@ from loopsim.loopchip import (
     step_power_matrices,
 )
 from loopsim.model import SpinBosonParams, build_hamiltonian, evolve_exact, step_unitary
-from conftest import haar_unitary
-
-
-def lossless_chip(**kw):
-    return ChipConfig(lossless=True, **kw)
+from conftest import haar_unitary, lossless_chip
 
 
 def power_matrix(config, mesh, step):

@@ -11,11 +11,8 @@ from loopsim.mesh import (
     MeshNoise,
     MeshPlan,
     clements_decompose,
-    embed_cell,
     forward_arrays,
-    imperfect_mzi,
     mesh_forward,
-    mzi_transfer,
     noise_offsets,
     plan_from_json,
     plan_to_json,
@@ -31,69 +28,104 @@ def zero_plan(dim):
     return MeshPlan(dim, los, zeros, zeros, (0.0,) * dim)
 
 
+def ideal_cell(theta, phi):
+    """Oracle: T(theta, phi) as the module docstring of loopsim.mesh writes it."""
+    return np.array([[np.exp(1j * phi) * np.cos(theta), -np.sin(theta)],
+                     [np.exp(1j * phi) * np.sin(theta), np.cos(theta)]])
+
+
+def coupler(r):
+    """Directional coupler of power ratio r."""
+    return np.array([[np.sqrt(r), 1j * np.sqrt(1.0 - r)], [1j * np.sqrt(1.0 - r), np.sqrt(r)]])
+
+
+def realized_cell(theta, phi, d_theta=0.0, d_phi=0.0, d_split1=0.0, d_split2=0.0):
+    """Oracle: the realized cell as its five optical elements, the first on the right:
+    input phase, coupler, internal phase, coupler, compensation phases."""
+    th = theta + d_theta
+    comp = np.diag([-np.exp(-1j * th), np.exp(-1j * th)])
+    return (comp @ coupler(0.5 + d_split2) @ np.diag([-np.exp(2j * th), 1.0])
+            @ coupler(0.5 + d_split1) @ np.diag([np.exp(1j * (phi + d_phi)), 1.0]))
+
+
+def embed(cell, lo, dim):
+    """A 2x2 cell on modes (lo, lo + 1) as a dim x dim matrix, identity elsewhere."""
+    u = np.eye(dim, dtype=complex)
+    u[lo:lo + 2, lo:lo + 2] = cell
+    return u
+
+
+def rotated_identity(lo, theta, phi, dim):
+    """The decomposition's ideal rotation applied to the identity."""
+    w = np.eye(dim, dtype=complex)
+    mesh._apply_left(w, lo, theta, phi)
+    return w
+
+
+def realized(theta, phi, d_theta=0.0, d_phi=0.0, d_split1=0.0, d_split2=0.0):
+    """One realized cell as the mesh evaluates it: a 2-mode mesh of one cell."""
+    return forward_arrays(2, (0,), np.array([theta]), np.array([phi]), np.zeros(2),
+                          np.array([[d_theta, d_phi, d_split1, d_split2]]))
+
+
 class TestTransfer:
     def test_known_value(self):
         # frozen: theta = pi/4, phi = pi/2 gives [[i, -1], [i, 1]] / sqrt(2)
-        t = mzi_transfer(np.pi / 4.0, np.pi / 2.0)
         s = 0.7071067811865476
         expected = np.array([[1j * s, -s], [1j * s, s]])
-        assert np.max(np.abs(t - expected)) < 1e-15
+        for t in (ideal_cell(np.pi / 4.0, np.pi / 2.0),
+                  rotated_identity(0, np.pi / 4.0, np.pi / 2.0, 2)):
+            assert np.max(np.abs(t - expected)) < 1e-15
 
     def test_zero_settings_identity(self):
-        assert np.array_equal(mzi_transfer(0.0, 0.0), np.eye(2))
+        assert np.array_equal(rotated_identity(0, 0.0, 0.0, 2), np.eye(2))
 
     @settings(max_examples=100, deadline=None)
     @given(angles, angles)
     def test_unitary(self, theta, phi):
-        t = mzi_transfer(theta, phi)
+        t = rotated_identity(0, theta, phi, 2)
         assert np.max(np.abs(t.conj().T @ t - np.eye(2))) < 1e-14
 
     def test_embed_identity_elsewhere(self):
-        u = embed_cell(1, 0.4, 1.1, 5)
+        u = rotated_identity(1, 0.4, 1.1, 5)
         mask = np.ones((5, 5), dtype=bool)
         mask[np.ix_([1, 2], [1, 2])] = False
         assert np.array_equal(u[mask], np.eye(5, dtype=complex)[mask])
-        assert np.array_equal(u[np.ix_([1, 2], [1, 2])], mzi_transfer(0.4, 1.1))
-
-    def test_cell_validation(self):
-        with pytest.raises(ValueError):
-            embed_cell(-1, 0.0, 0.0, 5)
-        with pytest.raises(ValueError):
-            embed_cell(4, 0.0, 0.0, 5)
+        assert np.array_equal(u[np.ix_([1, 2], [1, 2])], ideal_cell(0.4, 1.1))
 
 
 class TestImperfectCell:
     def test_zero_error_matches_ideal(self):
         for theta, phi in [(0.0, 0.0), (0.3, 1.1), (np.pi / 2, 4.0), (1.2, 6.1)]:
-            d = np.max(np.abs(imperfect_mzi(theta, phi) - mzi_transfer(theta, phi)))
+            d = np.max(np.abs(realized(theta, phi) - ideal_cell(theta, phi)))
             assert d < 5e-16
 
     @settings(max_examples=100, deadline=None)
     @given(angles, angles, st.floats(-0.2, 0.2), st.floats(-0.2, 0.2),
            st.floats(-0.05, 0.05), st.floats(-0.05, 0.05))
     def test_unitary_under_error(self, theta, phi, dt, dp, s1, s2):
-        m = imperfect_mzi(theta, phi, dt, dp, s1, s2)
+        m = realized(theta, phi, dt, dp, s1, s2)
         assert np.max(np.abs(m.conj().T @ m - np.eye(2))) < 1e-14
 
     def test_phase_error_stays_in_family(self):
         # a pure phase offset is the ideal cell at shifted settings
-        m = imperfect_mzi(0.4, 1.0, d_theta=0.07, d_phi=-0.2)
-        assert np.max(np.abs(m - mzi_transfer(0.47, 0.8))) < 1e-15
+        m = realized(0.4, 1.0, d_theta=0.07, d_phi=-0.2)
+        assert np.max(np.abs(m - ideal_cell(0.47, 0.8))) < 1e-15
 
     def test_splitter_error_changes_moduli(self):
         # splitter imbalance leaves the ideal family: moduli shift
-        m = imperfect_mzi(0.4, 1.0, d_split1=0.04, d_split2=-0.03)
-        ideal = mzi_transfer(0.4, 1.0)
+        m = realized(0.4, 1.0, d_split1=0.04, d_split2=-0.03)
+        ideal = ideal_cell(0.4, 1.0)
         assert np.max(np.abs(np.abs(m) - np.abs(ideal))) > 1e-3
 
     @pytest.mark.parametrize("d_split1, d_split2", [(0.7, 0.0), (0.0, -0.6)])
     def test_ratio_outside_unit_interval_raises(self, d_split1, d_split2):
         with pytest.raises(ValueError, match="outside"):
-            imperfect_mzi(0.4, 1.0, d_split1=d_split1, d_split2=d_split2)
+            realized(0.4, 1.0, d_split1=d_split1, d_split2=d_split2)
 
     def test_extreme_ratios_allowed(self):
         # a ratio of exactly 0 or 1 is a valid (if useless) coupler
-        m = imperfect_mzi(0.4, 1.0, d_split1=0.5, d_split2=-0.5)
+        m = realized(0.4, 1.0, d_split1=0.5, d_split2=-0.5)
         assert np.max(np.abs(m.conj().T @ m - np.eye(2))) < 1e-14
 
 
@@ -106,7 +138,7 @@ class TestDecompose:
 
     def test_single_cell_recovered(self):
         theta, phi = 0.7, 2.3
-        plan = clements_decompose(embed_cell(0, theta, phi, 2))
+        plan = clements_decompose(ideal_cell(theta, phi))
         assert plan.los == (0,)
         assert plan.thetas[0] == pytest.approx(theta, abs=1e-12)
         assert plan.phis[0] == pytest.approx(phi, abs=1e-12)
@@ -125,7 +157,7 @@ class TestDecompose:
         plan = clements_decompose(u)
         acc = np.eye(6, dtype=complex)
         for lo, theta, phi in zip(plan.los, plan.thetas, plan.phis):
-            acc = embed_cell(lo, theta, phi, 6) @ acc
+            acc = embed(ideal_cell(theta, phi), lo, 6) @ acc
         acc = np.diag(np.exp(1j * np.asarray(plan.output_phases))) @ acc
         assert np.max(np.abs(acc - u)) < 1e-10
         assert np.max(np.abs(mesh_forward(plan) - acc)) < 1e-12
@@ -237,9 +269,7 @@ class TestColumnKernel:
                              np.array(phases[2 * n:]))
         expected = np.eye(dim, dtype=complex)
         for k, lo in enumerate(los):
-            cell = np.eye(dim, dtype=complex)
-            cell[lo:lo + 2, lo:lo + 2] = imperfect_mzi(thetas[k], phis[k], *offsets[k])
-            expected = cell @ expected
+            expected = embed(realized_cell(thetas[k], phis[k], *offsets[k]), lo, dim) @ expected
         expected = np.diag(np.exp(1j * out)) @ expected
         got = forward_arrays(dim, los, thetas, phis, out, offsets)
         assert np.max(np.abs(got - expected)) <= 1e-15 * (n + 1)

@@ -21,18 +21,19 @@ from loopsim.montecarlo import (
     expected_histograms,
     sample_run,
 )
+from conftest import lossless_chip
 
 DELAY = 400.0
 
 
 def identity_power(n_steps=3):
-    return run_loop(ChipConfig(lossless=True), np.eye(6), 0, n_steps)
+    return run_loop(lossless_chip(), np.eye(6), 0, n_steps)
 
 
 def model_power(n_steps=3, channel=0, lossless=True, params=(1.0, 1.0, 1.0)):
     p = SpinBosonParams(*params)
     mesh = step_unitary(build_hamiltonian(p), p.dt)
-    return run_loop(ChipConfig(lossless=lossless), mesh, channel, n_steps)
+    return run_loop(lossless_chip() if lossless else ChipConfig(), mesh, channel, n_steps)
 
 
 def per_photon_sample_run(power, cfg, loop_delay_ps):
@@ -167,8 +168,8 @@ class TestSampling:
     def test_channel_streams_independent(self):
         # channel c's counts do not depend on what other channels carry
         cfg = CountingConfig(pair_rate_hz=1e4, background_rate_hz=50.0, seed=4)
-        rec_a = run_loop(ChipConfig(lossless=True), np.eye(6), 0, 2)
-        rec_b = run_loop(ChipConfig(lossless=True), np.eye(6), 3, 2)
+        rec_a = run_loop(lossless_chip(), np.eye(6), 0, 2)
+        rec_b = run_loop(lossless_chip(), np.eye(6), 3, 2)
         ch5_a = sample_run(rec_a, cfg, DELAY)[5]
         ch5_b = sample_run(rec_b, cfg, DELAY)[5]
         assert np.array_equal(ch5_a.counts, ch5_b.counts)
@@ -266,7 +267,7 @@ class TestEstimation:
     def test_recovers_conditionals_from_large_sample(self):
         # oracle: estimates must approach the known conditional distributions
         mesh = np.eye(6)
-        power = run_loop(ChipConfig(lossless=True), mesh, 0, 2)
+        power = run_loop(lossless_chip(), mesh, 0, 2)
         cond = conditional_probabilities(power)
         cfg = CountingConfig(pair_rate_hz=1e6, duration_s=1.0,
                              background_rate_hz=0.0, seed=5)
@@ -279,7 +280,7 @@ class TestEstimation:
     def test_infinite_statistics_exact(self):
         # the analytic expectation path recovers conditionals to rounding
         params_mesh = np.eye(6)
-        power = run_loop(ChipConfig(lossless=True), params_mesh, 2, 3)
+        power = run_loop(lossless_chip(), params_mesh, 2, 3)
         cond = conditional_probabilities(power)
         cfg = CountingConfig(pair_rate_hz=1e5, background_rate_hz=0.0)
         hists = expected_histograms(power, cfg, DELAY)
@@ -300,7 +301,7 @@ class TestEstimation:
     def test_stderr_shrinks_with_duration(self):
         params = SpinBosonParams(1.0, 1.0, 1.0)
         mesh = step_unitary(build_hamiltonian(params), params.dt)
-        power = run_loop(ChipConfig(lossless=True), mesh, 0, 1)
+        power = run_loop(lossless_chip(), mesh, 0, 1)
         base = CountingConfig(pair_rate_hz=1e4, duration_s=1.0,
                               background_rate_hz=0.0, seed=11)
         longer = CountingConfig(pair_rate_hz=1e4, duration_s=100.0,
