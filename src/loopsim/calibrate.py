@@ -81,22 +81,24 @@ def load_param_table(path=None) -> ParamTable:
     return ParamTable(rows)
 
 
-def kl_loss(t: np.ndarray, e: np.ndarray) -> float:
-    """sum(e * ln(e / t)) with both arguments clamped below at 1e-12.
+def kl_loss(t: np.ndarray, e: np.ndarray) -> float | np.ndarray:
+    """sum(e * ln(e / t)) over the last axis, both arguments clamped below at 1e-12.
 
-    t is the theoretical target, e the chip estimate; the estimate carries
-    the weights. Not symmetric.
+    t is the theoretical target, one distribution; e is the chip estimate, or
+    a stack of estimates whose last axis matches t. The estimate carries the
+    weights. Not symmetric. A 1-D e gives a float, a stack one loss per row.
     """
     t = np.asarray(t, dtype=float)
     e = np.asarray(e, dtype=float)
-    if t.shape != e.shape:
-        raise ValueError("t and e must have the same shape")
+    if t.ndim != 1 or e.shape[-1:] != t.shape:
+        raise ValueError(f"e's last axis must match the 1-D t: got {e.shape} and {t.shape}")
     # fmin skips NaN, as np.any(x < 0) does; initial 0 lets empty arrays pass
     if np.fmin.reduce(t, axis=None, initial=0.0) < 0 or np.fmin.reduce(e, axis=None, initial=0.0) < 0:
         raise ValueError("probabilities must be non-negative")
     tc = np.maximum(t, _CLAMP_EPS)
     ec = np.maximum(e, _CLAMP_EPS)
-    return float(np.sum(ec * np.log(ec / tc)))
+    loss = np.sum(ec * np.log(ec / tc), axis=-1)
+    return float(loss) if e.ndim == 1 else loss
 
 
 def theory_step_matrices(unitary: np.ndarray, n_steps: int) -> np.ndarray:
@@ -107,21 +109,28 @@ def theory_step_matrices(unitary: np.ndarray, n_steps: int) -> np.ndarray:
 
 
 def _input_major(mats: np.ndarray) -> np.ndarray:
-    """Flatten (n_steps, dim, dim) matrices input-major, then step, then channel.
-    The order fixes kl_loss's summation order, and with it the training losses."""
-    return np.ascontiguousarray(np.transpose(mats, (1, 0, 2))).ravel()
+    """Flatten (n_steps, ..., dim, dim) matrices input-major, then step, then channel,
+    one row per mesh of a stack. The order fixes kl_loss's summation order, and
+    with it the training losses."""
+    steps_inside = np.ascontiguousarray(np.moveaxis(mats, 0, -2))
+    return steps_inside.reshape(steps_inside.shape[:-3] + (-1,))
 
 
 def finite_diff_gradient(fn, x: np.ndarray, eps: float) -> np.ndarray:
-    """Central-difference gradient of a scalar function."""
-    g = np.empty_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += eps
-        xm[i] -= eps
-        g[i] = (fn(xp) - fn(xm)) / (2.0 * eps)
-    return g
+    """Central-difference gradient, with the whole stencil evaluated in one call.
+
+    fn takes a (2n, n) stack of points, row i being x + eps e_i and row n + i
+    x - eps e_i, and returns one value per row.
+    """
+    n = x.size
+    stencil = np.tile(x, (2 * n, 1))
+    i = np.arange(n)
+    stencil[i, i] += eps
+    stencil[n + i, i] -= eps
+    f = np.asarray(fn(stencil))
+    if f.shape != (2 * n,):
+        raise ValueError(f"fn must return one value per stencil row, shape ({2 * n},), not {f.shape}")
+    return (f[:n] - f[n:]) / (2.0 * eps)
 
 
 def train(plan: MeshPlan, noise, target: np.ndarray, tc: TrainingConfig) -> TrainResult:
@@ -144,14 +153,14 @@ def train(plan: MeshPlan, noise, target: np.ndarray, tc: TrainingConfig) -> Trai
     n_cells = len(plan.los)
     offsets = noise_offsets(noise, n_cells)
 
-    def loss_of(x):
-        mesh_mat = forward_arrays(dim, plan.los, x[:n_cells], x[n_cells:], plan.output_phases,
-                                  offsets)
-        mats = step_power_matrices(mesh_mat, n_steps)
-        return kl_loss(flat_target, _input_major(mats))
+    def losses(points):
+        """The loss at each row of a stack of phase vectors."""
+        meshes = np.stack([forward_arrays(dim, plan.los, p[:n_cells], p[n_cells:],
+                                          plan.output_phases, offsets) for p in points])
+        return kl_loss(flat_target, _input_major(step_power_matrices(meshes, n_steps)))
 
     x = np.array(plan.thetas + plan.phis, dtype=float)
-    loss = loss_of(x)
+    loss = float(losses(x[None])[0])
     trace = [loss]
     best_x, best_loss = x.copy(), loss
     if loss <= tc.tol:
@@ -162,13 +171,13 @@ def train(plan: MeshPlan, noise, target: np.ndarray, tc: TrainingConfig) -> Trai
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     converged = False
     for it in range(1, tc.max_iters + 1):
-        g = finite_diff_gradient(loss_of, x, _GRAD_EPS)
+        g = finite_diff_gradient(losses, x, _GRAD_EPS)
         m = beta1 * m + (1.0 - beta1) * g
         v = beta2 * v + (1.0 - beta2) * g * g
         m_hat = m / (1.0 - beta1 ** it)
         v_hat = v / (1.0 - beta2 ** it)
         x = x - tc.learning_rate * m_hat / (np.sqrt(v_hat) + adam_eps)
-        loss = loss_of(x)
+        loss = float(losses(x[None])[0])
         trace.append(loss)
         if loss < best_loss:
             best_loss, best_x = loss, x.copy()

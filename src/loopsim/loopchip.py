@@ -83,8 +83,8 @@ def _step_amplitudes(config: ChipConfig, n_steps: int):
 
 def _check_mesh(mesh: np.ndarray, n_steps: int) -> np.ndarray:
     m = np.asarray(mesh, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("mesh must be a square matrix")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError("mesh must be a square matrix or a stack of them")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     return m
@@ -116,7 +116,7 @@ def run_loop(config: ChipConfig, mesh: np.ndarray, input_channel: int, n_steps: 
     loop and chip propagation losses, re-enters the mesh.
     """
     m = _check_mesh(mesh, n_steps)
-    if m.shape[0] != config.dim:
+    if m.shape != (config.dim, config.dim):
         raise ValueError("mesh must be a dim x dim matrix")
     if not 0 <= input_channel < config.dim:
         raise ValueError("input_channel out of range")
@@ -131,7 +131,8 @@ def step_power_matrices(mesh: np.ndarray, n_steps: int) -> np.ndarray:
     conditional_probabilities(run_loop(config, mesh, k, n_steps)) gives it,
     but all inputs propagate together as the columns of one matrix. Losses
     and splitter ratios scale each step uniformly and cancel in the row
-    normalization, so no config enters.
+    normalization, so no config enters. A (..., dim, dim) stack of meshes
+    gives (n_steps, ..., dim, dim), each mesh's matrices bit for bit.
     """
     m = _check_mesh(mesh, n_steps)
-    return conditional_probabilities(np.abs(propagate(m, m, n_steps).transpose(0, 2, 1)) ** 2)
+    return conditional_probabilities(np.abs(propagate(m, m, n_steps).swapaxes(-1, -2)) ** 2)

@@ -118,6 +118,8 @@ def evolve_exact(unitary: np.ndarray, initial_channel: int, n_steps: int) -> np.
 
     Returns an (n_steps, dim) array; row n-1 is the distribution after n steps.
     """
+    if np.ndim(unitary) != 2 or unitary.shape[0] != unitary.shape[1]:
+        raise ValueError("unitary must be a square matrix")
     if not 0 <= initial_channel < unitary.shape[0]:
         raise ValueError("initial_channel out of range")
     if n_steps < 1:

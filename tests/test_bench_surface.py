@@ -50,3 +50,6 @@ def test_training_iteration_matches_train_table_self_check(monkeypatch):
     phases = 2 * len(plan.los)
     assert phases == 12
     assert tracer.metrics(1, 1.0)["calibrate.loss_evals_per_iter"][0] == 2 * phases + 1
+    # The stencil is one batch: the start, then the stencil and the step's loss per iteration.
+    assert tracer.calls["loopchip.step_power_matrices"] == 5
+    assert tracer.calls["calibrate.kl_loss"] == 5

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from loopsim import calibrate
 from loopsim.calibrate import (
     MethodComparison,
     ParamTable,
@@ -70,6 +71,23 @@ class TestKlLoss:
         with pytest.raises(ValueError):  # a NaN must not hide a negative entry
             kl_loss(np.array([0.5, 0.5]), np.array([np.nan, -0.1]))
         assert np.isnan(kl_loss(np.array([np.nan, 0.5]), np.array([0.5, 0.5])))
+
+    def test_stack_of_estimates(self, rng):
+        t = rng.random(12)
+        t /= t.sum()
+        e = rng.random((4, 12))
+        e /= e.sum(axis=1, keepdims=True)
+        losses = kl_loss(t, e)
+        assert losses.shape == (4,)
+        for row, loss in zip(e, losses):
+            assert loss == kl_loss(t, row)
+        e[2, 5] = np.nan  # a NaN spoils only its own row
+        assert np.isnan(kl_loss(t, e)).tolist() == [False, False, True, False]
+        e[3, 1] = -0.1  # in any row, behind a NaN or not
+        with pytest.raises(ValueError, match="non-negative"):
+            kl_loss(t, e)
+        with pytest.raises(ValueError, match="last axis"):
+            kl_loss(t, np.ones((4, 11)))
 
     @settings(max_examples=200, deadline=None)
     @given(hnp.arrays(float, 6, elements=st.floats(1e-6, 1.0)),
@@ -141,10 +159,22 @@ class TestForward:
         assert np.max(np.abs(mats - np.stack(pieces, axis=1))) < 1e-14
 
 
+def per_point_gradient(fn, x, eps):
+    """Oracle: central differences one coordinate at a time, one point per fn call."""
+    g = np.empty_like(x)
+    for i in range(x.size):
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += eps
+        xm[i] -= eps
+        g[i] = (fn(xp[None])[0] - fn(xm[None])[0]) / (2.0 * eps)
+    return g
+
+
 class TestGradient:
     def test_against_richardson_oracle(self):
         # oracle: 5-point stencil, one order higher than the implementation
-        fn = lambda x: float(np.sin(x[0]) * np.exp(x[1]) + x[0] * x[1] ** 2)
+        fn = lambda xs: np.sin(xs[:, 0]) * np.exp(xs[:, 1]) + xs[:, 0] * xs[:, 1] ** 2
         x = np.array([0.7, -0.3])
         eps = 1e-4
         g = finite_diff_gradient(fn, x, eps)
@@ -152,15 +182,43 @@ class TestGradient:
             def f1(h):
                 xp = x.copy()
                 xp[i] += h
-                return fn(xp)
+                return fn(xp[None])[0]
             five = (f1(-2 * eps) - 8 * f1(-eps) + 8 * f1(eps) - f1(2 * eps)) / (12 * eps)
             assert g[i] == pytest.approx(five, rel=1e-6)
 
     def test_quadratic_exact(self):
-        fn = lambda x: float(x @ x)
+        fn = lambda xs: np.sum(xs * xs, axis=1)
         x = np.array([1.0, -2.0, 3.0])
         g = finite_diff_gradient(fn, x, 1e-6)
         assert np.max(np.abs(g - 2.0 * x)) < 1e-8
+
+    def test_rejects_values_not_one_per_row(self):
+        # a scalar or a column would broadcast into a wrong gradient
+        x = np.array([1.0, -2.0, 3.0])
+        for fn, shape in ((lambda xs: float(np.sum(xs)), r"\(\)"),
+                          (lambda xs: np.sum(xs, axis=1, keepdims=True), r"\(6, 1\)"),
+                          (lambda xs: np.sum(xs[:3], axis=1), r"\(3,\)")):
+            with pytest.raises(ValueError, match=r"shape \(6,\), not " + shape):
+                finite_diff_gradient(fn, x, 1e-6)
+
+    @pytest.mark.parametrize("n_boson", [3, 8])
+    def test_batched_train_gradient_matches_per_point_oracle(self, monkeypatch, n_boson):
+        # train's own loss, caught on its way into the gradient, evaluated both ways
+        params = SpinBosonParams(0.5, 1.2, 0.8, n_boson=n_boson)
+        u = step_unitary(build_hamiltonian(params), params.dt)
+        seen = []
+
+        def recording_gradient(fn, x, eps):
+            g = finite_diff_gradient(fn, x, eps)
+            seen.append((g, per_point_gradient(fn, x, eps)))
+            return g
+
+        monkeypatch.setattr(calibrate, "finite_diff_gradient", recording_gradient)
+        noise = MeshNoise(sigma_theta=0.05, sigma_phi=0.05, sigma_split=0.005, seed=4)
+        train(clements_decompose(u), noise, theory_step_matrices(u, 3), TrainingConfig(max_iters=1))
+        ((batched, oracle),) = seen
+        assert batched.size == 2 * n_boson * (2 * n_boson - 1)
+        assert np.array_equal(batched, oracle)
 
 
 class TestTrain:

@@ -70,11 +70,20 @@ class TestLoopRecursion:
             run_loop(ChipConfig(), np.eye(6), 6, 3)
         with pytest.raises(ValueError):
             run_loop(ChipConfig(), np.eye(6), 0, 0)
-        for mesh in (np.ones((6, 5)), np.ones(6), np.ones((2, 6, 6))):
+        for mesh in (np.ones((6, 5)), np.ones(6)):
             with pytest.raises(ValueError, match="square"):
                 step_power_matrices(mesh, 3)
         with pytest.raises(ValueError):
             step_power_matrices(np.eye(6), 0)
+
+    def test_single_mesh_callers_reject_stacks(self):
+        # a (dim, dim, dim) stack has shape[0] == dim, but it is not one mesh
+        stack = np.stack([np.eye(6)] * 6)
+        with pytest.raises(ValueError, match="dim x dim"):
+            run_loop(ChipConfig(), stack, 0, 3)
+        for n_steps in (1, 3):
+            with pytest.raises(ValueError, match="square"):
+                evolve_exact(stack, 0, n_steps)
 
 
 class TestConditional:
@@ -133,6 +142,14 @@ class TestPowerMatrices:
                 for step in range(1, 4):
                     slow = power_matrix(cfg, u, step)
                     assert np.max(np.abs(fast[step - 1] - slow)) < 1e-15
+
+    @pytest.mark.parametrize("dim", [2, 6, 16])
+    def test_stack_gives_each_mesh_its_own_matrices(self, rng, dim):
+        meshes = np.stack([haar_unitary(dim, rng) for _ in range(5)])
+        mats = step_power_matrices(meshes, 3)
+        assert mats.shape == (3, 5, dim, dim)
+        for b, mesh in enumerate(meshes):
+            assert np.array_equal(mats[:, b], step_power_matrices(mesh, 3))
 
     def test_row_normalized_rows_sum_to_one(self, rng):
         u = haar_unitary(6, rng)
