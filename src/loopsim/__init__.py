@@ -23,7 +23,6 @@ from .loopchip import (
     step_power_matrices,
 )
 from .losses import (
-    LossBudget,
     PlatformSpec,
     load_platforms,
     mode_scaling_loss,

@@ -73,12 +73,14 @@ def load_param_table(path=None) -> ParamTable:
     expected = {"epsilon", "omega_hbar", "lambda"}
     if reader.fieldnames is None or set(reader.fieldnames) != expected:
         raise ValueError("parameter table must have columns epsilon,omega_hbar,lambda")
-    rows = tuple(
-        (float(r["epsilon"]), float(r["omega_hbar"]), float(r["lambda"])) for r in reader
-    )
+    rows = []
+    for i, r in enumerate(reader, 1):
+        if None in r or None in r.values():  # DictReader's marks of extra and missing fields
+            raise ValueError(f"parameter table row {i} must have exactly 3 fields")
+        rows.append((float(r["epsilon"]), float(r["omega_hbar"]), float(r["lambda"])))
     if len(rows) != 20:
         raise ValueError(f"parameter table must have exactly 20 rows, got {len(rows)}")
-    return ParamTable(rows)
+    return ParamTable(tuple(rows))
 
 
 def kl_loss(t: np.ndarray, e: np.ndarray) -> float | np.ndarray:

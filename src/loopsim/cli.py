@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -121,9 +122,9 @@ def _load_config(args) -> RunConfig:
 
 
 def _write_text(path: Path, text: str) -> None:
-    """Write an output file; the directory appears at the first write, not on a failed run."""
+    """Write an output file, line endings as given; the directory appears at the first write."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    path.write_text(text, newline="")
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -131,13 +132,13 @@ def _write_csv(path: Path, header, rows) -> None:
 
     csv writes a float v as repr(v), the shortest string that reads back
     bit for bit; numpy arrays enter through tolist() to keep it that way.
+    Rows render in memory first, so a row that fails to build leaves no file.
     """
-    rows = list(rows)  # a row that fails to build must not leave a truncated file
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_text(path, buf.getvalue())
 
 
 def _step_rows(*arrays):
@@ -170,7 +171,11 @@ def _read_unitary(path: Path) -> np.ndarray:
     doc = json.loads(path.read_text())
     if not isinstance(doc, dict) or "re" not in doc or "im" not in doc:
         raise ValueError("unitary file must be a JSON object with 're' and 'im' matrices")
-    return np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
+    re, im = np.asarray(doc["re"], dtype=float), np.asarray(doc["im"], dtype=float)
+    if re.ndim != 2 or re.shape != im.shape:
+        raise ValueError(f"unitary file's 're' and 'im' must be matrices of one shape, "
+                         f"got {re.shape} and {im.shape}")
+    return re + 1j * im
 
 
 def cmd_decompose(cfg: RunConfig, args) -> int:
@@ -204,8 +209,8 @@ def cmd_losses(cfg: RunConfig, args) -> int:
     ratios = losses.optimal_splitters(args.max_loops) if args.max_loops >= 2 else (0.5, 0.5)
     budgets = losses.platform_comparison(chosen, cfg.chip, ratios, args.max_loops)
     _write_csv(out / "losses.csv", ["platform", "n", "loss_db"],
-               ((b.platform, n, float(db))
-                for b in budgets for n, db in enumerate(b.per_step_db, 1)))
+               ((p.name, n, db) for p, row in zip(chosen, budgets.tolist())
+                for n, db in enumerate(row, 1)))
     for n in range(2, args.max_loops + 1):
         r_loop, r_end = losses.optimal_splitters(n)
         print(f"optimal splitters for n={n}: r_loop={r_loop:.6f}, r_end={r_end:.6f}")
@@ -282,7 +287,7 @@ def cmd_counts(cfg: RunConfig, args) -> int:
     power = loopchip.run_loop(cfg.chip, u, cfg.initial_channel, cfg.n_steps)
     hists = montecarlo.sample_run(power, cfg.counting, cfg.chip.loop_delay_ps)
     _write_csv(out / "histograms.csv", ["channel", "bin_start_ps", "count"],
-               ((h.channel, start, count) for h in hists
+               ((channel, start, count) for channel, h in enumerate(hists)
                 for start, count in zip(h.bin_edges_ps[:-1].tolist(), h.counts.tolist())))
     windows = montecarlo.default_windows(cfg.n_steps, cfg.counting, cfg.chip.loop_delay_ps)
     est = montecarlo.estimate_probabilities(hists, windows, cfg.counting)

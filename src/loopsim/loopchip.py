@@ -9,7 +9,6 @@ uniform per-step loss cancels exactly in conditional distributions.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -58,10 +57,8 @@ def _db_to_amplitude(db: float) -> float:
     return 10.0 ** (-db / 20.0)
 
 
-@lru_cache(maxsize=128)
 def _step_amplitudes(config: ChipConfig, n_steps: int):
-    """Detection-arm amplitude, and the in-loop amplitude of steps 1..n_steps
-    as a read-only array; cached, since run_loop asks for them on every call.
+    """Detection-arm amplitude, and the in-loop amplitude of steps 1..n_steps.
 
     The field enters with sqrt(ratio_in) times the chip loss; each further
     pass multiplies it by sqrt((1-ratio_in)(1-ratio_out)) times loop and
@@ -76,9 +73,7 @@ def _step_amplitudes(config: ChipConfig, n_steps: int):
         np.sqrt((1.0 - config.ratio_in) * (1.0 - config.ratio_out)) * amp_loop * amp_chip
     )
     out_scalar = np.sqrt(config.ratio_out) * amp_others
-    scales = np.cumprod([in_scalar] + [loop_scalar] * (n_steps - 1))
-    scales.setflags(write=False)
-    return out_scalar, scales
+    return out_scalar, np.cumprod([in_scalar] + [loop_scalar] * (n_steps - 1))
 
 
 def _check_mesh(mesh: np.ndarray, n_steps: int) -> np.ndarray:

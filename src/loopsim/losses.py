@@ -36,18 +36,6 @@ class PlatformSpec:
             raise ValueError("name must be non-empty")
 
 
-@dataclass(frozen=True)
-class LossBudget:
-    """Total loss after each step count for one platform."""
-
-    platform: str
-    per_step_db: tuple
-
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.per_step_db, self.per_step_db[1:])):
-            raise ValueError("per_step_db must be strictly increasing")
-
-
 def load_platforms(path=None) -> list[PlatformSpec]:
     """Platform table from a JSON file; the bundled defaults when path is None."""
     if path is None:
@@ -108,17 +96,16 @@ def optimal_splitters(n: int) -> tuple:
 
 
 def platform_comparison(platforms, geometry: ChipConfig, ratios: tuple,
-                        max_loops: int) -> list[LossBudget]:
-    """Loss budget per platform for every step count 1..max_loops."""
+                        max_loops: int) -> np.ndarray:
+    """Loss budget in dB, shape (len(platforms), max_loops): row i is platforms[i]'s
+    loss at each step count 1..max_loops. Raises unless every row strictly increases."""
     if max_loops < 1:
         raise ValueError("max_loops must be >= 1")
-    return [
-        LossBudget(
-            p.name,
-            tuple(total_loss_db(p, geometry, ratios, n) for n in range(1, max_loops + 1)),
-        )
-        for p in platforms
-    ]
+    budgets = np.array([[total_loss_db(p, geometry, ratios, n) for n in range(1, max_loops + 1)]
+                        for p in platforms]).reshape(len(platforms), max_loops)
+    if not np.all(np.diff(budgets, axis=1) > 0):
+        raise ValueError("loss budgets must strictly increase with the step count")
+    return budgets
 
 
 def mode_scaling_loss(n_modes: int, platform: PlatformSpec,

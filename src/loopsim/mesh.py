@@ -124,27 +124,21 @@ def _cell_matrices(thetas, phis, offsets):
 
 
 @lru_cache(maxsize=128)
-def _cached_offsets(noise: MeshNoise, n_cells: int):
-    scales = np.array([noise.sigma_theta, noise.sigma_phi, noise.sigma_split, noise.sigma_split])
-    out = np.empty((n_cells, 4))
-    for i in range(n_cells):
-        rng = np.random.default_rng(np.random.SeedSequence(noise.seed, spawn_key=(i,)))
-        out[i] = rng.normal(0.0, scales)
-    out.setflags(write=False)
-    return out
-
-
-def noise_offsets(noise, n_cells: int) -> np.ndarray:
-    """Per-cell draws (d_theta, d_phi, d_split1, d_split2), shape (n_cells, 4).
+def noise_offsets(noise: MeshNoise | None, n_cells: int) -> np.ndarray:
+    """Per-cell draws (d_theta, d_phi, d_split1, d_split2), shape (n_cells, 4), all zeros
+    when noise is None; read-only and cached, as training evaluates the mesh on the same draws.
 
     Deterministic in (noise.seed, cell index); cell i's draws do not depend
-    on how many other cells exist. Returns a read-only array.
+    on how many other cells exist.
     """
-    if noise is None:
-        out = np.zeros((n_cells, 4))
-        out.setflags(write=False)
-        return out
-    return _cached_offsets(noise, n_cells)
+    out = np.zeros((n_cells, 4))
+    if noise is not None:
+        scales = np.array([noise.sigma_theta, noise.sigma_phi, noise.sigma_split, noise.sigma_split])
+        for i in range(n_cells):
+            rng = np.random.default_rng(np.random.SeedSequence(noise.seed, spawn_key=(i,)))
+            out[i] = rng.normal(0.0, scales)
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=128)

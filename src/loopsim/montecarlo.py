@@ -45,14 +45,13 @@ class CountingConfig:
 
 @dataclass
 class ArrivalHistogram:
-    """Binned arrival times for one output channel.
+    """Binned arrival times for one output channel; entry c of a run's list is channel c.
 
-    bin_edges_ps has one more entry than counts; bin i covers
-    [bin_edges_ps[i], bin_edges_ps[i+1]). Counts are integers from sampling
-    and floats from the analytic expectation path.
+    bin_edges_ps, one read-only array shared by the run, has one more entry than
+    counts; bin i covers [bin_edges_ps[i], bin_edges_ps[i+1]). Counts are integers
+    from sampling and floats from the analytic expectation path.
     """
 
-    channel: int
     bin_edges_ps: np.ndarray
     counts: np.ndarray
 
@@ -70,7 +69,7 @@ class ProbabilityEstimates:
 
 
 def _histogram_edges(n_steps: int, cfg: CountingConfig, loop_delay_ps: float) -> np.ndarray:
-    """Bin edges spanning all peaks plus 6 sigma of jitter, aligned to bin_ps."""
+    """Read-only bin edges spanning all peaks plus 6 sigma of jitter, aligned to bin_ps."""
     pad = 6.0 * cfg.jitter_ps + cfg.bin_ps
     lo = np.floor(-pad / cfg.bin_ps) * cfg.bin_ps
     hi = np.ceil(((n_steps - 1) * loop_delay_ps + pad) / cfg.bin_ps) * cfg.bin_ps
@@ -78,7 +77,9 @@ def _histogram_edges(n_steps: int, cfg: CountingConfig, loop_delay_ps: float) ->
     if n_bins > _MAX_BINS:
         raise ValueError(f"bin_ps {cfg.bin_ps} gives {n_bins} histogram bins per channel, "
                          f"more than {_MAX_BINS}")
-    return lo + cfg.bin_ps * np.arange(n_bins + 1)
+    edges = lo + cfg.bin_ps * np.arange(n_bins + 1)
+    edges.setflags(write=False)
+    return edges
 
 
 def _normal_cdf(x: np.ndarray) -> np.ndarray:
@@ -133,14 +134,14 @@ def sample_run(power: np.ndarray, cfg: CountingConfig, loop_delay_ps: float) -> 
     out = []
     for channel, mean in enumerate(means):
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(channel,)))
-        out.append(ArrivalHistogram(channel, edges.copy(), rng.poisson(mean)))
+        out.append(ArrivalHistogram(edges, rng.poisson(mean)))
     return out
 
 
 def expected_histograms(power: np.ndarray, cfg: CountingConfig, loop_delay_ps: float) -> list:
     """Infinite-statistics limit of sample_run: expected counts per bin."""
     edges, means = _bin_means(power, cfg, loop_delay_ps)
-    return [ArrivalHistogram(channel, edges.copy(), mean) for channel, mean in enumerate(means)]
+    return [ArrivalHistogram(edges, mean) for mean in means]
 
 
 def default_windows(n_steps: int, cfg: CountingConfig, loop_delay_ps: float) -> list:
@@ -180,6 +181,7 @@ def estimate_probabilities(histograms: list, windows: list, cfg: CountingConfig)
     width_needed = 6.0 * cfg.jitter_ps
     span = edges[-1] - edges[0]
     bg_total = cfg.background_rate_hz * cfg.duration_s
+    counts = np.stack([h.counts for h in histograms])
     n_steps = len(windows)
     dim = len(histograms)
     p_hat = np.zeros((n_steps, dim))
@@ -193,7 +195,7 @@ def estimate_probabilities(histograms: list, windows: list, cfg: CountingConfig)
         sel = (edges[:-1] >= lo) & (edges[1:] <= hi)
         gate_width = float(np.sum(edges[1:][sel] - edges[:-1][sel]))
         bg_in_gate = bg_total * gate_width / span if span > 0 else 0.0
-        raw = np.array([float(h.counts[sel].sum()) for h in histograms])
+        raw = counts[:, sel].sum(axis=1).astype(float)  # their total may pass int64's range
         signal = np.maximum(raw - bg_in_gate, 0.0)
         total = signal.sum()
         flags.append(bool(raw.sum() < 100))

@@ -89,6 +89,16 @@ class TestDecompose:
         assert rc == 2
         assert "not unitary" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("im", [[[0, 0]], 0, [[0, 0], [0, 0], [0, 0]]])
+    def test_im_of_another_shape_exits_two(self, tmp_path, capsys, im):
+        upath = tmp_path / "u.json"
+        upath.write_text(json.dumps({"re": [[0, 1], [1, 0]], "im": im}))
+        out = tmp_path / "out"
+        rc = main(["--out", str(out), "decompose", "--unitary", str(upath)])
+        assert rc == 2
+        assert not out.exists()
+        assert "'re' and 'im' must be matrices of one shape" in capsys.readouterr().err
+
 
 class TestLosses:
     def test_default_table(self, tmp_path, capsys):
@@ -192,6 +202,19 @@ class TestCompare:
         rc = main(["--out", str(tmp_path), "compare", "--table", str(table)])
         assert rc == 2
         assert "20 rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows, bad_row", [
+        (["1,1,1"] * 19 + ["1,1"], 20),  # a missing field
+        (["1,1,1,5"] * 20, 1),  # an extra field
+    ])
+    def test_malformed_row_exits_two(self, tmp_path, capsys, rows, bad_row):
+        table = tmp_path / "t.csv"
+        table.write_text("\n".join(["epsilon,omega_hbar,lambda", *rows]) + "\n")
+        out = tmp_path / "out"
+        rc = main(["--out", str(out), "compare", "--table", str(table)])
+        assert rc == 2
+        assert not out.exists()
+        assert f"row {bad_row} must have exactly 3 fields" in capsys.readouterr().err
 
 
 class TestCounts:
@@ -340,6 +363,8 @@ class TestInvalidValues:
         ({"counting": {"jitter_ps": 70}}, "counting", "jitter_ps"),
         ({"counting": {"pair_rate_hz": 1e30}}, "counting", "pair_rate_hz"),
         ({"counting": {"background_rate_hz": 1e18}}, "counting", "background_rate_hz"),
+        # 6 sigma is 312 ps, but the gates are rounded up to 2 * 160 ps = loop_delay_ps
+        ({"counting": {"jitter_ps": 52}, "chip": {"loop_delay_ps": 320}}, "counting", "jitter_ps"),
     ])
     def test_simulate(self, tmp_path, capsys, doc, section, key):
         rc, out = self._run(tmp_path, doc, ["simulate"])

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from loopsim import loopchip
 from loopsim.loopchip import (
     ChipConfig,
     DegenerateStepError,
@@ -52,10 +51,6 @@ class TestLoopRecursion:
         powers = run_loop(cfg, u, input_channel=0, n_steps=6).sum(axis=1)
         ratios = powers[1:] / powers[:-1]
         assert np.max(np.abs(ratios - ratios[0])) < 1e-12
-
-    def test_cached_step_amplitudes_read_only(self):
-        _, scales = loopchip._step_amplitudes(ChipConfig(), 3)
-        assert scales.shape == (3,) and not scales.flags.writeable
 
     def test_validation(self):
         with pytest.raises(ValueError):

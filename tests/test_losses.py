@@ -4,7 +4,6 @@ import pytest
 from loopsim.cli import main
 from loopsim.loopchip import ChipConfig, run_loop
 from loopsim.losses import (
-    LossBudget,
     PlatformSpec,
     load_platforms,
     mode_scaling_loss,
@@ -168,21 +167,24 @@ class TestPlatformTable:
         assert by_name["SiN off-chip"].offchip_per_loop_db == 12.0
 
     def test_sin_onchip_strictly_best(self):
-        budgets = platform_comparison(load_platforms(), GEOMETRY, RATIOS, 3)
-        by_name = {b.platform: b for b in budgets}
+        platforms = load_platforms()
+        budgets = platform_comparison(platforms, GEOMETRY, RATIOS, 3)
+        assert budgets.shape == (len(platforms), 3)
+        by_name = {p.name: row for p, row in zip(platforms, budgets)}
         best = by_name["SiN on-chip"]
         for name, budget in by_name.items():
             if name == "SiN on-chip":
                 continue
             for n in range(3):
-                assert best.per_step_db[n] < budget.per_step_db[n]
+                assert best[n] < budget[n]
 
     def test_sin_frozen_budget(self):
-        budgets = platform_comparison(load_platforms(), GEOMETRY, RATIOS, 3)
-        sin = next(b for b in budgets if b.platform == "SiN on-chip")
-        assert sin.per_step_db[0] == pytest.approx(17.542425094393249, abs=1e-9)
-        assert sin.per_step_db[1] == pytest.approx(26.464250275506874, abs=1e-9)
-        assert sin.per_step_db[2] == pytest.approx(35.386075456620499, abs=1e-9)
+        platforms = load_platforms()
+        budgets = platform_comparison(platforms, GEOMETRY, RATIOS, 3)
+        sin = budgets[[p.name for p in platforms].index("SiN on-chip")]
+        assert sin[0] == pytest.approx(17.542425094393249, abs=1e-9)
+        assert sin[1] == pytest.approx(26.464250275506874, abs=1e-9)
+        assert sin[2] == pytest.approx(35.386075456620499, abs=1e-9)
 
     def test_load_from_explicit_path(self, tmp_path):
         path = tmp_path / "p.json"
@@ -191,8 +193,9 @@ class TestPlatformTable:
         assert platforms == [PlatformSpec("x", 1.5)]
 
     def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            LossBudget("x", (2.0, 1.0))
+        # every step's budget rounds to 1e300, so the budgets do not increase
+        with pytest.raises(ValueError, match="strictly increase"):
+            platform_comparison(load_platforms(), ChipConfig(others_loss_db=1e300), RATIOS, 3)
         with pytest.raises(ValueError):
             platform_comparison(load_platforms(), GEOMETRY, RATIOS, 0)
 

@@ -212,6 +212,11 @@ class TestNoise:
         assert np.array_equal(a[:5], short)
         assert not a.flags.writeable
 
+    def test_no_noise_is_read_only_zeros(self):
+        zeros = noise_offsets(None, 15)
+        assert zeros.shape == (15, 4) and not np.any(zeros)
+        assert not zeros.flags.writeable
+
     def test_forward_deterministic(self, rng):
         plan = clements_decompose(haar_unitary(6, rng))
         noise = MeshNoise(seed=9)

@@ -58,7 +58,7 @@ def per_photon_sample_run(power, cfg, loop_delay_ps):
             times.append(rng.uniform(edges[0], edges[-1], size=bg_count))
         all_times = np.concatenate(times) if times else np.empty(0)
         counts, _ = np.histogram(all_times, bins=edges)
-        out.append(ArrivalHistogram(channel, edges.copy(), counts))
+        out.append(ArrivalHistogram(edges, counts))
     return out
 
 
@@ -82,7 +82,7 @@ def per_channel_expected(power, cfg, loop_delay_ps):
                 if 0 <= idx < mass.size:
                     mass[idx] = 1.0
             counts = counts + mean * mass
-        out.append(ArrivalHistogram(channel, edges.copy(), counts))
+        out.append(ArrivalHistogram(edges, counts))
     return out
 
 
@@ -182,6 +182,13 @@ class TestSampling:
         assert edges[0] <= -6.0 * cfg.jitter_ps
         assert edges[-1] >= 2 * DELAY + 6.0 * cfg.jitter_ps
 
+    @pytest.mark.parametrize("histograms", [sample_run, expected_histograms])
+    def test_run_shares_one_read_only_edge_array(self, histograms):
+        hists = histograms(model_power(3), CountingConfig(), DELAY)
+        edges = hists[0].bin_edges_ps
+        assert len(hists) == 6 and all(h.bin_edges_ps is edges for h in hists)
+        assert not edges.flags.writeable
+
     def test_rejects_bad_inputs(self):
         cfg = CountingConfig()
         with pytest.raises(ValueError):
@@ -218,7 +225,6 @@ class TestSamplerOracles:
                 want = per_channel_expected(power, cfg, DELAY)
                 assert len(got) == len(want)
                 for g, w in zip(got, want):
-                    assert g.channel == w.channel
                     assert np.array_equal(g.bin_edges_ps, w.bin_edges_ps)
                     assert np.array_equal(g.counts, w.counts)
 
