@@ -6,11 +6,10 @@ from dataclasses import fields
 
 import numpy as np
 
-# Annotation, or its name under `from __future__ import annotations` -> (types, message).
+# Annotation -> (accepted types, message).
 _KINDS = {int: ((int, np.integer), "an integer"),
           float: ((int, float, np.integer, np.floating), "a finite number"),
           str: ((str,), "a string")}
-_KINDS.update({t.__name__: kind for t, kind in list(_KINDS.items())})
 
 
 def check_fields(obj, positive=(), nonneg=()) -> None:

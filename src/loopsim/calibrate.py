@@ -70,14 +70,21 @@ def load_param_table(path=None) -> ParamTable:
     else:
         text = Path(path).read_text()
     reader = csv.DictReader(text.splitlines())
-    expected = {"epsilon", "omega_hbar", "lambda"}
-    if reader.fieldnames is None or set(reader.fieldnames) != expected:
+    columns = ("epsilon", "omega_hbar", "lambda")
+    if reader.fieldnames is None or set(reader.fieldnames) != set(columns):
         raise ValueError("parameter table must have columns epsilon,omega_hbar,lambda")
     rows = []
     for i, r in enumerate(reader, 1):
         if None in r or None in r.values():  # DictReader's marks of extra and missing fields
             raise ValueError(f"parameter table row {i} must have exactly 3 fields")
-        rows.append((float(r["epsilon"]), float(r["omega_hbar"]), float(r["lambda"])))
+        row = []
+        for key in columns:
+            try:
+                row.append(float(r[key]))
+            except ValueError:
+                raise ValueError(f"parameter table row {i}, column {key}: "
+                                 f"{r[key]!r} is not a number") from None
+        rows.append(tuple(row))
     if len(rows) != 20:
         raise ValueError(f"parameter table must have exactly 20 rows, got {len(rows)}")
     return ParamTable(tuple(rows))

@@ -2,11 +2,12 @@
 
 Subcommands: simulate, decompose, losses, scaling, train, compare, counts.
 A JSON config file overrides the built-in defaults (keys it leaves out keep
-them) and flags override the file. All outputs land under the output
-directory. Exit codes: 0 success, 2 invalid user input, 1 any other failure.
+them) and flags override the file. Each cmd_* computes its outputs and
+returns them as {file name: text}; run() checks the input and output paths
+first and writes the files under the output directory only once the command
+has returned, so a failed run writes nothing. Exit codes: 0 success, 2
+invalid user input, 1 any other failure.
 """
-
-from __future__ import annotations
 
 import argparse
 import csv
@@ -21,13 +22,14 @@ import numpy as np
 
 from . import calibrate, loopchip, losses, mesh, model, montecarlo
 from ._fields import check_fields
+from .model import SpinBosonParams
 
 
 @dataclass
 class RunConfig:
     """Everything one invocation needs, assembled from file plus flags."""
 
-    model: model.SpinBosonParams = field(default_factory=lambda: model.SpinBosonParams(1.0, 1.0, 1.0))
+    model: SpinBosonParams = field(default_factory=lambda: SpinBosonParams(1.0, 1.0, 1.0))
     chip: loopchip.ChipConfig = field(default_factory=loopchip.ChipConfig)
     noise: mesh.MeshNoise = field(default_factory=mesh.MeshNoise)
     training: calibrate.TrainingConfig = field(default_factory=calibrate.TrainingConfig)
@@ -121,24 +123,17 @@ def _load_config(args) -> RunConfig:
     return config_from_dict(doc)
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write an output file, line endings as given; the directory appears at the first write."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, newline="")
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    """Write a header and rows of Python ints, floats and strings.
+def _csv(header, rows) -> str:
+    """CSV text of a header and rows of Python ints, floats and strings.
 
     csv writes a float v as repr(v), the shortest string that reads back
     bit for bit; numpy arrays enter through tolist() to keep it that way.
-    Rows render in memory first, so a row that fails to build leaves no file.
     """
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    _write_text(path, buf.getvalue())
+    return buf.getvalue()
 
 
 def _step_rows(*arrays):
@@ -148,23 +143,36 @@ def _step_rows(*arrays):
     return zip(steps, list(range(dim)) * n_steps, *(a.ravel().tolist() for a in arrays))
 
 
-def cmd_simulate(cfg: RunConfig, args) -> int:
-    out = Path(cfg.output_dir)
-    u = model.step_unitary(model.build_hamiltonian(cfg.model), cfg.model.dt)
-    theory = model.evolve_exact(u, cfg.initial_channel, cfg.n_steps)
-    _write_csv(out / "theory.csv", ["step", "channel", "prob"], _step_rows(theory))
+def _unitary(cfg: RunConfig) -> np.ndarray:
+    """The model's one-step propagator."""
+    return model.step_unitary(model.build_hamiltonian(cfg.model), cfg.model.dt)
 
-    power = loopchip.run_loop(cfg.chip, u, cfg.initial_channel, cfg.n_steps)
-    chip = loopchip.conditional_probabilities(power)
-    _write_csv(out / "chip.csv", ["step", "channel", "prob"], _step_rows(chip))
 
+def _count(cfg: RunConfig, power: np.ndarray):
+    """One counting run on a loop run's powers: its histograms and the estimates CSV."""
     hists = montecarlo.sample_run(power, cfg.counting, cfg.chip.loop_delay_ps)
     windows = montecarlo.default_windows(cfg.n_steps, cfg.counting, cfg.chip.loop_delay_ps)
     est = montecarlo.estimate_probabilities(hists, windows, cfg.counting)
-    _write_csv(out / "mc.csv", ["step", "channel", "p_hat", "stderr"],
-               _step_rows(est.p_hat, est.stderr))
-    print(f"simulate: wrote theory.csv, chip.csv, mc.csv to {out}")
-    return 0
+    return hists, _csv(["step", "channel", "p_hat", "stderr"], _step_rows(est.p_hat, est.stderr))
+
+
+def _platforms(names) -> list:
+    """Bundled platforms by name, in the given order; all of them when names is empty."""
+    table = {p.name: p for p in losses.load_platforms()}
+    missing = [n for n in names or () if n not in table]
+    if missing:
+        raise ValueError(f"unknown platform(s): {missing}; have {sorted(table)}")
+    return [table[n] for n in names] if names else list(table.values())
+
+
+def cmd_simulate(cfg: RunConfig, args) -> dict:
+    u = _unitary(cfg)
+    theory = model.evolve_exact(u, cfg.initial_channel, cfg.n_steps)
+    power = loopchip.run_loop(cfg.chip, u, cfg.initial_channel, cfg.n_steps)
+    chip = loopchip.conditional_probabilities(power)
+    return {"theory.csv": _csv(["step", "channel", "prob"], _step_rows(theory)),
+            "chip.csv": _csv(["step", "channel", "prob"], _step_rows(chip)),
+            "mc.csv": _count(cfg, power)[1]}
 
 
 def _read_unitary(path: Path) -> np.ndarray:
@@ -178,84 +186,60 @@ def _read_unitary(path: Path) -> np.ndarray:
     return re + 1j * im
 
 
-def cmd_decompose(cfg: RunConfig, args) -> int:
-    out = Path(cfg.output_dir)
-    if args.unitary is not None:
-        u = _read_unitary(args.unitary)
-    else:
-        u = model.step_unitary(model.build_hamiltonian(cfg.model), cfg.model.dt)
+def cmd_decompose(cfg: RunConfig, args) -> dict:
+    u = _unitary(cfg) if args.unitary is None else _read_unitary(args.unitary)
     plan = mesh.clements_decompose(u)
-    _write_text(out / "plan.json", mesh.plan_to_json(plan))
     err = float(np.max(np.abs(mesh.mesh_forward(plan) - u)))
     report = {"dim": plan.dim, "cells": len(plan.los), "max_roundtrip_error": err}
-    _write_text(out / "decompose_report.json", json.dumps(report, indent=2))
     print(f"decompose: {plan.dim} modes, {len(plan.los)} cells, "
           f"round-trip error {err:.3e}")
     if not err <= 1e-8:
         raise RuntimeError(f"plan does not reproduce the unitary: error {err:.3e}")
-    return 0
+    return {"plan.json": mesh.plan_to_json(plan),
+            "decompose_report.json": json.dumps(report, indent=2)}
 
 
-def cmd_losses(cfg: RunConfig, args) -> int:
-    out = Path(cfg.output_dir)
-    table = {p.name: p for p in losses.load_platforms()}
-    if args.platforms:
-        missing = [n for n in args.platforms if n not in table]
-        if missing:
-            raise ValueError(f"unknown platform(s): {missing}; have {sorted(table)}")
-        chosen = [table[n] for n in args.platforms]
-    else:
-        chosen = list(table.values())
+def cmd_losses(cfg: RunConfig, args) -> dict:
+    chosen = _platforms(args.platforms)
     ratios = losses.optimal_splitters(args.max_loops) if args.max_loops >= 2 else (0.5, 0.5)
     budgets = losses.platform_comparison(chosen, cfg.chip, ratios, args.max_loops)
-    _write_csv(out / "losses.csv", ["platform", "n", "loss_db"],
-               ((p.name, n, db) for p, row in zip(chosen, budgets.tolist())
-                for n, db in enumerate(row, 1)))
     for n in range(2, args.max_loops + 1):
         r_loop, r_end = losses.optimal_splitters(n)
         print(f"optimal splitters for n={n}: r_loop={r_loop:.6f}, r_end={r_end:.6f}")
-    print(f"losses: wrote losses.csv to {out}")
-    return 0
+    return {"losses.csv": _csv(["platform", "n", "loss_db"],
+                               ((p.name, n, db) for p, row in zip(chosen, budgets.tolist())
+                                for n, db in enumerate(row, 1)))}
 
 
-def cmd_scaling(cfg: RunConfig, args) -> int:
-    out = Path(cfg.output_dir)
-    table = {p.name: p for p in losses.load_platforms()}
-    if cfg.platform not in table:
-        raise ValueError(f"unknown platform: {cfg.platform!r}; have {sorted(table)}")
-    platform = table[cfg.platform]
-    _write_csv(out / "scaling.csv", ["modes", "loss_db"],
-               ((m, losses.mode_scaling_loss(m, platform, args.cell_length)) for m in args.modes))
-    print(f"scaling: wrote scaling.csv to {out}")
-    return 0
+def cmd_scaling(cfg: RunConfig, args) -> dict:
+    platform, = _platforms([cfg.platform])
+    return {"scaling.csv": _csv(["modes", "loss_db"],
+                                ((m, losses.mode_scaling_loss(m, platform, args.cell_length))
+                                 for m in args.modes))}
 
 
-def cmd_train(cfg: RunConfig, args) -> int:
-    out = Path(cfg.output_dir)
-    u = model.step_unitary(model.build_hamiltonian(cfg.model), cfg.model.dt)
-    plan = mesh.clements_decompose(u)
+def cmd_train(cfg: RunConfig, args) -> dict:
+    u = _unitary(cfg)
     target = calibrate.theory_step_matrices(u, cfg.n_steps)
-    result = calibrate.train(plan, cfg.noise, target, cfg.training)
-    _write_text(out / "trained_plan.json", mesh.plan_to_json(result.plan))
-    _write_csv(out / "trace.csv", ["iter", "loss"], enumerate(result.trace.tolist()))
+    result = calibrate.train(mesh.clements_decompose(u), cfg.noise, target, cfg.training)
     status = "converged" if result.converged else "max_iters reached"
     print(f"train: initial loss {result.trace[0]:.6e}, final loss {result.trace[-1]:.6e}, "
           f"{len(result.trace) - 1} iterations ({status})")
-    return 0
+    return {"trained_plan.json": mesh.plan_to_json(result.plan),
+            "trace.csv": _csv(["iter", "loss"], enumerate(result.trace.tolist()))}
 
 
-def cmd_compare(cfg: RunConfig, args) -> int:
-    out = Path(cfg.output_dir)
+def cmd_compare(cfg: RunConfig, args) -> dict:
     table = calibrate.load_param_table(args.table)
     comparison = calibrate.compare_methods(table, cfg.noise, cfg.training,
                                            n_steps=cfg.n_steps, seeds=args.seeds,
                                            n_boson=cfg.model.n_boson)
     methods = {"decomposition": comparison.decomposition, "trained": comparison.trained}
-    _write_csv(out / "errors.csv", ["params_id", "method", "step", "error"],
-               ((row_id, method, step, err)
-                for method, errors in methods.items()
-                for row_id, per_step in zip(comparison.params_id, errors.tolist())
-                for step, err in enumerate(per_step, 1)))
+    errors = _csv(["params_id", "method", "step", "error"],
+                  ((row_id, method, step, err)
+                   for method, per_row in methods.items()
+                   for row_id, per_step in zip(comparison.params_id, per_row.tolist())
+                   for step, err in enumerate(per_step, 1)))
     wins, ties, lost = calibrate.win_stats(comparison)
     total = wins + ties + lost
     summary = {
@@ -276,28 +260,19 @@ def cmd_compare(cfg: RunConfig, args) -> int:
               f"({100.0 * (wins + ties) / total:.1f}%)")
     if comparison.non_converged:
         print(f"compare: rows not converged: {sorted(set(comparison.non_converged))}")
-    _write_text(out / "summary.json", json.dumps(summary, indent=2))
-    print(f"compare: wrote errors.csv, summary.json to {out}")
-    return 0
+    return {"errors.csv": errors, "summary.json": json.dumps(summary, indent=2)}
 
 
-def cmd_counts(cfg: RunConfig, args) -> int:
-    out = Path(cfg.output_dir)
-    u = model.step_unitary(model.build_hamiltonian(cfg.model), cfg.model.dt)
-    power = loopchip.run_loop(cfg.chip, u, cfg.initial_channel, cfg.n_steps)
-    hists = montecarlo.sample_run(power, cfg.counting, cfg.chip.loop_delay_ps)
-    _write_csv(out / "histograms.csv", ["channel", "bin_start_ps", "count"],
-               ((channel, start, count) for channel, h in enumerate(hists)
-                for start, count in zip(h.bin_edges_ps[:-1].tolist(), h.counts.tolist())))
-    windows = montecarlo.default_windows(cfg.n_steps, cfg.counting, cfg.chip.loop_delay_ps)
-    est = montecarlo.estimate_probabilities(hists, windows, cfg.counting)
-    _write_csv(out / "estimates.csv", ["step", "channel", "p_hat", "stderr"],
-               _step_rows(est.p_hat, est.stderr))
+def cmd_counts(cfg: RunConfig, args) -> dict:
+    power = loopchip.run_loop(cfg.chip, _unitary(cfg), cfg.initial_channel, cfg.n_steps)
+    hists, estimates = _count(cfg, power)
+    histograms = _csv(["channel", "bin_start_ps", "count"],
+                      ((channel, start, count) for channel, h in enumerate(hists)
+                       for start, count in zip(h.bin_edges_ps[:-1].tolist(), h.counts.tolist())))
     # RunConfig ran default_windows, whose gates (>= 6 sigma wide) fit in one delay: margin > 0
     margin = cfg.chip.loop_delay_ps - 6.0 * cfg.counting.jitter_ps
     print(f"counts: peak separation ok (margin {margin:.1f} ps)")
-    print(f"counts: wrote histograms.csv, estimates.csv to {out}")
-    return 0
+    return {"histograms.csv": histograms, "estimates.csv": estimates}
 
 
 @functools.cache
@@ -356,12 +331,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    """Parse, check paths, run the command, then write every file it returns under output_dir."""
     args = build_parser().parse_args(argv)
+    for flag in ("config", "unitary", "table"):
+        path = getattr(args, flag, None)
+        if path is not None and (path.is_dir() or not path.exists()):
+            raise ValueError(f"--{flag} {str(path)!r} is not a file")
     cfg = _load_config(args)
     if args.dump_config:
         print(json.dumps(config_to_dict(cfg), indent=2))
         return 0
-    return args.handler(cfg, args)
+    out = Path(cfg.output_dir)
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ValueError(f"output_dir (--out) {str(out)!r}: {str(nearest)!r} is not a directory")
+    files = args.handler(cfg, args)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text, newline="")
+    print(f"{args.command}: wrote {', '.join(files)} to {out}")
+    return 0
 
 
 def main(argv=None) -> int:

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import loopsim
+from loopsim import calibrate, mesh, model, montecarlo
 from loopsim.calibrate import TrainingConfig, theory_step_matrices, train
-from loopsim.cli import (RunConfig, _write_csv, build_parser, config_from_dict, config_to_dict,
-                         main)
+from loopsim.cli import RunConfig, _csv, build_parser, config_from_dict, config_to_dict, main
 from loopsim.mesh import MeshNoise, clements_decompose, plan_from_json
 from loopsim.model import SpinBosonParams, build_hamiltonian, evolve_exact, step_unitary
 
@@ -215,6 +215,17 @@ class TestCompare:
         assert rc == 2
         assert not out.exists()
         assert f"row {bad_row} must have exactly 3 fields" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("last_row, column, cell", [("1,x,1", "omega_hbar", "'x'"),
+                                                         ("1,1,", "lambda", "''")])
+    def test_non_number_cell_names_row_and_column(self, tmp_path, capsys, last_row, column, cell):
+        table = tmp_path / "t.csv"
+        table.write_text("\n".join(["epsilon,omega_hbar,lambda", *["1,1,1"] * 19, last_row]) + "\n")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "compare", "--table", str(table)]) == 2
+        assert not out.exists()
+        assert (f"parameter table row 20, column {column}: {cell} is not a number"
+                in capsys.readouterr().err)
 
 
 class TestCounts:
@@ -428,10 +439,14 @@ class TestInvalidValues:
                 assert section is None or f"config section '{section}'" in message
 
 
-def test_write_csv_formats_cells(tmp_path):
-    path = tmp_path / "t.csv"
-    _write_csv(path, ["a", "b", "c"], [(1, 0.1 + 0.2, "x,y"), (2, 1e-300, "z")])
-    assert path.read_bytes() == b'a,b,c\r\n1,0.30000000000000004,"x,y"\r\n2,1e-300,z\r\n'
+def test_csv_formats_cells(tmp_path):
+    text = _csv(["a", "b", "c"], [(1, 0.1 + 0.2, "x,y"), (2, 1e-300, "z")])
+    assert text == 'a,b,c\r\n1,0.30000000000000004,"x,y"\r\n2,1e-300,z\r\n'
+    # the file on disk keeps csv's \r\n line endings
+    assert main(["--out", str(tmp_path), "scaling", "--modes", "2"]) == 0
+    data = (tmp_path / "scaling.csv").read_bytes()
+    assert data.startswith(b"modes,loss_db\r\n2,") and data.endswith(b"\r\n")
+    assert data.count(b"\n") == data.count(b"\r\n") == 2
 
 
 def test_readme_command_lines_parse():
@@ -453,3 +468,89 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+class TestPaths:
+    """A bad input or output path exits 2 before any work, and nothing is written."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        for module, name in ((model, "build_hamiltonian"), (calibrate, "compare_methods")):
+            def fail(*args, name=name, **kwargs):
+                raise AssertionError(f"{name} ran")
+            monkeypatch.setattr(module, name, fail)
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--config", ["--config", "{missing}", "simulate"]),
+        ("--config", ["--config", "{dir}", "simulate"]),
+        ("--table", ["compare", "--table", "{missing}"]),
+        ("--unitary", ["decompose", "--unitary", "{missing}"]),
+    ])
+    def test_input_path_that_is_not_a_file(self, tmp_path, capsys, flag, argv):
+        names = {"missing": str(tmp_path / "nope.json"), "dir": str(tmp_path)}
+        out = tmp_path / "out"
+        argv = [a.format(**names) for a in argv]
+        assert main(["--out", str(out), *argv]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert flag in err and repr(argv[argv.index(flag) + 1]) in err
+
+    @pytest.mark.parametrize("command", ["compare", "simulate"])
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_output_path_under_a_file(self, tmp_path, capsys, command, sub):
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep")
+        out = blocker / sub if sub else blocker
+        assert main(["--out", str(out), command]) == 2
+        assert blocker.read_text() == "keep"
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        err = capsys.readouterr().err
+        assert "output_dir (--out)" in err and repr(str(out)) in err
+
+    def test_output_dir_key_from_config(self, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep")
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"output_dir": str(blocker)}))
+        assert main(["--config", str(cfgfile), "scaling"]) == 2
+        assert "output_dir" in capsys.readouterr().err
+        assert blocker.read_text() == "keep"
+
+
+class TestOutputs:
+    """cli.run writes a command's files once it succeeds, and names them in one line."""
+
+    @pytest.mark.parametrize("command, doc", [
+        ("simulate", {}),
+        ("decompose", {}),
+        ("losses", {}),
+        ("scaling", {}),
+        ("train", {"training": {"max_iters": 1}}),
+        ("compare", {"model": {"n_boson": 1}, "chip": {"dim": 2}, "training": {"max_iters": 1}}),
+        ("counts", {}),
+    ])
+    def test_last_line_names_the_files_written(self, tmp_path, capsys, command, doc):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfgfile), "--out", str(out), command]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        prefix, suffix = f"{command}: wrote ", f" to {out}"
+        assert last.startswith(prefix) and last.endswith(suffix)
+        names = last[len(prefix):-len(suffix)].split(", ")
+        assert sorted(names) == sorted(p.name for p in out.iterdir())
+
+    def test_failed_counting_run_writes_nothing(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("counting run failed")
+        monkeypatch.setattr(montecarlo, "sample_run", fail)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "simulate"]) == 2
+        assert not out.exists()
+
+    def test_failed_round_trip_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(mesh, "mesh_forward", lambda plan: np.zeros((plan.dim, plan.dim)))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "decompose"]) == 1
+        assert "round-trip error" in capsys.readouterr().out
+        assert not out.exists()
