@@ -16,7 +16,8 @@ import numpy as np
 
 from ._fields import check_fields
 from .loopchip import step_power_matrices
-from .mesh import MeshNoise, MeshPlan, clements_decompose, forward_arrays, mesh_forward, noise_offsets
+from .mesh import (MeshNoise, MeshPlan, cell_entries, clements_decompose, forward_arrays, mesh_forward,
+                   noise_offsets)
 from .model import SpinBosonParams, build_hamiltonian, step_unitary
 
 
@@ -65,11 +66,8 @@ class ParamTable:
 
 def load_param_table(path=None) -> ParamTable:
     """Parameter table from CSV; the bundled 20-row benchmark when path is None."""
-    if path is None:
-        text = resources.files("loopsim.data").joinpath("hamiltonian_params.csv").read_text()
-    else:
-        text = Path(path).read_text()
-    reader = csv.DictReader(text.splitlines())
+    source = resources.files("loopsim.data") / "hamiltonian_params.csv" if path is None else Path(path)
+    reader = csv.DictReader(source.read_text().splitlines())
     columns = ("epsilon", "omega_hbar", "lambda")
     if reader.fieldnames is None or set(reader.fieldnames) != set(columns):
         raise ValueError("parameter table must have columns epsilon,omega_hbar,lambda")
@@ -77,14 +75,14 @@ def load_param_table(path=None) -> ParamTable:
     for i, r in enumerate(reader, 1):
         if None in r or None in r.values():  # DictReader's marks of extra and missing fields
             raise ValueError(f"parameter table row {i} must have exactly 3 fields")
-        row = []
         for key in columns:
             try:
-                row.append(float(r[key]))
+                kind = None if np.isfinite(float(r[key])) else "a finite"
             except ValueError:
-                raise ValueError(f"parameter table row {i}, column {key}: "
-                                 f"{r[key]!r} is not a number") from None
-        rows.append(tuple(row))
+                kind = "a"
+            if kind:
+                raise ValueError(f"parameter table row {i}, column {key}: {r[key]!r} is not {kind} number")
+        rows.append(tuple(float(r[key]) for key in columns))
     if len(rows) != 20:
         raise ValueError(f"parameter table must have exactly 20 rows, got {len(rows)}")
     return ParamTable(tuple(rows))
@@ -164,8 +162,8 @@ def train(plan: MeshPlan, noise, target: np.ndarray, tc: TrainingConfig) -> Trai
 
     def losses(points):
         """The loss at each row of a stack of phase vectors."""
-        meshes = np.stack([forward_arrays(dim, plan.los, p[:n_cells], p[n_cells:],
-                                          plan.output_phases, offsets) for p in points])
+        entries = cell_entries(points[:, :n_cells], points[:, n_cells:], offsets)
+        meshes = np.stack([forward_arrays(dim, plan.los, e, plan.output_phases) for e in entries])
         return kl_loss(flat_target, _input_major(step_power_matrices(meshes, n_steps)))
 
     x = np.array(plan.thetas + plan.phis, dtype=float)

@@ -13,6 +13,14 @@ Decomposition nulls the lower-left triangle anti-diagonal by anti-diagonal,
 alternating plain cells applied from the left with inverse cells applied from
 the right, then commutes the leftover inverses through the residual diagonal
 so the result reads as (output phases) x (cell product).
+
+A realized cell is, input to output: phase exp(i phi') on the lo port, coupler of
+power ratio 1/2 + d_split1, phase exp(i (2 theta' + pi)) on the lo arm, coupler of
+ratio 1/2 + d_split2, then diag(-exp(-i theta'), exp(-i theta')), with fabrication
+offsets theta' = theta + d_theta, phi' = phi + d_phi. Evaluation has two stages:
+cell_entries computes every cell's 2x2 entries, batched over leading axes (a whole
+training stencil in one call), and forward_arrays multiplies one mesh's entries
+column by column (Clements et al., Optica 3, 1460 (2016)).
 """
 
 import json
@@ -85,42 +93,34 @@ class MeshPlan:
 
 
 @lru_cache(maxsize=128)
-def _coupler_products(splits: bytes):
-    """Read-only (p, q, ps, qs) of cells given the float64 bytes of their (d_split1, d_split2);
-    cached, as training freezes the offsets. A bad ratio raises on every call (none cached)."""
+def _cell_coefficients(splits: bytes) -> np.ndarray:
+    """Read-only complex (a, b), shape (2, 4, n_cells), of cells given the float64 bytes of
+    their (d_split1, d_split2); cached, as training freezes the offsets. A bad ratio raises
+    on every call (none cached)."""
     ratios = 0.5 + np.frombuffer(splits).reshape(-1, 2)
     bad = np.flatnonzero(~((ratios >= 0.0) & (ratios <= 1.0)))
     if bad.size:
         raise ValueError(f"cell {bad[0] // 2}: coupler power ratio {ratios.flat[bad[0]]:.6g} "
                          f"is outside [0, 1]; lower noise.sigma_split")
-    r1, r2 = ratios.T
-    u1, v1 = np.sqrt(r1), np.sqrt(1.0 - r1)
-    u2, v2 = np.sqrt(r2), np.sqrt(1.0 - r2)
+    (u1, u2), (v1, v2) = np.sqrt(ratios.T), np.sqrt(1.0 - ratios.T)
     # Products of coupler amplitudes through the two internal paths.
-    products = (u1 * u2, v1 * v2, u1 * v2, u2 * v1)
-    for a in products:
-        a.setflags(write=False)
-    return products
+    p, q, ps, qs = u1 * u2, v1 * v2, u1 * v2, u2 * v1
+    coefficients = np.array([[p, 1j * qs, -1j * ps, q], [q, -1j * ps, 1j * qs, p]], dtype=complex)
+    coefficients.setflags(write=False)
+    return coefficients
 
 
-def _cell_matrices(thetas, phis, offsets):
-    """Vectorized 2x2 entries (m00, m01, m10, m11) of realized cells; offsets rows are
-    (d_theta, d_phi, d_split1, d_split2). Input to output: phase exp(i phi') on the lo
-    port, coupler of power ratio 1/2 + d_split1, phase exp(i (2 theta' + pi)) on the lo
-    arm, coupler of ratio 1/2 + d_split2, then diag(-exp(-i theta'), exp(-i theta')),
-    with theta' = theta + d_theta, phi' = phi + d_phi. At zero offsets this is
-    T(theta, phi) up to rounding. Always unitary; a ratio outside [0, 1] raises."""
-    th = thetas + offsets[:, 0]
-    ph = phis + offsets[:, 1]
-    p, q, ps, qs = _coupler_products(np.ascontiguousarray(offsets[:, 2:], dtype=float).tobytes())
-    eip = np.exp(1j * th)
-    ein = np.conj(eip)
-    eif = np.exp(1j * ph)
-    m00 = (p * eip + q * ein) * eif
-    m01 = 1j * (qs * eip - ps * ein)
-    m10 = 1j * (qs * ein - ps * eip) * eif
-    m11 = p * ein + q * eip
-    return m00, m01, m10, m11
+def cell_entries(thetas, phis, offsets) -> np.ndarray:
+    """Entries (m00, m01, m10, m11), shape (..., 4, n_cells), of realized cells from thetas
+    and phis of shape (..., n_cells) and offsets rows (d_theta, d_phi, d_split1, d_split2):
+    a exp(i theta') + b exp(-i theta'), rows m00 and m10 then times exp(i phi'), with
+    theta' = theta + d_theta, phi' = phi + d_phi. At zero offsets this is T(theta, phi) up to
+    rounding. Always unitary; a ratio outside [0, 1] raises."""
+    a, b = _cell_coefficients(np.ascontiguousarray(offsets[:, 2:], dtype=float).tobytes())
+    eip = np.exp(1j * (np.asarray(thetas) + offsets[:, 0]))[..., None, :]
+    entries = a * eip + b * np.conj(eip)
+    entries[..., ::2, :] *= np.exp(1j * (np.asarray(phis) + offsets[:, 1]))[..., None, :]
+    return entries
 
 
 @lru_cache(maxsize=128)
@@ -159,12 +159,14 @@ def _columns(dim: int, los: tuple):
     return tuple(cols), stack, positions
 
 
-def forward_arrays(dim, los, thetas, phis, output_phases, offsets) -> np.ndarray:
-    """Low-level mesh evaluation from parallel arrays (see mesh_forward): a product of
+def forward_arrays(dim, los, entries, output_phases) -> np.ndarray:
+    """One mesh from its (4, len(los)) cell entries (see cell_entries): a product of
     block-diagonal column matrices (see _columns), first column rightmost, output phases last."""
+    if entries.shape != (4, len(los)):
+        raise ValueError(f"entries must have shape (4, {len(los)}), not {entries.shape}")
     _, stack, positions = _columns(dim, tuple(los))
     mats = stack.copy()
-    mats.reshape(-1)[positions] = np.concatenate(_cell_matrices(thetas, phis, offsets))
+    mats.reshape(-1)[positions] = entries.reshape(-1)
     u = mats[0]
     for column in mats[1:]:
         u = column @ u
@@ -179,8 +181,8 @@ def mesh_forward(plan: MeshPlan, noise: MeshNoise | None = None) -> np.ndarray:
     bit-identical to passing no noise at all. The result is always unitary,
     noisy or not.
     """
-    return forward_arrays(plan.dim, plan.los, plan.thetas, plan.phis, plan.output_phases,
-                          noise_offsets(noise, len(plan.los)))
+    entries = cell_entries(plan.thetas, plan.phis, noise_offsets(noise, len(plan.los)))
+    return forward_arrays(plan.dim, plan.los, entries, plan.output_phases)
 
 
 def _null_angles(num, den):

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -219,6 +220,31 @@ class TestGradient:
         ((batched, oracle),) = seen
         assert batched.size == 2 * n_boson * (2 * n_boson - 1)
         assert np.array_equal(batched, oracle)
+
+    def test_train_gradient_matches_per_point_mesh_forward(self, monkeypatch):
+        # oracle: every stencil point's loss from its own plan through mesh_forward
+        u = default_unitary()
+        plan = clements_decompose(u)
+        target = theory_step_matrices(u, 3)
+        noise = MeshNoise(seed=4)
+        seen = []
+
+        def recording_gradient(fn, x, eps):
+            g = finite_diff_gradient(fn, x, eps)
+            seen.append((g, x.copy(), eps))
+            return g
+
+        monkeypatch.setattr(calibrate, "finite_diff_gradient", recording_gradient)
+        train(plan, noise, target, TrainingConfig(max_iters=1))
+        ((g, x, eps),) = seen
+        n = len(plan.los)
+
+        def loss(points):
+            (p,) = points
+            point = replace(plan, thetas=tuple(p[:n].tolist()), phis=tuple(p[n:].tolist()))
+            return [kl_loss(input_major(target), input_major(chip_distributions(point, noise, 3)))]
+
+        assert np.array_equal(g, per_point_gradient(loss, x, eps))
 
 
 class TestTrain:

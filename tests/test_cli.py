@@ -227,6 +227,18 @@ class TestCompare:
         assert (f"parameter table row 20, column {column}: {cell} is not a number"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("last_row, column, cell", [("nan,1,1", "epsilon", "'nan'"),
+                                                         ("1,inf,1", "omega_hbar", "'inf'"),
+                                                         ("1,1,-inf", "lambda", "'-inf'")])
+    def test_non_finite_cell_exits_two(self, tmp_path, capsys, last_row, column, cell):
+        table = tmp_path / "t.csv"
+        table.write_text("\n".join(["epsilon,omega_hbar,lambda", *["1,1,1"] * 19, last_row]) + "\n")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "compare", "--table", str(table)]) == 2
+        assert not out.exists()
+        assert (f"parameter table row 20, column {column}: {cell} is not a finite number"
+                in capsys.readouterr().err)
+
 
 class TestCounts:
     def test_writes_histograms_and_estimates(self, tmp_path, capsys):

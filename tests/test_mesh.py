@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from loopsim import mesh
 from loopsim.mesh import (
     DecompositionError,
     MeshNoise,
     MeshPlan,
+    cell_entries,
     clements_decompose,
     forward_arrays,
     mesh_forward,
@@ -64,8 +66,9 @@ def rotated_identity(lo, theta, phi, dim):
 
 def realized(theta, phi, d_theta=0.0, d_phi=0.0, d_split1=0.0, d_split2=0.0):
     """One realized cell as the mesh evaluates it: a 2-mode mesh of one cell."""
-    return forward_arrays(2, (0,), np.array([theta]), np.array([phi]), np.zeros(2),
-                          np.array([[d_theta, d_phi, d_split1, d_split2]]))
+    entries = cell_entries(np.array([theta]), np.array([phi]),
+                           np.array([[d_theta, d_phi, d_split1, d_split2]]))
+    return forward_arrays(2, (0,), entries, np.zeros(2))
 
 
 class TestTransfer:
@@ -276,31 +279,74 @@ class TestColumnKernel:
         for k, lo in enumerate(los):
             expected = embed(realized_cell(thetas[k], phis[k], *offsets[k]), lo, dim) @ expected
         expected = np.diag(np.exp(1j * out)) @ expected
-        got = forward_arrays(dim, los, thetas, phis, out, offsets)
+        got = forward_arrays(dim, los, cell_entries(thetas, phis, offsets), out)
         assert np.max(np.abs(got - expected)) <= 1e-15 * (n + 1)
 
     def test_out_of_range_draw_raises_on_every_call(self):
         offsets = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.6, 0.0]])
         for _ in range(2):
             with pytest.raises(ValueError, match="cell 1: coupler power ratio 1.1"):
-                forward_arrays(3, (0, 1), np.zeros(2), np.zeros(2), np.zeros(3), offsets)
+                forward_arrays(3, (0, 1), cell_entries(np.zeros(2), np.zeros(2), offsets), np.zeros(3))
 
     def test_offsets_mutated_in_place_give_fresh_products(self, rng):
         plan = clements_decompose(haar_unitary(4, rng))
         offsets = noise_offsets(MeshNoise(seed=4), len(plan.los)).copy()
-        args = (plan.dim, plan.los, np.array(plan.thetas), np.array(plan.phis), plan.output_phases)
-        before = forward_arrays(*args, offsets)
+
+        def forward():
+            entries = cell_entries(np.array(plan.thetas), np.array(plan.phis), offsets)
+            return forward_arrays(plan.dim, plan.los, entries, plan.output_phases)
+
+        before = forward()
         offsets[:, 2:] *= -1.0
-        after = forward_arrays(*args, offsets)
+        after = forward()
         assert np.max(np.abs(after - before)) > 1e-4
-        mesh._coupler_products.cache_clear()
-        assert np.array_equal(forward_arrays(*args, offsets), after)
+        mesh._cell_coefficients.cache_clear()
+        assert np.array_equal(forward(), after)
 
     def test_cached_arrays_read_only(self):
         _, stack, _ = mesh._columns(4, (0, 2, 1, 0))
         assert stack.shape == (3, 4, 4) and not stack.flags.writeable
         splits = np.array([[0.01, -0.02]]).tobytes()
-        assert not any(a.flags.writeable for a in mesh._coupler_products(splits))
+        assert not any(a.flags.writeable for a in mesh._cell_coefficients(splits))
+
+    def test_entries_shape_must_match_cells(self):
+        # a size-1 array would broadcast silently into every cell
+        for entries, shape in ((np.ones((4, 2), dtype=complex), r"\(4, 2\)"),
+                               (np.complex128(1.0), r"\(\)"), (np.array(1.0), r"\(\)")):
+            with pytest.raises(ValueError, match=r"shape \(4, 3\), not " + shape):
+                forward_arrays(4, (0, 2, 1), entries, np.zeros(4))
+
+
+@st.composite
+def stacked_cases(draw):
+    """mesh_cases' offsets under a (B, n) stack of thetas and one of phis, B >= 1."""
+    _, los, _, offsets = draw(mesh_cases())
+    rows = draw(st.integers(1, 5))
+    phases = draw(hnp.arrays(float, (2, rows, len(los)), elements=st.floats(-20.0, 20.0)))
+    return phases[0], phases[1], offsets
+
+
+class TestCellEntries:
+    @settings(max_examples=200, deadline=None)
+    @given(stacked_cases())
+    @example((np.zeros((3, 0)), np.zeros((3, 0)), np.zeros((0, 4))))
+    def test_stack_equals_single_rows_bitwise(self, case):
+        thetas, phis, offsets = case
+        stack = cell_entries(thetas, phis, offsets)
+        assert stack.shape == (thetas.shape[0], 4, thetas.shape[1])
+        for b in range(thetas.shape[0]):
+            assert stack[b].tobytes() == cell_entries(thetas[b], phis[b], offsets).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(mesh_cases())
+    def test_matches_realized_cell_oracle(self, case):
+        _, los, phases, offsets = case
+        n = len(los)
+        entries = cell_entries(np.array(phases[:n]), np.array(phases[n:2 * n]), offsets)
+        assert entries.shape == (4, n)
+        for k in range(n):
+            oracle = realized_cell(phases[k], phases[n + k], *offsets[k])
+            assert np.max(np.abs(entries[:, k] - oracle.ravel())) <= 1e-15
 
 
 class TestPlanSerialization:
