@@ -159,11 +159,12 @@ def train(plan: MeshPlan, noise, target: np.ndarray, tc: TrainingConfig) -> Trai
     flat_target = _input_major(target)
     n_cells = len(plan.los)
     offsets = noise_offsets(noise, n_cells)
+    output_phases = np.array(plan.output_phases, dtype=float)
 
     def losses(points):
         """The loss at each row of a stack of phase vectors."""
         entries = cell_entries(points[:, :n_cells], points[:, n_cells:], offsets)
-        meshes = np.stack([forward_arrays(dim, plan.los, e, plan.output_phases) for e in entries])
+        meshes = np.stack([forward_arrays(dim, plan.los, e, output_phases) for e in entries])
         return kl_loss(flat_target, _input_major(step_power_matrices(meshes, n_steps)))
 
     x = np.array(plan.thetas + plan.phis, dtype=float)

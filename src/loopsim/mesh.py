@@ -20,7 +20,8 @@ ratio 1/2 + d_split2, then diag(-exp(-i theta'), exp(-i theta')), with fabricati
 offsets theta' = theta + d_theta, phi' = phi + d_phi. Evaluation has two stages:
 cell_entries computes every cell's 2x2 entries, batched over leading axes (a whole
 training stencil in one call), and forward_arrays multiplies one mesh's entries
-column by column (Clements et al., Optica 3, 1460 (2016)).
+column by column (Clements et al., Optica 3, 1460 (2016)), then applies the output-phase
+factor, which is computed once per distinct phase vector.
 """
 
 import json
@@ -159,18 +160,31 @@ def _columns(dim: int, los: tuple):
     return tuple(cols), stack, positions
 
 
+@lru_cache(maxsize=128)
+def _phase_factor(phases: bytes) -> np.ndarray:
+    """Read-only column (dim, 1) of exp(i p) given the float64 bytes of the output phases p;
+    cached, as training freezes them."""
+    factor = np.exp(1j * np.frombuffer(phases))[:, None]
+    factor.setflags(write=False)
+    return factor
+
+
 def forward_arrays(dim, los, entries, output_phases) -> np.ndarray:
-    """One mesh from its (4, len(los)) cell entries (see cell_entries): a product of
-    block-diagonal column matrices (see _columns), first column rightmost, output phases last."""
+    """One mesh from its (4, len(los)) cell entries (see cell_entries) and (dim,) output
+    phases: a product of block-diagonal column matrices (see _columns), first column
+    rightmost, output phases last."""
     if entries.shape != (4, len(los)):
         raise ValueError(f"entries must have shape (4, {len(los)}), not {entries.shape}")
+    phases = np.asarray(output_phases, dtype=float)
+    if phases.shape != (dim,):
+        raise ValueError(f"output_phases must have shape ({dim},), not {phases.shape}")
     _, stack, positions = _columns(dim, tuple(los))
     mats = stack.copy()
     mats.reshape(-1)[positions] = entries.reshape(-1)
     u = mats[0]
     for column in mats[1:]:
-        u = column @ u
-    return u * np.exp(1j * np.asarray(output_phases))[:, None]
+        u = column.dot(u)
+    return u * _phase_factor(phases.tobytes())
 
 
 def mesh_forward(plan: MeshPlan, noise: MeshNoise | None = None) -> np.ndarray:

@@ -7,6 +7,7 @@ total channel count is ``2 * n_boson``.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,25 +57,32 @@ def truncated_ladder(n_boson: int):
     return a, a.conj().T
 
 
+@lru_cache(maxsize=32)
+def _operators(n_boson: int) -> tuple:
+    """Read-only (1 x a'a, sz x 1, sx x 1, sx x (a' + a)) on the channel space, the
+    Kronecker factors of build_hamiltonian's four terms; cached, as they depend on
+    n_boson alone."""
+    a, adag = truncated_ladder(n_boson)
+    eye_b = np.eye(n_boson)
+    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    ops = (np.kron(np.eye(2), adag @ a), np.kron(sz, eye_b), np.kron(sx, eye_b),
+           np.kron(sx, a + adag))
+    for op in ops:
+        op.setflags(write=False)
+    return ops
+
+
 def build_hamiltonian(params: SpinBosonParams) -> np.ndarray:
     """Dense Hamiltonian on the 2*n_boson channel space.
 
     H = omega_hbar * a'a + (h_field * sz + epsilon * sx) / 2
         + lam * sx (a' + a)
-    with sz = +1 on the excited block.
+    with sz = +1 on the excited block, summed term by term in that order.
     """
-    a, adag = truncated_ladder(params.n_boson)
-    number = adag @ a
-    eye_b = np.eye(params.n_boson)
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    h = (
-        params.omega_hbar * np.kron(np.eye(2), number)
-        + 0.5 * params.h_field * np.kron(sz, eye_b)
-        + 0.5 * params.epsilon * np.kron(sx, eye_b)
-        + params.lam * np.kron(sx, a + adag)
-    )
-    return h.astype(complex)
+    number, z, x, coupling = _operators(params.n_boson)
+    return (params.omega_hbar * number + 0.5 * params.h_field * z + 0.5 * params.epsilon * x
+            + params.lam * coupling)
 
 
 def step_unitary(hamiltonian: np.ndarray, dt: float) -> np.ndarray:

@@ -282,6 +282,27 @@ class TestColumnKernel:
         got = forward_arrays(dim, los, cell_entries(thetas, phis, offsets), out)
         assert np.max(np.abs(got - expected)) <= 1e-15 * (n + 1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(mesh_cases())
+    @example((1, (), [-0.0], np.zeros((0, 4))))
+    @example((3, (0, 1, 0), [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, -0.0, -1.0, 0.0],
+              np.array([[0.01, -0.02, 0.003, -0.004]] * 3)))
+    def test_equals_matmul_chain_bitwise(self, case):
+        dim, los, phases, offsets = case
+        n = len(los)
+        entries = cell_entries(np.array(phases[:n]), np.array(phases[n:2 * n]), offsets)
+        out = tuple(phases[2 * n:])
+        # oracle: the column chain formed with @, output phases exponentiated per call
+        _, stack, positions = mesh._columns(dim, los)
+        mats = stack.copy()
+        mats.reshape(-1)[positions] = entries.reshape(-1)
+        expected = mats[0]
+        for column in mats[1:]:
+            expected = column @ expected
+        expected = expected * np.exp(1j * np.asarray(out))[:, None]
+        for phases_arg in (out, np.array(out)):
+            assert forward_arrays(dim, los, entries, phases_arg).tobytes() == expected.tobytes()
+
     def test_out_of_range_draw_raises_on_every_call(self):
         offsets = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.6, 0.0]])
         for _ in range(2):
@@ -303,11 +324,34 @@ class TestColumnKernel:
         mesh._cell_coefficients.cache_clear()
         assert np.array_equal(forward(), after)
 
+    def test_output_phases_mutated_in_place_give_fresh_products(self, rng):
+        plan = clements_decompose(haar_unitary(4, rng))
+        entries = cell_entries(np.array(plan.thetas), np.array(plan.phis),
+                               noise_offsets(MeshNoise(seed=4), len(plan.los)))
+        phases = np.array(plan.output_phases)
+        before = forward_arrays(plan.dim, plan.los, entries, phases)
+        phases[1] += 0.5
+        after = forward_arrays(plan.dim, plan.los, entries, phases)
+        assert np.allclose(after[1], before[1] * np.exp(0.5j), rtol=0.0, atol=1e-15)
+        assert np.array_equal(np.delete(after, 1, axis=0), np.delete(before, 1, axis=0))
+        mesh._phase_factor.cache_clear()
+        assert np.array_equal(forward_arrays(plan.dim, plan.los, entries, phases), after)
+
     def test_cached_arrays_read_only(self):
         _, stack, _ = mesh._columns(4, (0, 2, 1, 0))
         assert stack.shape == (3, 4, 4) and not stack.flags.writeable
         splits = np.array([[0.01, -0.02]]).tobytes()
         assert not any(a.flags.writeable for a in mesh._cell_coefficients(splits))
+        factor = mesh._phase_factor(np.array([0.1, -0.2, 0.0]).tobytes())
+        assert factor.shape == (3, 1) and not factor.flags.writeable
+
+    def test_output_phases_shape_must_match_dim(self):
+        # one phase would broadcast over every row, a (4, 4) array into a (4, 4, 4) stack
+        entries = cell_entries(np.zeros(3), np.zeros(3), np.zeros((3, 4)))
+        for phases, shape in (([0.3], r"\(1,\)"), (np.zeros((4, 4)), r"\(4, 4\)"),
+                              (0.3, r"\(\)")):
+            with pytest.raises(ValueError, match=r"output_phases must have shape \(4,\), not " + shape):
+                forward_arrays(4, (0, 2, 1), entries, phases)
 
     def test_entries_shape_must_match_cells(self):
         # a size-1 array would broadcast silently into every cell

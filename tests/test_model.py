@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopsim import model
 from loopsim.mesh import clements_decompose, mesh_forward
 from loopsim.model import (
     SpinBosonParams,
@@ -96,6 +97,29 @@ class TestHamiltonian:
         h = build_hamiltonian(params)
         assert h.shape == (params.dim, params.dim)
         assert np.max(np.abs(h - h.conj().T)) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.builds(SpinBosonParams, *([st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                                                  st.floats(-1e6, 1e6))] * 4),
+                     n_boson=st.integers(1, 8)))
+    def test_equals_kron_assembly_bitwise(self, params):
+        # oracle: the four terms as Kronecker products, summed left to right
+        a, adag = truncated_ladder(params.n_boson)
+        eye_b = np.eye(params.n_boson)
+        sz = np.array([[1.0, 0.0], [0.0, -1.0]])
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+        expected = (params.omega_hbar * np.kron(np.eye(2), adag @ a)
+                    + 0.5 * params.h_field * np.kron(sz, eye_b)
+                    + 0.5 * params.epsilon * np.kron(sx, eye_b)
+                    + params.lam * np.kron(sx, a + adag)).astype(complex)
+        assert build_hamiltonian(params).tobytes() == expected.tobytes()
+
+    def test_cached_operators_read_only(self):
+        assert not any(op.flags.writeable for op in model._operators(3))
+        params = SpinBosonParams(0.5, 1.2, 0.8)
+        h = build_hamiltonian(params)
+        h[0, 0] = 99.0
+        assert build_hamiltonian(params)[0, 0] == 0.5
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
