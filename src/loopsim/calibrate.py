@@ -69,7 +69,7 @@ def load_param_table(path=None) -> ParamTable:
     source = resources.files("loopsim.data") / "hamiltonian_params.csv" if path is None else Path(path)
     reader = csv.DictReader(source.read_text().splitlines())
     columns = ("epsilon", "omega_hbar", "lambda")
-    if reader.fieldnames is None or set(reader.fieldnames) != set(columns):
+    if reader.fieldnames is None or sorted(reader.fieldnames) != sorted(columns):  # each once
         raise ValueError("parameter table must have columns epsilon,omega_hbar,lambda")
     rows = []
     for i, r in enumerate(reader, 1):

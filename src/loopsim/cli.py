@@ -45,16 +45,6 @@ class RunConfig:
             raise ValueError("initial_channel out of range for the model dimension")
         if self.model.dim != self.chip.dim:
             raise ValueError("model dimension and chip dimension disagree")
-        span = (self.n_steps - 1) * self.chip.loop_delay_ps + 6.0 * self.counting.jitter_ps
-        period = 1e6 / self.chip.rep_rate_mhz
-        if span >= period:
-            raise ValueError(f"last step plus 6 sigma of jitter ends at {span} ps, not before "
-                             f"the next pump pulse at {period} ps; lower n_steps, "
-                             f"chip.loop_delay_ps, counting.jitter_ps or chip.rep_rate_mhz")
-        try:
-            montecarlo.default_windows(self.n_steps, self.counting, self.chip.loop_delay_ps)
-        except ValueError as exc:
-            raise ValueError(f"config section 'counting': {exc}") from None
 
 
 # Config sections, each with its JSON-name -> attribute-name renames.
@@ -148,12 +138,22 @@ def _unitary(cfg: RunConfig) -> np.ndarray:
     return model.step_unitary(model.build_hamiltonian(cfg.model), cfg.model.dt)
 
 
-def _count(cfg: RunConfig, power: np.ndarray):
-    """One counting run on a loop run's powers: its histograms and the estimates CSV."""
+def _count(cfg: RunConfig, u: np.ndarray):
+    """Check the pump period and gates, then count u: (loop powers, histograms, estimates CSV)."""
+    span = (cfg.n_steps - 1) * cfg.chip.loop_delay_ps + 6.0 * cfg.counting.jitter_ps
+    period = 1e6 / cfg.chip.rep_rate_mhz
+    if span >= period:
+        raise ValueError(f"last step plus 6 sigma of jitter ends at {span} ps, not before "
+                         f"the next pump pulse at {period} ps; lower n_steps, "
+                         f"chip.loop_delay_ps, counting.jitter_ps or chip.rep_rate_mhz")
+    try:
+        windows = montecarlo.default_windows(cfg.n_steps, cfg.counting, cfg.chip.loop_delay_ps)
+    except ValueError as exc:
+        raise ValueError(f"config section 'counting': {exc}") from None
+    power = loopchip.run_loop(cfg.chip, u, cfg.initial_channel, cfg.n_steps)
     hists = montecarlo.sample_run(power, cfg.counting, cfg.chip.loop_delay_ps)
-    windows = montecarlo.default_windows(cfg.n_steps, cfg.counting, cfg.chip.loop_delay_ps)
     est = montecarlo.estimate_probabilities(hists, windows, cfg.counting)
-    return hists, _csv(["step", "channel", "p_hat", "stderr"], _step_rows(est.p_hat, est.stderr))
+    return power, hists, _csv(["step", "channel", "p_hat", "stderr"], _step_rows(est.p_hat, est.stderr))
 
 
 def _platforms(names) -> list:
@@ -167,12 +167,12 @@ def _platforms(names) -> list:
 
 def cmd_simulate(cfg: RunConfig, args) -> dict:
     u = _unitary(cfg)
+    power, _, estimates = _count(cfg, u)
     theory = model.evolve_exact(u, cfg.initial_channel, cfg.n_steps)
-    power = loopchip.run_loop(cfg.chip, u, cfg.initial_channel, cfg.n_steps)
     chip = loopchip.conditional_probabilities(power)
     return {"theory.csv": _csv(["step", "channel", "prob"], _step_rows(theory)),
             "chip.csv": _csv(["step", "channel", "prob"], _step_rows(chip)),
-            "mc.csv": _count(cfg, power)[1]}
+            "mc.csv": estimates}
 
 
 def _read_unitary(path: Path) -> np.ndarray:
@@ -264,12 +264,11 @@ def cmd_compare(cfg: RunConfig, args) -> dict:
 
 
 def cmd_counts(cfg: RunConfig, args) -> dict:
-    power = loopchip.run_loop(cfg.chip, _unitary(cfg), cfg.initial_channel, cfg.n_steps)
-    hists, estimates = _count(cfg, power)
+    _, hists, estimates = _count(cfg, _unitary(cfg))
     histograms = _csv(["channel", "bin_start_ps", "count"],
                       ((channel, start, count) for channel, h in enumerate(hists)
                        for start, count in zip(h.bin_edges_ps[:-1].tolist(), h.counts.tolist())))
-    # RunConfig ran default_windows, whose gates (>= 6 sigma wide) fit in one delay: margin > 0
+    # _count ran default_windows, whose gates (>= 6 sigma wide) fit in one delay: margin > 0
     margin = cfg.chip.loop_delay_ps - 6.0 * cfg.counting.jitter_ps
     print(f"counts: peak separation ok (margin {margin:.1f} ps)")
     return {"histograms.csv": histograms, "estimates.csv": estimates}

@@ -118,8 +118,8 @@ def mode_scaling_loss(n_modes: int, platform: PlatformSpec,
     """
     if n_modes < 2 or n_modes % 2 != 0:
         raise ValueError("n_modes must be even and >= 2")
-    if cell_length_cm <= 0:
-        raise ValueError("cell_length_cm must be positive")
+    if not 0 < cell_length_cm < np.inf:  # also rejects NaN
+        raise ValueError(f"cell_length_cm must be a positive finite number, not {cell_length_cm}")
     return (
         platform.alpha_db_per_cm * n_modes * cell_length_cm
         + platform.mzi_extra_db * n_modes

@@ -360,6 +360,10 @@ class TestParamTable:
         bad.write_text("a,b,c\n" + "1,1,1\n" * 20)
         with pytest.raises(ValueError, match="columns"):
             load_param_table(bad)
+        # each column once: a repeated name must not shadow a column's values
+        bad.write_text("epsilon,epsilon,omega_hbar,lambda\n" + "9,1,1,1\n" * 20)
+        with pytest.raises(ValueError, match="columns epsilon,omega_hbar,lambda"):
+            load_param_table(bad)
 
 
 class TestCompare:

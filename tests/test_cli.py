@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import loopsim
-from loopsim import calibrate, mesh, model, montecarlo
+from loopsim import calibrate, loopchip, mesh, model, montecarlo
 from loopsim.calibrate import TrainingConfig, theory_step_matrices, train
 from loopsim.cli import RunConfig, _csv, build_parser, config_from_dict, config_to_dict, main
 from loopsim.mesh import MeshNoise, clements_decompose, plan_from_json
@@ -137,6 +137,13 @@ class TestScaling:
         assert rc == 2
         assert "even" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("length", ["nan", "inf"])
+    def test_non_finite_cell_length_exits_two(self, tmp_path, capsys, length):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "scaling", "--cell-length", length]) == 2
+        assert not out.exists()
+        assert "cell_length_cm must be a positive finite number" in capsys.readouterr().err
+
     def test_failed_row_leaves_no_file(self, tmp_path):
         assert main(["--out", str(tmp_path), "scaling", "--modes", "2", "4", "5"]) == 2
         assert not (tmp_path / "scaling.csv").exists()
@@ -202,6 +209,15 @@ class TestCompare:
         rc = main(["--out", str(tmp_path), "compare", "--table", str(table)])
         assert rc == 2
         assert "20 rows" in capsys.readouterr().err
+
+    def test_repeated_column_exits_two(self, tmp_path, capsys):
+        # a reader keyed on names would keep the last epsilon column and drop the 9s
+        table = tmp_path / "t.csv"
+        table.write_text("epsilon,epsilon,omega_hbar,lambda\n" + "9,1,1,1\n" * 20)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "compare", "--table", str(table)]) == 2
+        assert not out.exists()
+        assert "must have columns epsilon,omega_hbar,lambda" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rows, bad_row", [
         (["1,1,1"] * 19 + ["1,1"], 20),  # a missing field
@@ -305,10 +321,44 @@ class TestConfig:
         for key in ("n_steps", "chip.loop_delay_ps", "counting.jitter_ps", "chip.rep_rate_mhz"):
             assert key in err
 
-    def test_pump_period_follows_rep_rate(self, tmp_path):
-        with pytest.raises(ValueError, match="pump pulse"):
-            config_from_dict({"chip": {"rep_rate_mhz": 1000.0}, "n_steps": 3})
-        config_from_dict({"chip": {"rep_rate_mhz": 250.0}, "n_steps": 9})
+    def test_pump_period_follows_rep_rate(self, tmp_path, capsys):
+        # 1000 MHz: step 3 plus jitter ends at 1100 ps, past the 1000 ps period;
+        # 250 MHz: step 9 plus jitter ends at 3500 ps, before the 4000 ps period
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"chip": {"rep_rate_mhz": 1000.0}, "n_steps": 3}))
+        assert main(["--config", str(cfgfile), "--out", str(tmp_path / "a"), "counts"]) == 2
+        assert "pump pulse" in capsys.readouterr().err
+        cfgfile.write_text(json.dumps({"chip": {"rep_rate_mhz": 250.0}, "n_steps": 9}))
+        assert main(["--config", str(cfgfile), "--out", str(tmp_path / "b"), "counts"]) == 0
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"n_steps": 6}, "pump pulse"),
+        ({"counting": {"jitter_ps": 70}}, "config section 'counting': jitter too large"),
+        ({"counting": {"bin_ps": 7e-4}}, "config section 'counting': bin_ps"),
+        ({"chip": {"rep_rate_mhz": 1000.0}}, "pump pulse"),
+    ])
+    def test_only_counting_commands_check_the_counting_geometry(self, tmp_path, capsys,
+                                                                monkeypatch, doc, message):
+        cfgfile = tmp_path / "cfg.json"
+        small = {"model": {"n_boson": 1}, "chip": {"dim": 2}}
+        for command in ("train", "compare", "decompose", "losses", "scaling"):
+            case = {**doc, "training": {"max_iters": 1}}
+            if command == "compare":
+                case.update({key: {**doc.get(key, {}), **value} for key, value in small.items()})
+            cfgfile.write_text(json.dumps(case))
+            assert main(["--config", str(cfgfile), "--out", str(tmp_path / command),
+                         command]) == 0, (command, capsys.readouterr().err)
+        # the pump period and the gates are checked before the loop run or any evolution
+        for module, name in ((loopchip, "run_loop"), (model, "evolve_exact")):
+            def fail(*args, name=name, **kwargs):
+                raise AssertionError(f"{name} ran")
+            monkeypatch.setattr(module, name, fail)
+        cfgfile.write_text(json.dumps(doc))
+        for command in ("simulate", "counts"):
+            out = tmp_path / command
+            assert main(["--config", str(cfgfile), "--out", str(out), command]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     def test_partial_model_section_keeps_defaults(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
@@ -422,10 +472,12 @@ class TestInvalidValues:
         assert not out.exists()
         assert "seed must be >= 0" in capsys.readouterr().err
 
-    def test_too_many_bins(self):
+    def test_too_many_bins(self, tmp_path, capsys):
         # about 2e6 bins per channel at 7e-4 ps
-        with pytest.raises(ValueError, match="config section 'counting': bin_ps"):
-            config_from_dict({"counting": {"bin_ps": 7e-4}})
+        rc, out = self._run(tmp_path, {"counting": {"bin_ps": 7e-4}}, ["counts"])
+        assert rc == 2
+        assert not out.exists()
+        assert "config section 'counting': bin_ps" in capsys.readouterr().err
 
     def test_every_field_rejects_a_wrong_type(self):
         # A field added later without the type check fails here.

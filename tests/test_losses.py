@@ -227,8 +227,9 @@ class TestModeScaling:
         for bad in (0, 1, 3, 5):
             with pytest.raises(ValueError):
                 mode_scaling_loss(bad, sin)
-        with pytest.raises(ValueError):
-            mode_scaling_loss(4, sin, cell_length_cm=0.0)
+        for length in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="cell_length_cm"):
+                mode_scaling_loss(4, sin, cell_length_cm=length)
 
 
 class TestCsv:
