@@ -120,7 +120,8 @@ def mode_scaling_loss(n_modes: int, platform: PlatformSpec,
         raise ValueError("n_modes must be even and >= 2")
     if not 0 < cell_length_cm < np.inf:  # also rejects NaN
         raise ValueError(f"cell_length_cm must be a positive finite number, not {cell_length_cm}")
-    return (
-        platform.alpha_db_per_cm * n_modes * cell_length_cm
-        + platform.mzi_extra_db * n_modes
-    )
+    loss = platform.alpha_db_per_cm * n_modes * cell_length_cm + platform.mzi_extra_db * n_modes
+    if not np.isfinite(loss):
+        raise ValueError(f"cell_length_cm must be a positive finite number giving a finite loss, "
+                         f"not {cell_length_cm} ({loss} dB)")
+    return loss

@@ -165,45 +165,68 @@ def estimate_probabilities(histograms: list, windows: list, cfg: CountingConfig)
     sqrt(p (1 - p) / S + b ((1 - p)^2 + (D - 1) p^2) / S^2), with S the step's
     background-subtracted total, b the expected background per channel in
     the gate and D the channel count. With no background this is binomial.
+    Bin edges must strictly increase and window bounds must be numbers.
+    All gates are handled at once, as arrays: one copy of the counts, then
+    work in proportion to channels x gated bins.
     """
     if not histograms:
         raise ValueError("need at least one histogram")
     edges = histograms[0].bin_edges_ps
+    bin_widths = edges[1:] - edges[:-1]
     for h in histograms:
-        if not np.array_equal(h.bin_edges_ps, edges):
+        if h.bin_edges_ps is not edges and not np.array_equal(h.bin_edges_ps, edges):
             raise ValueError("histograms must share bin edges")
-    lows = [w[0] for w in windows]
-    his = [w[1] for w in windows]
-    order = np.argsort(lows)
-    for a, b in zip(order[:-1], order[1:]):
-        if his[a] > lows[b]:
-            raise ValueError("windows must not overlap")
+        if h.counts.shape != bin_widths.shape:
+            raise ValueError(f"each histogram needs one count per bin, {bin_widths.size} here")
+    if not (bin_widths > 0).all():
+        raise ValueError("bin_edges_ps must strictly increase")
+    bounds = np.asarray(windows, dtype=float).reshape(len(windows), 2)
+    gates = bounds.tolist()
+    for n, (lo, hi) in enumerate(gates):
+        if lo != lo or hi != hi:
+            raise ValueError(f"window {n} bounds must be numbers, got {windows[n]}")
+    lows, his = bounds.T
+    by_low = bounds[lows.argsort()]
+    if (by_low[:-1, 1] > by_low[1:, 0]).any():
+        raise ValueError("windows must not overlap")
     width_needed = 6.0 * cfg.jitter_ps
-    span = edges[-1] - edges[0]
-    bg_total = cfg.background_rate_hz * cfg.duration_s
-    counts = np.stack([h.counts for h in histograms])
-    n_steps = len(windows)
-    dim = len(histograms)
-    p_hat = np.zeros((n_steps, dim))
-    stderr = np.zeros((n_steps, dim))
-    flags = []
-    for n, (lo, hi) in enumerate(windows):
+    for lo, hi in gates:
         if hi <= lo:
             raise ValueError("window must have positive width")
         if hi - lo < width_needed:
             raise ValueError("window narrower than 6 sigma of jitter")
-        sel = (edges[:-1] >= lo) & (edges[1:] <= hi)
-        gate_width = float(np.sum(edges[1:][sel] - edges[:-1][sel]))
-        bg_in_gate = bg_total * gate_width / span if span > 0 else 0.0
-        raw = counts[:, sel].sum(axis=1).astype(float)  # their total may pass int64's range
-        signal = np.maximum(raw - bg_in_gate, 0.0)
-        total = signal.sum()
-        flags.append(bool(raw.sum() < 100))
-        if total <= 0:
-            continue
-        p = signal / total
-        p_hat[n] = p
-        stderr[n] = np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / total
-                            + bg_in_gate * ((1.0 - p) ** 2 + (dim - 1) * p ** 2) / total ** 2)
-    return ProbabilityEstimates(p_hat, stderr, tuple(flags))
-
+    # Gate n holds bins [starts[n], stops[n]): those with edges[i] >= lo and edges[i + 1] <= hi.
+    starts = edges.searchsorted(lows, side="left")
+    stops = edges.searchsorted(his, side="right") - 1
+    # Each gate's width is its own pairwise sum; its rounding sets the background below.
+    gate_widths = np.array([bin_widths[s:e].sum() for s, e in zip(starts.tolist(), stops.tolist())],
+                           dtype=float)
+    dim, n_bins = len(histograms), bin_widths.size
+    # Bin-major counts with one zero row past the end, which pads the shorter gates.
+    by_channel = np.array([h.counts for h in histograms])
+    counts = np.zeros((n_bins + 1, dim), by_channel.dtype)
+    counts[:-1] = by_channel.T
+    sizes = (stops - starts)[:, None]
+    offsets = np.arange(sizes.max(initial=0))
+    index = starts[:, None] + offsets
+    index[offsets >= sizes] = n_bins
+    # Reducing the (step, bin, channel) gather over its bin axis adds each
+    # gate's bins one after another. Floats, as the channels' total may pass
+    # int64's range.
+    raw = counts[index].sum(axis=1).astype(float)
+    span = edges[-1] - edges[0]
+    bg_total = cfg.background_rate_hz * cfg.duration_s
+    bg_in_gate = (bg_total * gate_widths / span if span > 0 else np.zeros(len(gates)))[:, None]
+    signal = np.maximum(raw - bg_in_gate, 0.0)
+    total = signal.sum(axis=1)
+    empty = total <= 0  # such a step's signal is all zero, so its p_hat row reads 0
+    total[empty] = 1.0
+    # Each total is squared by a scalar power (libm pow): an array ** 2
+    # multiplies instead, which can round differently in the last bit.
+    total_sq = np.array([t ** 2 for t in total.tolist()])[:, None]
+    total = total[:, None]
+    p = signal / total
+    stderr = np.sqrt((p * (1.0 - p)).clip(0.0, None) / total
+                     + bg_in_gate * ((1.0 - p) ** 2 + (dim - 1) * p ** 2) / total_sq)
+    stderr[empty] = 0.0
+    return ProbabilityEstimates(p, stderr, tuple((raw.sum(axis=1) < 100).tolist()))

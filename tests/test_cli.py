@@ -137,7 +137,7 @@ class TestScaling:
         assert rc == 2
         assert "even" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("length", ["nan", "inf"])
+    @pytest.mark.parametrize("length", ["nan", "inf", "1e308"])
     def test_non_finite_cell_length_exits_two(self, tmp_path, capsys, length):
         out = tmp_path / "out"
         assert main(["--out", str(out), "scaling", "--cell-length", length]) == 2

@@ -230,6 +230,9 @@ class TestModeScaling:
         for length in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="cell_length_cm"):
                 mode_scaling_loss(4, sin, cell_length_cm=length)
+        # finite, but the loss overflows
+        with pytest.raises(ValueError, match="cell_length_cm"):
+            mode_scaling_loss(8, sin, cell_length_cm=1e308)
 
 
 class TestCsv:

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
@@ -21,7 +21,7 @@ from loopsim.montecarlo import (
     expected_histograms,
     sample_run,
 )
-from conftest import lossless_chip
+from conftest import haar_unitary, lossless_chip
 
 DELAY = 400.0
 
@@ -84,6 +84,39 @@ def per_channel_expected(power, cfg, loop_delay_ps):
             counts = counts + mean * mass
         out.append(ArrivalHistogram(edges, counts))
     return out
+
+
+def per_gate_estimate(histograms, windows, cfg):
+    """Reference recovery: one Python block per gate, a boolean bin mask each.
+
+    A channel-major boolean-indexed copy is Fortran-ordered, so with two or
+    more channels each gate's float counts add bin after bin; each gate width
+    is a pairwise np.sum and each squared total a numpy scalar power.
+    Returns (p_hat, stderr, low_statistics).
+    """
+    edges = histograms[0].bin_edges_ps
+    span = edges[-1] - edges[0]
+    bg_total = cfg.background_rate_hz * cfg.duration_s
+    counts = np.stack([h.counts for h in histograms])
+    dim = len(histograms)
+    p_hat = np.zeros((len(windows), dim))
+    stderr = np.zeros((len(windows), dim))
+    flags = []
+    for n, (lo, hi) in enumerate(windows):
+        sel = (edges[:-1] >= lo) & (edges[1:] <= hi)
+        gate_width = float(np.sum(edges[1:][sel] - edges[:-1][sel]))
+        bg_in_gate = bg_total * gate_width / span if span > 0 else 0.0
+        raw = counts[:, sel].sum(axis=1).astype(float)
+        signal = np.maximum(raw - bg_in_gate, 0.0)
+        total = signal.sum()
+        flags.append(bool(raw.sum() < 100))
+        if total <= 0:
+            continue
+        p = signal / total
+        p_hat[n] = p
+        stderr[n] = np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / total
+                            + bg_in_gate * ((1.0 - p) ** 2 + (dim - 1) * p ** 2) / total ** 2)
+    return p_hat, stderr, tuple(flags)
 
 
 def assert_close_to_ndtr(x):
@@ -269,6 +302,52 @@ class TestSamplerOracles:
         assert sum(float(h.counts.sum()) for h in hists) > 1e14
 
 
+class TestRecoveryOracle:
+    """The array recovery against per_gate_estimate, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dim=st.integers(2, 16), n_steps=st.integers(1, 5),
+           bin_ps=st.sampled_from([1.0, 7.3, 20.0, 33.3, 150.0]),
+           jitter_ps=st.sampled_from([0.0, 13.7, 50.0]),
+           pair_rate_hz=st.sampled_from([0.0, 1.0, 1e2, 1e4, 1e6]),
+           background_rate_hz=st.one_of(st.sampled_from([0.0, 10.0, 1e6]), st.floats(0.0, 1e6)),
+           duration_s=st.sampled_from([0.1, 1.0, 10.0]),
+           sampled=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           widen=st.lists(st.floats(0.0, 30.0), min_size=10, max_size=10))
+    # Each example tells apart one way of rounding from the reference's: a
+    # gate summed pairwise, a gate width from a mask product, and a total
+    # squared by multiplication or by numpy's array power.
+    @example(dim=2, n_steps=3, bin_ps=1.0, jitter_ps=0.0, pair_rate_hz=0.0, background_rate_hz=10.0,
+             duration_s=0.1, sampled=False, seed=0, widen=[0.0] * 4 + [9.0] + [0.0] * 5)
+    @example(dim=4, n_steps=1, bin_ps=7.3, jitter_ps=50.0, pair_rate_hz=0.0, background_rate_hz=1e6,
+             duration_s=0.1, sampled=True, seed=84, widen=[14.3, 0.0] + [0.0] * 8)
+    @example(dim=15, n_steps=3, bin_ps=7.3, jitter_ps=0.0, pair_rate_hz=100.0, background_rate_hz=1e6,
+             duration_s=10.0, sampled=True, seed=32, widen=[29.8, 8.7, 0.0, 0.0, 23.2] + [0.0] * 5)
+    @example(dim=12, n_steps=3, bin_ps=33.3, jitter_ps=0.0, pair_rate_hz=1e4, background_rate_hz=1e6,
+             duration_s=0.1, sampled=False, seed=8, widen=[0.0, 0.0, 29.3, 9.6, 0.0, 5.9] + [0.0] * 4)
+    def test_matches_per_gate_reference_bitwise(self, dim, n_steps, bin_ps, jitter_ps, pair_rate_hz,
+                                                background_rate_hz, duration_s, sampled, seed, widen):
+        # A lossy chip and zero pair rate put gates at their background to
+        # the last bit, where the order of each gate's sum decides p_hat.
+        power = run_loop(ChipConfig(dim=dim), haar_unitary(dim, np.random.default_rng(seed)),
+                         0, n_steps)
+        cfg = CountingConfig(pair_rate_hz=pair_rate_hz, duration_s=duration_s, jitter_ps=jitter_ps,
+                             bin_ps=bin_ps, background_rate_hz=background_rate_hz, seed=seed)
+        hists = (sample_run if sampled else expected_histograms)(power, cfg, DELAY)
+        # Widening each gate by up to 30 ps keeps the gates apart and gives
+        # them different bin counts.
+        windows = [(lo - widen[2 * n], hi + widen[2 * n + 1])
+                   for n, (lo, hi) in enumerate(default_windows(n_steps, cfg, DELAY))]
+        # A background near 1e-185 Hz leaves totals whose square underflows
+        # to 0, so both sides divide by zero; their inf stderr must still agree.
+        with np.errstate(all="ignore"):
+            got = estimate_probabilities(hists, windows, cfg)
+            p_hat, stderr, flags = per_gate_estimate(hists, windows, cfg)
+        assert got.p_hat.tobytes() == p_hat.tobytes()
+        assert got.stderr.tobytes() == stderr.tobytes()
+        assert got.low_statistics == flags
+
+
 class TestEstimation:
     def test_recovers_conditionals_from_large_sample(self):
         # oracle: estimates must approach the known conditional distributions
@@ -383,12 +462,51 @@ class TestEstimation:
             estimate_probabilities(hists, [(-100.0, 100.0), (300.0, 500.0)], cfg)
         with pytest.raises(ValueError, match="positive width"):
             estimate_probabilities(hists, [(100.0, -100.0), (300.0, 500.0)], cfg)
+        nan = float("nan")
+        with pytest.raises(ValueError, match=r"window 0 bounds must be numbers, got \(nan, nan\)"):
+            estimate_probabilities(hists, [(nan, nan), (240.0, 560.0)], cfg)
+        with pytest.raises(ValueError, match="window 1 bounds must be numbers"):
+            estimate_probabilities(hists, [(-160.0, 160.0), (240.0, nan)], cfg)
+        # The order of the checks: overlap first, then window by window in
+        # the given order, positive width before the 6 sigma width.
+        with pytest.raises(ValueError, match="overlap"):
+            estimate_probabilities(hists, [(-100.0, 300.0), (250.0, 240.0)], cfg)
+        with pytest.raises(ValueError, match="narrower"):
+            estimate_probabilities(hists, [(-100.0, 100.0), (500.0, 400.0)], cfg)
+        with pytest.raises(ValueError, match="positive width"):
+            estimate_probabilities(hists, [(-160.0, 160.0), (500.0, 400.0)], cfg)
         other = sample_run(identity_power(3), cfg, DELAY)
         with pytest.raises(ValueError, match="share"):
             estimate_probabilities([hists[0], other[1]],
                                    default_windows(2, cfg, DELAY), cfg)
         with pytest.raises(ValueError):
             estimate_probabilities([], default_windows(2, cfg, DELAY), cfg)
+
+    def test_bin_edges_must_strictly_increase(self):
+        # 2 steps, 2 channels: read through reversed edges, the gates would
+        # mix up the two steps, so such edges are rejected.
+        u = np.array([[np.sqrt(0.75), -0.5], [0.5, np.sqrt(0.75)]])
+        power = run_loop(lossless_chip(dim=2), u, 0, 2)
+        cfg = CountingConfig(background_rate_hz=0.0)
+        hists = expected_histograms(power, cfg, DELAY)
+        windows = default_windows(2, cfg, DELAY)
+        edges = hists[0].bin_edges_ps
+        est = estimate_probabilities(hists, windows, cfg)
+        assert np.max(np.abs(est.p_hat - conditional_probabilities(power))) < 1e-4
+        flat = edges.copy()
+        flat[5] = flat[4]
+        for bad, counts in ((edges[::-1].copy(), [h.counts[::-1] for h in hists]),
+                            (flat, [h.counts for h in hists])):
+            with pytest.raises(ValueError, match="bin_edges_ps must strictly increase"):
+                estimate_probabilities([ArrivalHistogram(bad, c) for c in counts], windows, cfg)
+        for counts in (hists[1].counts[:1], np.append(hists[1].counts, 0.0)):
+            with pytest.raises(ValueError, match="one count per bin"):
+                estimate_probabilities([hists[0], ArrivalHistogram(edges, counts)], windows, cfg)
+        # an equal-valued copy of the shared edges is still the same run
+        copied = [hists[0], ArrivalHistogram(edges.copy(), hists[1].counts)]
+        again = estimate_probabilities(copied, windows, cfg)
+        assert again.p_hat.tobytes() == est.p_hat.tobytes()
+        assert again.stderr.tobytes() == est.stderr.tobytes()
 
     def test_default_windows_shape(self):
         cfg = CountingConfig(jitter_ps=50.0, bin_ps=20.0)
