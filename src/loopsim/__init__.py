@@ -28,8 +28,6 @@ from .losses import (
     mode_scaling_loss,
     optimal_splitters,
     platform_comparison,
-    ratio_loss_db,
-    total_loss_db,
 )
 from .mesh import (
     DecompositionError,
@@ -47,7 +45,6 @@ from .model import (
     evolve_exact,
     propagate,
     step_unitary,
-    truncated_ladder,
 )
 from .montecarlo import (
     ArrivalHistogram,

@@ -139,7 +139,8 @@ def _unitary(cfg: RunConfig) -> np.ndarray:
 
 
 def _count(cfg: RunConfig, u: np.ndarray):
-    """Check the pump period and gates, then count u: (loop powers, histograms, estimates CSV)."""
+    """Check the pump period and gates, then count u: (loop powers, histograms, gates,
+    estimates CSV)."""
     span = (cfg.n_steps - 1) * cfg.chip.loop_delay_ps + 6.0 * cfg.counting.jitter_ps
     period = 1e6 / cfg.chip.rep_rate_mhz
     if span >= period:
@@ -153,7 +154,8 @@ def _count(cfg: RunConfig, u: np.ndarray):
     power = loopchip.run_loop(cfg.chip, u, cfg.initial_channel, cfg.n_steps)
     hists = montecarlo.sample_run(power, cfg.counting, cfg.chip.loop_delay_ps)
     est = montecarlo.estimate_probabilities(hists, windows, cfg.counting)
-    return power, hists, _csv(["step", "channel", "p_hat", "stderr"], _step_rows(est.p_hat, est.stderr))
+    return power, hists, windows, _csv(["step", "channel", "p_hat", "stderr"],
+                                       _step_rows(est.p_hat, est.stderr))
 
 
 def _platforms(names) -> list:
@@ -167,7 +169,7 @@ def _platforms(names) -> list:
 
 def cmd_simulate(cfg: RunConfig, args) -> dict:
     u = _unitary(cfg)
-    power, _, estimates = _count(cfg, u)
+    power, _, _, estimates = _count(cfg, u)
     theory = model.evolve_exact(u, cfg.initial_channel, cfg.n_steps)
     chip = loopchip.conditional_probabilities(power)
     return {"theory.csv": _csv(["step", "channel", "prob"], _step_rows(theory)),
@@ -264,12 +266,13 @@ def cmd_compare(cfg: RunConfig, args) -> dict:
 
 
 def cmd_counts(cfg: RunConfig, args) -> dict:
-    _, hists, estimates = _count(cfg, _unitary(cfg))
+    _, hists, windows, estimates = _count(cfg, _unitary(cfg))
     histograms = _csv(["channel", "bin_start_ps", "count"],
                       ((channel, start, count) for channel, h in enumerate(hists)
                        for start, count in zip(h.bin_edges_ps[:-1].tolist(), h.counts.tolist())))
-    # _count ran default_windows, whose gates (>= 6 sigma wide) fit in one delay: margin > 0
-    margin = cfg.chip.loop_delay_ps - 6.0 * cfg.counting.jitter_ps
+    # default_windows' gates are narrower than one delay, so the gap between two is > 0
+    lo, hi = windows[0]
+    margin = cfg.chip.loop_delay_ps - (hi - lo)
     print(f"counts: peak separation ok (margin {margin:.1f} ps)")
     return {"histograms.csv": histograms, "estimates.csv": estimates}
 

@@ -46,43 +46,6 @@ def load_platforms(path=None) -> list[PlatformSpec]:
     return [PlatformSpec(**row) for row in rows]
 
 
-def ratio_loss_db(ratio: float) -> float:
-    """dB cost of keeping power fraction ratio on a path."""
-    if not 0.0 < ratio <= 1.0:
-        raise ValueError("ratio must lie in (0, 1]")
-    return -10.0 * np.log10(ratio)
-
-
-def total_loss_db(platform: PlatformSpec, geometry: ChipConfig,
-                  ratios: tuple, n: int) -> float:
-    """Total insertion loss, in dB, of the step-n output path.
-
-    ratios = (r_loop, r_end): r_loop is the power fraction each splitter
-    keeps on the recirculating path, r_end the fraction routed in at the
-    start and out at the end. The path crosses the chip n times, the delay
-    line n - 1 times, both splitters' end taps once and their loop taps
-    n - 1 times each, plus the fixed detection-path losses and, for
-    off-chip delay, one coupling penalty per pass.
-    """
-    r_loop, r_end = ratios
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    for name, r in (("r_loop", r_loop), ("r_end", r_end)):
-        if not 0.0 < r < 1.0:
-            raise ValueError(f"{name} must lie strictly between 0 and 1")
-    cells = geometry.dim * (geometry.dim - 1) // 2
-    l_chip = platform.alpha_db_per_cm * geometry.chip_length_cm + platform.mzi_extra_db * cells
-    l_loop = platform.alpha_db_per_cm * geometry.loop_length_cm
-    per_loop = 2.0 * ratio_loss_db(r_loop) + l_chip + l_loop
-    return (
-        2.0 * ratio_loss_db(r_end)
-        + (n - 1) * per_loop
-        + l_chip
-        + geometry.others_loss_db
-        + platform.offchip_per_loop_db * n
-    )
-
-
 def optimal_splitters(n: int) -> tuple:
     """Splitter ratios maximizing the step-n output power.
 
@@ -98,11 +61,27 @@ def optimal_splitters(n: int) -> tuple:
 def platform_comparison(platforms, geometry: ChipConfig, ratios: tuple,
                         max_loops: int) -> np.ndarray:
     """Loss budget in dB, shape (len(platforms), max_loops): row i is platforms[i]'s
-    loss at each step count 1..max_loops. Raises unless every row strictly increases."""
+    insertion loss of the step-n output path for n = 1..max_loops. ratios =
+    (r_loop, r_end) are the power fractions each splitter keeps on the loop and
+    routes in or out at the ends: the step-n path crosses the end taps once and
+    the loop taps n - 1 times. Raises unless every row strictly increases."""
+    r_loop, r_end = ratios
     if max_loops < 1:
         raise ValueError("max_loops must be >= 1")
-    budgets = np.array([[total_loss_db(p, geometry, ratios, n) for n in range(1, max_loops + 1)]
-                        for p in platforms]).reshape(len(platforms), max_loops)
+    for name, r in (("r_loop", r_loop), ("r_end", r_end)):
+        if not 0.0 < r < 1.0:
+            raise ValueError(f"{name} must lie strictly between 0 and 1")
+    # One (P, 1) column per platform figure, broadcast against n along the rows.
+    alpha, mzi, offchip = np.array(
+        [(p.alpha_db_per_cm, p.mzi_extra_db, p.offchip_per_loop_db) for p in platforms],
+        dtype=float).reshape(-1, 3).T[:, :, None]
+    cells = geometry.dim * (geometry.dim - 1) // 2
+    l_chip = alpha * geometry.chip_length_cm + mzi * cells
+    l_loop = alpha * geometry.loop_length_cm
+    db_loop, db_end = -10.0 * np.log10(r_loop), -10.0 * np.log10(r_end)
+    n = np.arange(1, max_loops + 1)
+    budgets = (2.0 * db_end + (n - 1) * (2.0 * db_loop + l_chip + l_loop) + l_chip
+               + geometry.others_loss_db + offchip * n)
     if not np.all(np.diff(budgets, axis=1) > 0):
         raise ValueError("loss budgets must strictly increase with the step count")
     return budgets

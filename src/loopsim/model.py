@@ -42,27 +42,13 @@ class SpinBosonParams:
         return 2 * self.n_boson
 
 
-def truncated_ladder(n_boson: int):
-    """Annihilation and creation operators on the truncated boson space.
-
-    Returns (a, a_dagger) as dense complex arrays of shape
-    (n_boson, n_boson). The top level is annihilated by a_dagger's
-    truncation, as usual for a finite ladder.
-    """
-    if int(n_boson) != n_boson or n_boson < 1:
-        raise ValueError("n_boson must be an integer >= 1")
-    a = np.zeros((n_boson, n_boson), dtype=complex)
-    for m in range(n_boson - 1):
-        a[m, m + 1] = np.sqrt(m + 1.0)
-    return a, a.conj().T
-
-
 @lru_cache(maxsize=32)
 def _operators(n_boson: int) -> tuple:
     """Read-only (1 x a'a, sz x 1, sx x 1, sx x (a' + a)) on the channel space, the
     Kronecker factors of build_hamiltonian's four terms; cached, as they depend on
-    n_boson alone."""
-    a, adag = truncated_ladder(n_boson)
+    n_boson alone. a|m> = sqrt(m)|m-1> is the annihilator truncated at n_boson levels."""
+    a = np.diag(np.sqrt(np.arange(1.0, n_boson)), 1).astype(complex)
+    adag = a.conj().T
     eye_b = np.eye(n_boson)
     sz = np.array([[1.0, 0.0], [0.0, -1.0]])
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -22,6 +22,7 @@ _MAX_BINS = 10**6
 # mean is at most their sum, which stays below numpy's limit of about 9.2e18.
 _MAX_COUNTS = 1e18
 _NEG_SQRT_HALF = -math.sqrt(0.5)
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -159,8 +160,9 @@ def estimate_probabilities(histograms: list, windows: list, cfg: CountingConfig)
     """Recover per-step channel distributions from gated histogram counts.
 
     Counts inside each step's gate are summed per channel, the expected
-    uniform background inside the gate is subtracted (clipped at zero), and
-    each step is renormalized. Standard errors add the Poisson variance of
+    uniform background inside the gate is subtracted (clipped at zero, and zero
+    within its rounding), and each step is renormalized; a step with no signal,
+    or whose S^2 underflows, reads 0. Standard errors add the Poisson variance of
     the subtracted background to the binomial term (delta method):
     sqrt(p (1 - p) / S + b ((1 - p)^2 + (D - 1) p^2) / S^2), with S the step's
     background-subtracted total, b the expected background per channel in
@@ -217,16 +219,18 @@ def estimate_probabilities(histograms: list, windows: list, cfg: CountingConfig)
     span = edges[-1] - edges[0]
     bg_total = cfg.background_rate_hz * cfg.duration_s
     bg_in_gate = (bg_total * gate_widths / span if span > 0 else np.zeros(len(gates)))[:, None]
-    signal = np.maximum(raw - bg_in_gate, 0.0)
-    total = signal.sum(axis=1)
-    empty = total <= 0  # such a step's signal is all zero, so its p_hat row reads 0
-    total[empty] = 1.0
+    # A channel within the rounding of its gate's background, eps per summed bin and eps
+    # of the span per gate edge, has no signal. NaN counts stay NaN.
+    excess = raw - bg_in_gate
+    signal = np.where(excess <= _EPS * (sizes * bg_in_gate + 2.0 * bg_total), 0.0, excess)
+    total = signal.sum(axis=1, keepdims=True)
     # Each total is squared by a scalar power (libm pow): an array ** 2
     # multiplies instead, which can round differently in the last bit.
-    total_sq = np.array([t ** 2 for t in total.tolist()])[:, None]
-    total = total[:, None]
+    total_sq = np.array([t ** 2 for t in total.ravel().tolist()])[:, None]
+    # No signal, or an S^2 that underflows to 0: an infinite total zeroes p_hat and stderr.
+    empty = total_sq <= 0
+    total[empty] = total_sq[empty] = np.inf
     p = signal / total
     stderr = np.sqrt((p * (1.0 - p)).clip(0.0, None) / total
                      + bg_in_gate * ((1.0 - p) ** 2 + (dim - 1) * p ** 2) / total_sq)
-    stderr[empty] = 0.0
     return ProbabilityEstimates(p, stderr, tuple((raw.sum(axis=1) < 100).tolist()))

@@ -260,19 +260,22 @@ class TestCounts:
     def test_writes_histograms_and_estimates(self, tmp_path, capsys):
         rc = main(["--out", str(tmp_path), "--seed", "7", "counts"])
         assert rc == 0
-        assert "peak separation ok" in capsys.readouterr().out
+        # the default gates are 320 ps wide (+-3 sigma of 50 ps jitter, in 20 ps bins)
+        # every 400 ps, which leaves 80 ps between two
+        assert "peak separation ok (margin 80.0 ps)" in capsys.readouterr().out
         with open(tmp_path / "estimates.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3 * 6
         assert (tmp_path / "histograms.csv").exists()
 
     def test_one_step_run_exits_zero(self, tmp_path, capsys):
-        # the histogram spans a single peak; the margin still follows from the gates
+        # the histogram spans a single peak; the margin still follows from the gates,
+        # here +-30 ps of jitter rounded up to 40 ps in 20 ps bins
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"counting": {"jitter_ps": 10}}))
         out = tmp_path / "out"
         assert main(["--config", str(cfgfile), "--out", str(out), "counts", "--n-steps", "1"]) == 0
-        assert "peak separation ok (margin 340.0 ps)" in capsys.readouterr().out
+        assert "peak separation ok (margin 320.0 ps)" in capsys.readouterr().out
         assert (out / "estimates.csv").exists()
 
     def test_seed_determinism(self, tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopsim.cli import main
 from loopsim.loopchip import ChipConfig, run_loop
@@ -9,12 +11,15 @@ from loopsim.losses import (
     mode_scaling_loss,
     optimal_splitters,
     platform_comparison,
-    ratio_loss_db,
-    total_loss_db,
 )
 
 GEOMETRY = ChipConfig()
 RATIOS = (2.0 / 3.0, 1.0 / 3.0)
+
+
+def db(r):
+    """dB cost of keeping power fraction r on a path."""
+    return -10.0 * np.log10(r)
 
 
 def closed_form(platform, n, ratios=RATIOS, geometry=GEOMETRY):
@@ -23,58 +28,88 @@ def closed_form(platform, n, ratios=RATIOS, geometry=GEOMETRY):
     cells = geometry.dim * (geometry.dim - 1) // 2
     l_chip = platform.alpha_db_per_cm * geometry.chip_length_cm + platform.mzi_extra_db * cells
     l_loop = platform.alpha_db_per_cm * geometry.loop_length_cm
-    db = lambda r: -10.0 * np.log10(r)
     return (2.0 * db(r_end) + (n - 1) * (2.0 * db(r_loop) + l_chip + l_loop)
             + l_chip + geometry.others_loss_db + platform.offchip_per_loop_db * n)
 
 
+def budget(platform, max_loops, ratios=RATIOS, geometry=GEOMETRY):
+    """One platform's row of the budget: its loss at steps 1..max_loops."""
+    return platform_comparison([platform], geometry, ratios, max_loops)[0]
+
+
+# No waveguide, cell or detection-path loss: only the splitter taps cost power.
+FREE = PlatformSpec("ideal", 0.0)
+FREE_GEOMETRY = ChipConfig(others_loss_db=0.0)
+
+
 class TestRatioLoss:
     def test_half_is_three_db(self):
-        assert ratio_loss_db(0.5) == pytest.approx(3.0102999566398120, abs=1e-12)
-
-    def test_unity_is_free(self):
-        assert ratio_loss_db(1.0) == 0.0
+        # step 1 crosses the two end taps once each
+        assert budget(FREE, 1, (0.5, 0.5), FREE_GEOMETRY)[0] == pytest.approx(
+            2.0 * 3.0102999566398120, abs=1e-12)
 
     def test_db_linear_consistency(self):
-        # oracle: converting back through the power map is the identity
+        # oracle: converting a tap's cost back through the power map is the identity
         for r in (0.1, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.99):
-            db = ratio_loss_db(r)
-            assert 10.0 ** (-db / 10.0) == pytest.approx(r, abs=1e-12)
+            end_tap = budget(FREE, 1, (0.5, r), FREE_GEOMETRY)[0] / 2.0
+            loop_tap = np.diff(budget(FREE, 2, (r, 0.5), FREE_GEOMETRY))[0] / 2.0
+            assert 10.0 ** (-end_tap / 10.0) == pytest.approx(r, abs=1e-12)
+            assert 10.0 ** (-loop_tap / 10.0) == pytest.approx(r, abs=1e-12)
 
     def test_rejects_out_of_range(self):
-        for bad in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                ratio_loss_db(bad)
+        sin = PlatformSpec("s", 0.6)
+        for bad in (0.0, -0.5, 1.0, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="r_loop"):
+                budget(sin, 3, (bad, 0.5))
+            with pytest.raises(ValueError, match="r_end"):
+                budget(sin, 3, (0.5, bad))
+            with pytest.raises(ValueError, match="r_end"):
+                platform_comparison([], GEOMETRY, (0.5, bad), 3)
 
 
 class TestTotalLoss:
     def test_first_step_frozen(self):
         # frozen: SiN-class figures, 5 cm chip, (2/3, 1/3) taps, n = 1
         sin = PlatformSpec("SiN on-chip", 0.6)
-        assert total_loss_db(sin, GEOMETRY, RATIOS, 1) == pytest.approx(
-            17.542425094393249, abs=1e-9)
+        assert budget(sin, 1)[0] == pytest.approx(17.542425094393249, abs=1e-9)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_matches_closed_form(self, n):
-        for platform in load_platforms():
-            got = total_loss_db(platform, GEOMETRY, RATIOS, n)
-            assert got == pytest.approx(closed_form(platform, n), abs=1e-12)
+        platforms = load_platforms()
+        budgets = platform_comparison(platforms, GEOMETRY, RATIOS, n)
+        for platform, row in zip(platforms, budgets):
+            assert row[n - 1] == pytest.approx(closed_form(platform, n), abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(platforms=st.lists(st.builds(PlatformSpec, st.just("p"), st.floats(0.0, 10.0),
+                                        st.floats(0.0, 2.0), st.floats(0.0, 20.0)),
+                              max_size=5),
+           geometry=st.builds(ChipConfig, dim=st.integers(1, 19),
+                              chip_length_cm=st.floats(0.01, 20.0),
+                              loop_length_cm=st.floats(4.0, 100.0),
+                              others_loss_db=st.floats(0.0, 20.0)),
+           ratios=st.tuples(*[st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)] * 2),
+           max_loops=st.integers(1, 12))
+    def test_stacks_closed_form_bitwise(self, platforms, geometry, ratios, max_loops):
+        # oracle: closed_form per (platform, n), stacked; the same operations in the same order
+        want = np.array([[closed_form(p, n, ratios, geometry) for n in range(1, max_loops + 1)]
+                         for p in platforms]).reshape(len(platforms), max_loops)
+        if not np.all(np.diff(want, axis=1) > 0):  # a loop tap within rounding of free
+            with pytest.raises(ValueError, match="strictly increase"):
+                platform_comparison(platforms, geometry, ratios, max_loops)
+            return
+        got = platform_comparison(platforms, geometry, ratios, max_loops)
+        assert got.shape == (len(platforms), max_loops)
+        assert got.tobytes() == want.tobytes()
 
     def test_step_difference_is_per_loop_cost(self):
         sin = PlatformSpec("SiN on-chip", 0.6)
-        per_loop = 2.0 * ratio_loss_db(RATIOS[0]) + 0.6 * (5.0 + 4.0)
-        for n in (1, 2, 3, 4):
-            d = (total_loss_db(sin, GEOMETRY, RATIOS, n + 1)
-                 - total_loss_db(sin, GEOMETRY, RATIOS, n))
-            assert d == pytest.approx(per_loop, abs=1e-12)
+        per_loop = 2.0 * db(RATIOS[0]) + 0.6 * (5.0 + 4.0)
+        assert np.diff(budget(sin, 5)) == pytest.approx([per_loop] * 4, abs=1e-12)
 
     def test_zero_loss_platform_splitters_only(self):
-        free = PlatformSpec("ideal", 0.0)
-        geometry = ChipConfig(others_loss_db=0.0)
-        for n in (1, 2, 3):
-            expected = 2.0 * ratio_loss_db(RATIOS[1]) + 2.0 * (n - 1) * ratio_loss_db(RATIOS[0])
-            assert total_loss_db(free, geometry, RATIOS, n) == pytest.approx(
-                expected, abs=1e-12)
+        expected = [2.0 * db(RATIOS[1]) + 2.0 * (n - 1) * db(RATIOS[0]) for n in (1, 2, 3)]
+        assert budget(FREE, 3, geometry=FREE_GEOMETRY) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("r", [0.5, 2.0 / 3.0, 0.8])
     def test_matches_loop_amplitudes(self, r):
@@ -82,31 +117,28 @@ class TestTotalLoss:
         sin = next(p for p in load_platforms() if p.name == "SiN on-chip")
         cfg = ChipConfig(ratio_in=r, ratio_out=r)
         detected_db = -10.0 * np.log10(run_loop(cfg, np.eye(6), 0, 6).sum(axis=1))
-        budget = [total_loss_db(sin, cfg, (1.0 - r, r), n) for n in range(1, 7)]
-        assert np.max(np.abs(detected_db - budget)) < 1e-12
+        assert np.max(np.abs(detected_db - budget(sin, 6, (1.0 - r, r), cfg))) < 1e-12
 
     def test_offchip_delay_penalty(self):
         onchip = PlatformSpec("SiN on-chip", 0.6)
         offchip = PlatformSpec("SiN off-chip", 0.6, offchip_per_loop_db=12.0)
-        gap3 = (total_loss_db(offchip, GEOMETRY, RATIOS, 3)
-                - total_loss_db(onchip, GEOMETRY, RATIOS, 3))
-        assert gap3 == pytest.approx(36.0, abs=1e-12)
-        d31 = (total_loss_db(offchip, GEOMETRY, RATIOS, 3)
-               - total_loss_db(offchip, GEOMETRY, RATIOS, 1))
-        assert d31 >= 24.0
+        on, off = platform_comparison([onchip, offchip], GEOMETRY, RATIOS, 3)
+        assert off[2] - on[2] == pytest.approx(36.0, abs=1e-12)
+        assert off[2] - off[0] >= 24.0
 
     def test_validation(self):
         sin = PlatformSpec("s", 0.6)
         with pytest.raises(ValueError):
-            total_loss_db(sin, GEOMETRY, (0.0, 0.5), 1)
+            budget(sin, 1, (0.0, 0.5))
         with pytest.raises(ValueError):
-            total_loss_db(sin, GEOMETRY, (0.5, 1.0), 1)
-        with pytest.raises(ValueError):
-            total_loss_db(sin, GEOMETRY, RATIOS, 0)
+            budget(sin, 1, (0.5, 1.0))
+        with pytest.raises(ValueError, match="max_loops"):
+            budget(sin, 0)
         with pytest.raises(ValueError):
             PlatformSpec("", 0.6)
         with pytest.raises(ValueError):
             PlatformSpec("x", -0.1)
+        assert platform_comparison([], GEOMETRY, RATIOS, 4).shape == (0, 4)
 
 
 class TestOptimalSplitters:

@@ -10,7 +10,6 @@ from loopsim.model import (
     build_hamiltonian,
     evolve_exact,
     step_unitary,
-    truncated_ladder,
 )
 
 
@@ -31,6 +30,14 @@ def expm_taylor(m, order=30, squarings=None):
     return out
 
 
+def ladder(n_boson):
+    """Test-local truncated ladder (a, a'), a|m> = sqrt(m)|m-1>, filled entry by entry."""
+    a = np.zeros((n_boson, n_boson), dtype=complex)
+    for m in range(n_boson - 1):
+        a[m, m + 1] = np.sqrt(m + 1.0)
+    return a, a.conj().T
+
+
 def params_up_to(max_boson):
     return st.builds(
         SpinBosonParams,
@@ -47,25 +54,32 @@ finite_params = params_up_to(4)
 
 
 class TestLadder:
+    """The model's boson operators: number = 1 x a'a and coupling = sx x (a' + a)."""
+
     def test_matrix_elements(self):
-        a, adag = truncated_ladder(3)
-        # a|m> = sqrt(m)|m-1>; frozen sqrt(2) = 1.4142135623730951
-        assert a[0, 1] == 1.0
-        assert a[1, 2] == pytest.approx(1.4142135623730951, abs=1e-15)
-        assert np.all(a[:, 0] == 0)
-        # oracle: the number operator must be diag(0, 1, 2)
-        number = adag @ a
-        assert np.allclose(number, np.diag([0.0, 1.0, 2.0]), atol=1e-15)
+        number, _, _, coupling = model._operators(3)
+        # a|m> = sqrt(m)|m-1>; frozen sqrt(2) = 1.4142135623730951; sx flips the spin block
+        assert coupling[0, 4] == 1.0
+        assert coupling[1, 5] == 1.4142135623730951
+        # oracle: the number operator must be diag(0, 1, 2) in each spin block
+        assert np.allclose(number, np.diag([0.0, 1.0, 2.0] * 2), atol=1e-15)
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for n_boson in range(1, 9):
+            a, adag = ladder(n_boson)
+            number, _, _, coupling = model._operators(n_boson)
+            assert number.tobytes() == np.kron(np.eye(2), adag @ a).tobytes()
+            assert coupling.tobytes() == np.kron(sx, a + adag).tobytes()
 
     def test_truncation_kills_top_level(self):
-        a, adag = truncated_ladder(3)
-        top = np.zeros(3)
-        top[2] = 1.0
-        assert np.all(adag @ top == 0)
+        # (a' + a)|2> = sqrt(2)|1>: a' takes the top level nowhere
+        coupling = model._operators(3)[3]
+        assert np.flatnonzero(coupling[:, 2]).tolist() == [4]
+        assert coupling[4, 2] == 1.4142135623730951
 
     def test_rejects_bad_size(self):
-        with pytest.raises(ValueError):
-            truncated_ladder(0)
+        for bad in (0, -1, 2.5, True):
+            with pytest.raises(ValueError, match="n_boson"):
+                SpinBosonParams(1.0, 1.0, 1.0, n_boson=bad)
 
 
 class TestHamiltonian:
@@ -81,7 +95,7 @@ class TestHamiltonian:
         # oracle: independent Kronecker assembly of the coupling term alone
         p = SpinBosonParams(epsilon=0.3, omega_hbar=0.7, lam=0.9)
         h = build_hamiltonian(p)
-        a, adag = truncated_ladder(3)
+        a, adag = ladder(3)
         sx = np.array([[0.0, 1.0], [1.0, 0.0]])
         coupling = p.lam * np.kron(sx, a + adag)
         # spin-flip, boson-conserving part comes from epsilon alone
@@ -104,7 +118,7 @@ class TestHamiltonian:
                      n_boson=st.integers(1, 8)))
     def test_equals_kron_assembly_bitwise(self, params):
         # oracle: the four terms as Kronecker products, summed left to right
-        a, adag = truncated_ladder(params.n_boson)
+        a, adag = ladder(params.n_boson)
         eye_b = np.eye(params.n_boson)
         sz = np.array([[1.0, 0.0], [0.0, -1.0]])
         sx = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -91,7 +91,10 @@ def per_gate_estimate(histograms, windows, cfg):
 
     A channel-major boolean-indexed copy is Fortran-ordered, so with two or
     more channels each gate's float counts add bin after bin; each gate width
-    is a pairwise np.sum and each squared total a numpy scalar power.
+    is a pairwise np.sum and each squared total a numpy scalar power. A
+    channel whose raw - background is within the rounding slack of the gate's
+    background has no signal, and a step whose squared total is 0 (all-zero
+    or underflowed) reads 0.
     Returns (p_hat, stderr, low_statistics).
     """
     edges = histograms[0].bin_edges_ps
@@ -106,11 +109,13 @@ def per_gate_estimate(histograms, windows, cfg):
         sel = (edges[:-1] >= lo) & (edges[1:] <= hi)
         gate_width = float(np.sum(edges[1:][sel] - edges[:-1][sel]))
         bg_in_gate = bg_total * gate_width / span if span > 0 else 0.0
+        slack = np.finfo(float).eps * (sel.sum() * bg_in_gate + 2.0 * bg_total)
         raw = counts[:, sel].sum(axis=1).astype(float)
-        signal = np.maximum(raw - bg_in_gate, 0.0)
+        excess = raw - bg_in_gate
+        signal = np.where(excess <= slack, 0.0, excess)
         total = signal.sum()
         flags.append(bool(raw.sum() < 100))
-        if total <= 0:
+        if total ** 2 <= 0:
             continue
         p = signal / total
         p_hat[n] = p
@@ -338,11 +343,8 @@ class TestRecoveryOracle:
         # them different bin counts.
         windows = [(lo - widen[2 * n], hi + widen[2 * n + 1])
                    for n, (lo, hi) in enumerate(default_windows(n_steps, cfg, DELAY))]
-        # A background near 1e-185 Hz leaves totals whose square underflows
-        # to 0, so both sides divide by zero; their inf stderr must still agree.
-        with np.errstate(all="ignore"):
-            got = estimate_probabilities(hists, windows, cfg)
-            p_hat, stderr, flags = per_gate_estimate(hists, windows, cfg)
+        got = estimate_probabilities(hists, windows, cfg)
+        p_hat, stderr, flags = per_gate_estimate(hists, windows, cfg)
         assert got.p_hat.tobytes() == p_hat.tobytes()
         assert got.stderr.tobytes() == stderr.tobytes()
         assert got.low_statistics == flags
@@ -371,6 +373,33 @@ class TestEstimation:
         hists = expected_histograms(power, cfg, DELAY)
         est = estimate_probabilities(hists, default_windows(3, cfg, DELAY), cfg)
         assert np.max(np.abs(est.p_hat - cond)) < 1e-12
+
+    @pytest.mark.parametrize("pair_rate_hz, background_rate_hz", [
+        (0.0, 10.0),  # background only: raw - background is rounding residue
+        (1e-170, 10.0),  # a signal far below the background's rounding
+        (1e-170, 0.0),  # S^2 underflows to 0; stderr was NaN, with a warning
+        (1e-170, 1e-185),  # S^2 underflows to 0; stderr was inf, with a warning
+    ])
+    @pytest.mark.parametrize("dim", [2, 6])
+    def test_no_signal_reads_zero(self, dim, pair_rate_hz, background_rate_hz):
+        power = run_loop(ChipConfig(dim=dim), haar_unitary(dim, np.random.default_rng(dim)), 0, 3)
+        cfg = CountingConfig(pair_rate_hz=pair_rate_hz, background_rate_hz=background_rate_hz)
+        est = estimate_probabilities(expected_histograms(power, cfg, DELAY),
+                                     default_windows(3, cfg, DELAY), cfg)
+        assert not est.p_hat.any()
+        assert not est.stderr.any()
+
+    def test_count_at_background_is_no_signal(self):
+        # Step 3's gate holds 42 bins of 7.3 ps; its expected background is
+        # 164 less 8.5e-14 of rounding, so a count of exactly 164 is no signal.
+        cfg = CountingConfig(duration_s=1.0, bin_ps=7.3, background_rate_hz=1000.0)
+        windows = default_windows(4, cfg, DELAY)
+        edges = _histogram_edges(4, cfg, DELAY)
+        counts = np.zeros((2, edges.size - 1), dtype=np.int64)
+        counts[:, edges.searchsorted(windows[2][0])] = (164, 161)
+        est = estimate_probabilities([ArrivalHistogram(edges, c) for c in counts], windows, cfg)
+        assert not est.p_hat.any()
+        assert not est.stderr.any()
 
     def test_background_subtraction_unbiased(self):
         power = identity_power(2)
