@@ -10,6 +10,7 @@ with the C library's erfc through math.erfc.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,26 +62,14 @@ class ArrivalHistogram:
 class ProbabilityEstimates:
     """Recovered per-step distributions with their standard errors.
 
-    low_statistics flags steps whose gated raw counts fall below 100.
+    low_statistics flags steps whose background-subtracted gated total S falls
+    below 100, so a step buried in background is flagged however many raw
+    counts its gate holds.
     """
 
     p_hat: np.ndarray
     stderr: np.ndarray
     low_statistics: tuple
-
-
-def _histogram_edges(n_steps: int, cfg: CountingConfig, loop_delay_ps: float) -> np.ndarray:
-    """Read-only bin edges spanning all peaks plus 6 sigma of jitter, aligned to bin_ps."""
-    pad = 6.0 * cfg.jitter_ps + cfg.bin_ps
-    lo = np.floor(-pad / cfg.bin_ps) * cfg.bin_ps
-    hi = np.ceil(((n_steps - 1) * loop_delay_ps + pad) / cfg.bin_ps) * cfg.bin_ps
-    n_bins = int(round((hi - lo) / cfg.bin_ps))
-    if n_bins > _MAX_BINS:
-        raise ValueError(f"bin_ps {cfg.bin_ps} gives {n_bins} histogram bins per channel, "
-                         f"more than {_MAX_BINS}")
-    edges = lo + cfg.bin_ps * np.arange(n_bins + 1)
-    edges.setflags(write=False)
-    return edges
 
 
 def _normal_cdf(x: np.ndarray) -> np.ndarray:
@@ -90,12 +79,41 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
     return 0.5 * np.fromiter(map(math.erfc, flat), float, count=x.size).reshape(x.shape)
 
 
+@lru_cache(maxsize=4)
+def _geometry(n_steps: int, jitter_ps: float, bin_ps: float, loop_delay_ps: float):
+    """Read-only (edges, mass) of one timing grid, computed in float: edges span
+    all peaks plus 6 sigma of jitter, aligned to bin_ps, and mass[n, i] is step
+    n's jitter mass in bin i. Cached, as every run at the same settings has the
+    same grid; equal numbers such as 50 and 50.0 share one entry, and at most 4
+    geometries' edges and mass stay alive. Too many bins raises on every call
+    (none cached), naming bin_ps as given."""
+    given_bin_ps = bin_ps
+    jitter_ps, bin_ps, loop_delay_ps = float(jitter_ps), float(bin_ps), float(loop_delay_ps)
+    pad = 6.0 * jitter_ps + bin_ps
+    lo = np.floor(-pad / bin_ps) * bin_ps
+    hi = np.ceil(((n_steps - 1) * loop_delay_ps + pad) / bin_ps) * bin_ps
+    n_bins = int(round((hi - lo) / bin_ps))
+    if n_bins > _MAX_BINS:
+        raise ValueError(f"bin_ps {given_bin_ps} gives {n_bins} histogram bins per channel, "
+                         f"more than {_MAX_BINS}")
+    edges = lo + bin_ps * np.arange(n_bins + 1)
+    centers = np.arange(n_steps) * loop_delay_ps
+    if jitter_ps > 0:
+        mass = np.diff(_normal_cdf((edges - centers[:, None]) / jitter_ps), axis=1)
+    else:  # at a positive delay the edges pad every center by at least one bin
+        step_bin = np.searchsorted(edges, centers, side="right") - 1
+        mass = (np.arange(edges.size - 1) == step_bin[:, None]).astype(float)
+    edges.setflags(write=False)
+    mass.setflags(write=False)
+    return edges, mass
+
+
 def _bin_means(power: np.ndarray, cfg: CountingConfig, loop_delay_ps: float):
     """Histogram edges and the expected signal-plus-background count per bin.
 
     Returns (edges, means) with means of shape (dim, bins). Each step's jitter
-    mass is computed once and shared by all channels; jitter tails beyond the
-    edges are not counted, and background is uniform over the span.
+    mass comes from the cached geometry and is shared by all channels; jitter
+    tails beyond the edges are not counted, and background is uniform over the span.
     """
     if loop_delay_ps <= 0:
         raise ValueError("loop_delay_ps must be positive")
@@ -103,13 +121,7 @@ def _bin_means(power: np.ndarray, cfg: CountingConfig, loop_delay_ps: float):
     if total > 1.0 + 1e-9:
         raise ValueError(f"total detection probability {total} exceeds 1")
     n_steps, dim = power.shape
-    edges = _histogram_edges(n_steps, cfg, loop_delay_ps)
-    centers = np.arange(n_steps) * loop_delay_ps
-    if cfg.jitter_ps > 0:
-        mass = np.diff(_normal_cdf((edges - centers[:, None]) / cfg.jitter_ps), axis=1)
-    else:  # the edges pad every center by at least one bin
-        mass = np.zeros((n_steps, edges.size - 1))
-        mass[np.arange(n_steps), np.searchsorted(edges, centers, side="right") - 1] = 1.0
+    edges, mass = _geometry(n_steps, cfg.jitter_ps, cfg.bin_ps, loop_delay_ps)
     expected_pairs = cfg.pair_rate_hz * cfg.duration_s
     bg_per_bin = (cfg.background_rate_hz * cfg.duration_s) * cfg.bin_ps / (edges[-1] - edges[0])
     means = np.full((dim, edges.size - 1), bg_per_bin)
@@ -147,13 +159,49 @@ def expected_histograms(power: np.ndarray, cfg: CountingConfig, loop_delay_ps: f
 
 def default_windows(n_steps: int, cfg: CountingConfig, loop_delay_ps: float) -> list:
     """Symmetric per-step gates, 6 sigma of jitter or 2 bins wide; raises if they overlap."""
-    _histogram_edges(n_steps, cfg, loop_delay_ps)  # raises past _MAX_BINS: one geometry check
+    # raises past _MAX_BINS; the run's sample_run or expected_histograms reuses the geometry
+    _geometry(n_steps, cfg.jitter_ps, cfg.bin_ps, loop_delay_ps)
     half = max(3.0 * cfg.jitter_ps, cfg.bin_ps)
     half = np.ceil(half / cfg.bin_ps) * cfg.bin_ps
     if 2 * half >= loop_delay_ps:
         raise ValueError(f"jitter too large for non-overlapping gates at this delay: jitter_ps "
                          f"{cfg.jitter_ps} needs {2 * half} ps gates, loop_delay_ps is {loop_delay_ps}")
     return [((n * loop_delay_ps) - half, (n * loop_delay_ps) + half) for n in range(n_steps)]
+
+
+@lru_cache(maxsize=4)
+def _gates(edges_bytes: bytes, bounds_bytes: bytes, jitter_ps: float):
+    """Read-only (gate_widths, sizes, index) of windows over strictly increasing
+    edges, both float64 bytes: gate n holds the sizes[n] bins with edges[i] >= lo
+    and edges[i + 1] <= hi, and row n of index lists them, padded with the bin
+    count. Cached, as every run at the same settings has the same gates; at most
+    4 entries, with their key bytes, stay alive. Overlapping or narrow windows
+    raise on every call (none cached)."""
+    edges = np.frombuffer(edges_bytes)
+    bounds = np.frombuffer(bounds_bytes).reshape(-1, 2)
+    lows, his = bounds.T
+    by_low = bounds[lows.argsort()]
+    if (by_low[:-1, 1] > by_low[1:, 0]).any():
+        raise ValueError("windows must not overlap")
+    width_needed = 6.0 * jitter_ps
+    for lo, hi in bounds.tolist():
+        if hi <= lo:
+            raise ValueError("window must have positive width")
+        if hi - lo < width_needed:
+            raise ValueError("window narrower than 6 sigma of jitter")
+    bin_widths = edges[1:] - edges[:-1]
+    starts = edges.searchsorted(lows, side="left")
+    stops = edges.searchsorted(his, side="right") - 1
+    # Each gate's width is its own pairwise sum; its rounding sets the background.
+    gate_widths = np.array([bin_widths[s:e].sum() for s, e in zip(starts.tolist(), stops.tolist())],
+                           dtype=float)
+    sizes = (stops - starts)[:, None]
+    offsets = np.arange(sizes.max(initial=0))
+    index = starts[:, None] + offsets
+    index[offsets >= sizes] = bin_widths.size
+    for a in (gate_widths, sizes, index):
+        a.setflags(write=False)
+    return gate_widths, sizes, index
 
 
 def estimate_probabilities(histograms: list, windows: list, cfg: CountingConfig) -> ProbabilityEstimates:
@@ -167,9 +215,11 @@ def estimate_probabilities(histograms: list, windows: list, cfg: CountingConfig)
     sqrt(p (1 - p) / S + b ((1 - p)^2 + (D - 1) p^2) / S^2), with S the step's
     background-subtracted total, b the expected background per channel in
     the gate and D the channel count. With no background this is binomial.
-    Bin edges must strictly increase and window bounds must be numbers.
-    All gates are handled at once, as arrays: one copy of the counts, then
-    work in proportion to channels x gated bins.
+    A step whose S is below 100 is flagged low_statistics.
+    Bin edges, read as float64, must strictly increase and window bounds must be
+    numbers. All gates are handled at once, as arrays: one copy of the counts,
+    then work in proportion to channels x gated bins; the gate geometry is
+    computed once per (edges, windows, jitter_ps) and cached.
     """
     if not histograms:
         raise ValueError("need at least one histogram")
@@ -183,47 +233,29 @@ def estimate_probabilities(histograms: list, windows: list, cfg: CountingConfig)
     if not (bin_widths > 0).all():
         raise ValueError("bin_edges_ps must strictly increase")
     bounds = np.asarray(windows, dtype=float).reshape(len(windows), 2)
-    gates = bounds.tolist()
-    for n, (lo, hi) in enumerate(gates):
+    for n, (lo, hi) in enumerate(bounds.tolist()):
         if lo != lo or hi != hi:
             raise ValueError(f"window {n} bounds must be numbers, got {windows[n]}")
-    lows, his = bounds.T
-    by_low = bounds[lows.argsort()]
-    if (by_low[:-1, 1] > by_low[1:, 0]).any():
-        raise ValueError("windows must not overlap")
-    width_needed = 6.0 * cfg.jitter_ps
-    for lo, hi in gates:
-        if hi <= lo:
-            raise ValueError("window must have positive width")
-        if hi - lo < width_needed:
-            raise ValueError("window narrower than 6 sigma of jitter")
-    # Gate n holds bins [starts[n], stops[n]): those with edges[i] >= lo and edges[i + 1] <= hi.
-    starts = edges.searchsorted(lows, side="left")
-    stops = edges.searchsorted(his, side="right") - 1
-    # Each gate's width is its own pairwise sum; its rounding sets the background below.
-    gate_widths = np.array([bin_widths[s:e].sum() for s, e in zip(starts.tolist(), stops.tolist())],
-                           dtype=float)
+    edges = np.asarray(edges, dtype=float)
+    gate_widths, sizes, index = _gates(edges.tobytes(), bounds.tobytes(), cfg.jitter_ps)
     dim, n_bins = len(histograms), bin_widths.size
     # Bin-major counts with one zero row past the end, which pads the shorter gates.
     by_channel = np.array([h.counts for h in histograms])
     counts = np.zeros((n_bins + 1, dim), by_channel.dtype)
     counts[:-1] = by_channel.T
-    sizes = (stops - starts)[:, None]
-    offsets = np.arange(sizes.max(initial=0))
-    index = starts[:, None] + offsets
-    index[offsets >= sizes] = n_bins
     # Reducing the (step, bin, channel) gather over its bin axis adds each
     # gate's bins one after another. Floats, as the channels' total may pass
     # int64's range.
     raw = counts[index].sum(axis=1).astype(float)
     span = edges[-1] - edges[0]
     bg_total = cfg.background_rate_hz * cfg.duration_s
-    bg_in_gate = (bg_total * gate_widths / span if span > 0 else np.zeros(len(gates)))[:, None]
+    bg_in_gate = (bg_total * gate_widths / span if span > 0 else np.zeros(len(bounds)))[:, None]
     # A channel within the rounding of its gate's background, eps per summed bin and eps
     # of the span per gate edge, has no signal. NaN counts stay NaN.
     excess = raw - bg_in_gate
     signal = np.where(excess <= _EPS * (sizes * bg_in_gate + 2.0 * bg_total), 0.0, excess)
     total = signal.sum(axis=1, keepdims=True)
+    low_statistics = tuple((total.ravel() < 100).tolist())
     # Each total is squared by a scalar power (libm pow): an array ** 2
     # multiplies instead, which can round differently in the last bit.
     total_sq = np.array([t ** 2 for t in total.ravel().tolist()])[:, None]
@@ -233,4 +265,4 @@ def estimate_probabilities(histograms: list, windows: list, cfg: CountingConfig)
     p = signal / total
     stderr = np.sqrt((p * (1.0 - p)).clip(0.0, None) / total
                      + bg_in_gate * ((1.0 - p) ** 2 + (dim - 1) * p ** 2) / total_sq)
-    return ProbabilityEstimates(p, stderr, tuple((raw.sum(axis=1) < 100).tolist()))
+    return ProbabilityEstimates(p, stderr, low_statistics)

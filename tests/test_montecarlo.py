@@ -14,7 +14,8 @@ from loopsim.model import SpinBosonParams, build_hamiltonian, step_unitary
 from loopsim.montecarlo import (
     ArrivalHistogram,
     CountingConfig,
-    _histogram_edges,
+    _gates,
+    _geometry,
     _normal_cdf,
     default_windows,
     estimate_probabilities,
@@ -24,6 +25,11 @@ from loopsim.montecarlo import (
 from conftest import haar_unitary, lossless_chip
 
 DELAY = 400.0
+
+
+def histogram_edges(n_steps, cfg, loop_delay_ps):
+    """The read-only bin edges every run at these settings shares."""
+    return _geometry(n_steps, cfg.jitter_ps, cfg.bin_ps, loop_delay_ps)[0]
 
 
 def identity_power(n_steps=3):
@@ -40,7 +46,7 @@ def per_photon_sample_run(power, cfg, loop_delay_ps):
     """Reference sampler: one Poisson count per (step, channel), then one
     arrival time per photon, binned. Cost grows with the photon count."""
     n_steps, dim = power.shape
-    edges = _histogram_edges(n_steps, cfg, loop_delay_ps)
+    edges = histogram_edges(n_steps, cfg, loop_delay_ps)
     expected_pairs = cfg.pair_rate_hz * cfg.duration_s
     expected_bg = cfg.background_rate_hz * cfg.duration_s
     out = []
@@ -65,7 +71,7 @@ def per_photon_sample_run(power, cfg, loop_delay_ps):
 def per_channel_expected(power, cfg, loop_delay_ps):
     """Reference expectation: jitter mass for one (channel, step) at a time."""
     n_steps, dim = power.shape
-    edges = _histogram_edges(n_steps, cfg, loop_delay_ps)
+    edges = histogram_edges(n_steps, cfg, loop_delay_ps)
     expected_pairs = cfg.pair_rate_hz * cfg.duration_s
     bg_per_bin = (cfg.background_rate_hz * cfg.duration_s) * cfg.bin_ps / (edges[-1] - edges[0])
     out = []
@@ -94,7 +100,8 @@ def per_gate_estimate(histograms, windows, cfg):
     is a pairwise np.sum and each squared total a numpy scalar power. A
     channel whose raw - background is within the rounding slack of the gate's
     background has no signal, and a step whose squared total is 0 (all-zero
-    or underflowed) reads 0.
+    or underflowed) reads 0. A step whose background-subtracted total is
+    below 100 is flagged low statistics.
     Returns (p_hat, stderr, low_statistics).
     """
     edges = histograms[0].bin_edges_ps
@@ -114,7 +121,7 @@ def per_gate_estimate(histograms, windows, cfg):
         excess = raw - bg_in_gate
         signal = np.where(excess <= slack, 0.0, excess)
         total = signal.sum()
-        flags.append(bool(raw.sum() < 100))
+        flags.append(bool(total < 100))
         if total ** 2 <= 0:
             continue
         p = signal / total
@@ -350,6 +357,92 @@ class TestRecoveryOracle:
         assert got.low_statistics == flags
 
 
+def run_outputs(power, cfg, loop_delay_ps):
+    """Bytes of a counting run: each path's edges and counts, and its estimates."""
+    windows = default_windows(power.shape[0], cfg, loop_delay_ps)
+    out = []
+    for hists in (sample_run(power, cfg, loop_delay_ps), expected_histograms(power, cfg, loop_delay_ps)):
+        est = estimate_probabilities(hists, windows, cfg)
+        out += [hists[0].bin_edges_ps.tobytes(), *(h.counts.tobytes() for h in hists),
+                est.p_hat.tobytes(), est.stderr.tobytes(), est.low_statistics]
+    return out
+
+
+def clear_caches():
+    _geometry.cache_clear()
+    _gates.cache_clear()
+
+
+class TestGeometryCaches:
+    """Runs at the same settings share one cached geometry, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 8), n_steps=st.integers(1, 4),
+           bin_ps=st.sampled_from([1.0, 7.3, 20.0, 33.3]),
+           jitter_ps=st.sampled_from([0.0, -0.0, 13.7, 50.0]),
+           background_rate_hz=st.sampled_from([0.0, 10.0, 1e6]), seed=st.integers(0, 2**32 - 1))
+    def test_cold_and_warm_caches_agree_bitwise(self, dim, n_steps, bin_ps, jitter_ps,
+                                                background_rate_hz, seed):
+        power = run_loop(ChipConfig(dim=dim), haar_unitary(dim, np.random.default_rng(seed)),
+                         0, n_steps)
+
+        def as_int(x):  # an integral float as an int, as a JSON config may give it
+            return int(x) if x == int(x) else x
+
+        kw = dict(pair_rate_hz=1e4, background_rate_hz=background_rate_hz, seed=seed)
+        floats = CountingConfig(jitter_ps=jitter_ps, bin_ps=bin_ps, **kw)
+        ints = CountingConfig(jitter_ps=as_int(jitter_ps), bin_ps=as_int(bin_ps), **kw)
+        clear_caches()
+        cold = run_outputs(power, floats, DELAY)
+        assert run_outputs(power, floats, DELAY) == cold
+        assert run_outputs(power, ints, int(DELAY)) == cold  # warm from the float run
+        clear_caches()
+        assert run_outputs(power, ints, int(DELAY)) == cold
+        assert run_outputs(power, floats, DELAY) == cold  # warm from the int run
+
+    def test_acquisition_computes_each_geometry_once(self):
+        # The calls of one benchmark-style acquisition: one miss per cache.
+        power = model_power(3, lossless=False)
+        cfg = CountingConfig(pair_rate_hz=1e5, duration_s=10.0)
+        clear_caches()
+        windows = default_windows(3, cfg, DELAY)
+        hists = sample_run(power, cfg, DELAY)
+        estimate_probabilities(hists, windows, cfg)
+        estimate_probabilities(expected_histograms(power, cfg, DELAY), windows, cfg)
+        assert (_geometry.cache_info().misses, _geometry.cache_info().hits) == (1, 2)
+        assert (_gates.cache_info().misses, _gates.cache_info().hits) == (1, 1)
+
+    def test_bad_input_raises_on_every_call(self):
+        cfg = CountingConfig()
+        hists = expected_histograms(identity_power(2), cfg, DELAY)
+        edges = hists[0].bin_edges_ps
+        backwards = [ArrivalHistogram(edges[::-1].copy(), h.counts[::-1]) for h in hists]
+        windows = default_windows(2, cfg, DELAY)
+        calls = [
+            (lambda: default_windows(2, CountingConfig(bin_ps=7e-4), DELAY), "histogram bins"),
+            (lambda: estimate_probabilities(hists, [(-100.0, 300.0), (250.0, 600.0)], cfg),
+             "overlap"),
+            (lambda: estimate_probabilities(hists, [(-100.0, 100.0), (300.0, 500.0)], cfg),
+             "narrower"),
+            (lambda: estimate_probabilities(backwards, windows, cfg), "strictly increase"),
+        ]
+        for call, match in calls:
+            clear_caches()
+            messages = []
+            for _ in range(2):
+                with pytest.raises(ValueError, match=match) as info:
+                    call()
+                messages.append(str(info.value))
+            assert messages[0] == messages[1]
+
+    def test_cached_arrays_read_only(self):
+        edges, mass = _geometry(3, 50.0, 20.0, DELAY)
+        assert mass.shape == (3, edges.size - 1)
+        windows = np.array(default_windows(3, CountingConfig(), DELAY))
+        cached = (edges, mass, *_gates(edges.tobytes(), windows.tobytes(), 50.0))
+        assert not any(a.flags.writeable for a in cached)
+
+
 class TestEstimation:
     def test_recovers_conditionals_from_large_sample(self):
         # oracle: estimates must approach the known conditional distributions
@@ -394,7 +487,7 @@ class TestEstimation:
         # 164 less 8.5e-14 of rounding, so a count of exactly 164 is no signal.
         cfg = CountingConfig(duration_s=1.0, bin_ps=7.3, background_rate_hz=1000.0)
         windows = default_windows(4, cfg, DELAY)
-        edges = _histogram_edges(4, cfg, DELAY)
+        edges = histogram_edges(4, cfg, DELAY)
         counts = np.zeros((2, edges.size - 1), dtype=np.int64)
         counts[:, edges.searchsorted(windows[2][0])] = (164, 161)
         est = estimate_probabilities([ArrivalHistogram(edges, c) for c in counts], windows, cfg)
@@ -482,6 +575,15 @@ class TestEstimation:
         assert es.low_statistics == (True,)
         assert ed.low_statistics == (False,)
 
+    def test_low_statistics_counts_signal_not_background(self):
+        # About 0.1 pairs over thousands of background counts per gate: each
+        # step's p_hat sums to 1 on rounding alone, with a huge stderr.
+        power = run_loop(ChipConfig(), haar_unitary(6, np.random.default_rng(0)), 0, 3)
+        cfg = CountingConfig(pair_rate_hz=1.0, duration_s=0.1, background_rate_hz=1e6)
+        est = estimate_probabilities(expected_histograms(power, cfg, DELAY),
+                                     default_windows(3, cfg, DELAY), cfg)
+        assert est.low_statistics == (True, True, True)
+
     def test_window_validation(self):
         cfg = CountingConfig()
         hists = sample_run(identity_power(2), cfg, DELAY)
@@ -555,7 +657,7 @@ class TestCsv:
         assert main(["--out", str(tmp_path), "--seed", "1", "counts", "--n-steps", "1"]) == 0
         lines = (tmp_path / "histograms.csv").read_text().strip().splitlines()
         assert lines[0] == "channel,bin_start_ps,count"
-        n_bins = _histogram_edges(1, CountingConfig(), DELAY).size - 1
+        n_bins = histogram_edges(1, CountingConfig(), DELAY).size - 1
         assert len(lines) == 1 + 6 * n_bins
 
     def test_estimates_csv(self, tmp_path):

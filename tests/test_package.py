@@ -1,3 +1,6 @@
+import importlib
+import inspect
+import pkgutil
 from types import ModuleType
 
 import loopsim
@@ -19,3 +22,23 @@ def test_public_surface():
         "platform_comparison", "propagate", "run_loop", "sample_run", "step_power_matrices",
         "step_unitary", "theory_step_matrices", "train", "win_stats",
     ]
+
+
+def test_argument_caches_are_bounded():
+    # A functools cache keyed on its arguments holds every distinct call's
+    # result; unbounded, memory would grow with the inputs seen, not with
+    # problem size. A cache on a function without arguments holds one result.
+    caches = {}
+    for info in pkgutil.iter_modules(loopsim.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"loopsim.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__:
+                caches[f"{info.name}.{name}"] = obj
+    assert {"cli.build_parser", "mesh._columns", "montecarlo._geometry",
+            "montecarlo._gates"} <= set(caches)
+    unbounded = [name for name, f in caches.items()
+                 if inspect.signature(f.__wrapped__).parameters
+                 and f.cache_parameters()["maxsize"] is None]
+    assert unbounded == []
