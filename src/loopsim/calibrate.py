@@ -214,21 +214,23 @@ def error_metric(t_mats: np.ndarray, e_mats: np.ndarray, n: int) -> float:
 
 
 def compare_methods(table: ParamTable, noise: MeshNoise, tc: TrainingConfig,
-                    n_steps: int = 3, seeds: int = 1, n_boson: int = 3) -> MethodComparison:
+                    n_steps: int = 3, seeds: int = 1,
+                    model: SpinBosonParams = SpinBosonParams(1.0, 1.0, 1.0)) -> MethodComparison:
     """Decomposition-only vs trained errors over the benchmark table.
 
     For each parameter row the ideal step propagator is compiled to a plan;
     'decomposition' evaluates that plan under noise as-is, 'trained' first
     optimizes the phases against the ideal target. seeds counts independent
     noise realizations per row; realization k of row r uses a seed derived
-    from (noise.seed, r, k), so results are reproducible. n_boson sets the
-    model truncation and with it the chip's 2 * n_boson modes.
+    from (noise.seed, r, k), so results are reproducible. A row runs model with
+    its epsilon, omega_hbar and lam replaced by the row's; model's h_field, dt
+    and n_boson, and with n_boson the chip's 2 * n_boson modes, hold for all rows.
     """
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
     ids, dec, tr, flagged = [], [], [], []
     for row_id, (eps, omega, lam) in enumerate(table.rows, start=1):
-        params = SpinBosonParams(eps, omega, lam, n_boson=n_boson)
+        params = replace(model, epsilon=eps, omega_hbar=omega, lam=lam)
         u = step_unitary(build_hamiltonian(params), params.dt)
         plan = clements_decompose(u)
         t_mats = theory_step_matrices(u, n_steps)

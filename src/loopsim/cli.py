@@ -138,9 +138,9 @@ def _unitary(cfg: RunConfig) -> np.ndarray:
     return model.step_unitary(model.build_hamiltonian(cfg.model), cfg.model.dt)
 
 
-def _count(cfg: RunConfig, u: np.ndarray):
+def _count(cfg: RunConfig, u: np.ndarray, command: str):
     """Check the pump period and gates, then count u: (loop powers, histograms, gates,
-    estimates CSV)."""
+    estimates CSV). Prints the low-statistics steps, if any, under command's name."""
     span = (cfg.n_steps - 1) * cfg.chip.loop_delay_ps + 6.0 * cfg.counting.jitter_ps
     period = 1e6 / cfg.chip.rep_rate_mhz
     if span >= period:
@@ -154,6 +154,10 @@ def _count(cfg: RunConfig, u: np.ndarray):
     power = loopchip.run_loop(cfg.chip, u, cfg.initial_channel, cfg.n_steps)
     hists = montecarlo.sample_run(power, cfg.counting, cfg.chip.loop_delay_ps)
     est = montecarlo.estimate_probabilities(hists, windows, cfg.counting)
+    low = [str(n) for n, flag in enumerate(est.low_statistics, 1) if flag]
+    if low:
+        print(f"{command}: low statistics at step(s) {', '.join(low)} "
+              f"(fewer than 100 counts above background)")
     return power, hists, windows, _csv(["step", "channel", "p_hat", "stderr"],
                                        _step_rows(est.p_hat, est.stderr))
 
@@ -169,7 +173,7 @@ def _platforms(names) -> list:
 
 def cmd_simulate(cfg: RunConfig, args) -> dict:
     u = _unitary(cfg)
-    power, _, _, estimates = _count(cfg, u)
+    power, _, _, estimates = _count(cfg, u, "simulate")
     theory = model.evolve_exact(u, cfg.initial_channel, cfg.n_steps)
     chip = loopchip.conditional_probabilities(power)
     return {"theory.csv": _csv(["step", "channel", "prob"], _step_rows(theory)),
@@ -235,7 +239,7 @@ def cmd_compare(cfg: RunConfig, args) -> dict:
     table = calibrate.load_param_table(args.table)
     comparison = calibrate.compare_methods(table, cfg.noise, cfg.training,
                                            n_steps=cfg.n_steps, seeds=args.seeds,
-                                           n_boson=cfg.model.n_boson)
+                                           model=cfg.model)
     methods = {"decomposition": comparison.decomposition, "trained": comparison.trained}
     errors = _csv(["params_id", "method", "step", "error"],
                   ((row_id, method, step, err)
@@ -266,7 +270,7 @@ def cmd_compare(cfg: RunConfig, args) -> dict:
 
 
 def cmd_counts(cfg: RunConfig, args) -> dict:
-    _, hists, windows, estimates = _count(cfg, _unitary(cfg))
+    _, hists, windows, estimates = _count(cfg, _unitary(cfg), "counts")
     histograms = _csv(["channel", "bin_start_ps", "count"],
                       ((channel, start, count) for channel, h in enumerate(hists)
                        for start, count in zip(h.bin_edges_ps[:-1].tolist(), h.counts.tolist())))

@@ -72,10 +72,23 @@ def build_hamiltonian(params: SpinBosonParams) -> np.ndarray:
 
 
 def step_unitary(hamiltonian: np.ndarray, dt: float) -> np.ndarray:
-    """One-step propagator exp(-i H dt) via Hermitian eigendecomposition."""
+    """One-step propagator exp(-i H dt) via Hermitian eigendecomposition.
+
+    Computed and checked once per (H, float(dt)) and cached, at most 4 kept;
+    each call returns a fresh, writable copy.
+    """
     h = np.asarray(hamiltonian, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("hamiltonian must be a square matrix")
+    return _propagator(h.tobytes(), h.shape[0], float(dt)).copy()
+
+
+@lru_cache(maxsize=4)
+def _propagator(h_bytes: bytes, dim: int, dt: float) -> np.ndarray:
+    """Read-only exp(-i H dt) of the C-order complex128 bytes of a dim x dim H,
+    with its Hermitian, dt, eigen-residual and unitarity checks. A failed
+    check raises on every call (none cached)."""
+    h = np.frombuffer(h_bytes, dtype=complex).reshape(dim, dim)
     if not np.max(np.abs(h - h.conj().T)) <= _HERMITIAN_ATOL:
         raise ValueError("hamiltonian is not Hermitian")
     if not np.isfinite(dt):
@@ -85,9 +98,10 @@ def step_unitary(hamiltonian: np.ndarray, dt: float) -> np.ndarray:
     if not residual <= _EIG_RESIDUAL_ATOL:
         raise RuntimeError(f"eigendecomposition residual {residual:.3e} too large")
     u = (v * np.exp(-1j * w * dt)) @ v.conj().T
-    defect = np.max(np.abs(u.conj().T @ u - np.eye(h.shape[0])))
+    defect = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
     if not defect <= _UNITARY_ATOL:
         raise RuntimeError(f"propagator unitarity defect {defect:.3e} too large")
+    u.setflags(write=False)
     return u
 
 

@@ -414,6 +414,17 @@ class TestCompare:
         )
         assert win_stats(comparison) == (1, 1, 2)
 
+    def test_rows_keep_the_model_h_field_dt_and_n_boson(self, monkeypatch):
+        seen = []
+        real = calibrate.build_hamiltonian
+        monkeypatch.setattr(calibrate, "build_hamiltonian",
+                            lambda params: seen.append(params) or real(params))
+        table = ParamTable(load_param_table().rows[:2])
+        base = SpinBosonParams(9.0, 9.0, 9.0, h_field=2.0, n_boson=1, dt=0.5)
+        compare_methods(table, MeshNoise(), TrainingConfig(max_iters=1), n_steps=2, model=base)
+        assert seen == [SpinBosonParams(eps, omega, lam, h_field=2.0, n_boson=1, dt=0.5)
+                        for eps, omega, lam in table.rows]
+
     def test_rejects_zero_seeds(self):
         with pytest.raises(ValueError):
             compare_methods(ParamTable(load_param_table().rows[:1]),

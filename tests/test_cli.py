@@ -55,6 +55,32 @@ class TestSimulate:
         exact = evolve_exact(step_unitary(build_hamiltonian(params), params.dt), 0, 3)
         assert np.array_equal(read_probs(tmp_path / "theory.csv"), exact)
 
+    @pytest.mark.parametrize("command, counting, flagged", [
+        ("simulate", {}, "3"),
+        ("counts", {}, "3"),
+        ("simulate", {"pair_rate_hz": 0.0}, "1, 2, 3"),
+        ("counts", {"pair_rate_hz": 0.0}, "1, 2, 3"),
+        ("simulate", {"pair_rate_hz": 1e6}, None),
+        ("counts", {"pair_rate_hz": 1e6}, None),
+    ])
+    def test_low_statistics_line(self, tmp_path, capsys, command, counting, flagged):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"counting": counting}))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfgfile), "--out", str(out), command]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        low = [ln for ln in lines if "low statistics" in ln]
+        if flagged is None:
+            assert low == []
+        else:
+            assert low == [f"{command}: low statistics at step(s) {flagged} "
+                           f"(fewer than 100 counts above background)"]
+            assert lines.index(low[0]) == 0
+        # the command's other lines are unchanged
+        rest = [ln for ln in lines if ln not in low]
+        assert len(rest) == (1 if command == "simulate" else 2)
+        assert rest[-1].startswith(f"{command}: wrote ")
+
     def test_bad_initial_channel_exits_two(self, tmp_path, capsys):
         rc = main(["--out", str(tmp_path), "simulate", "--initial-channel", "9"])
         assert rc == 2
@@ -202,6 +228,29 @@ class TestCompare:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["win_rate"] is None
         assert summary["pairs"] == summary["ties"] == 20 * 2
+
+    def test_model_h_field_and_dt_reach_every_row(self, tmp_path):
+        # epsilon, omega_hbar and lambda come from the table; h_field, dt and n_boson from model
+        small = {"model": {"n_boson": 1}, "chip": {"dim": 2}, "training": {"max_iters": 1},
+                 "n_steps": 2}
+        moved = {**small, "model": {"n_boson": 1, "dt": 0.5, "h_field": 2.0}}
+        for name, doc in (("default", small), ("moved", moved)):
+            cfgfile = tmp_path / f"{name}.json"
+            cfgfile.write_text(json.dumps(doc))
+            assert main(["--config", str(cfgfile), "--out", str(tmp_path / name), "compare"]) == 0
+        errors = (tmp_path / "moved" / "errors.csv").read_bytes()
+        assert errors != (tmp_path / "default" / "errors.csv").read_bytes()
+        comparison = calibrate.compare_methods(
+            calibrate.load_param_table(), MeshNoise(), TrainingConfig(max_iters=1), n_steps=2,
+            model=SpinBosonParams(1.0, 1.0, 1.0, h_field=2.0, n_boson=1, dt=0.5))
+        with open(tmp_path / "moved" / "errors.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        got = {(int(r["params_id"]), r["method"], int(r["step"])): float(r["error"]) for r in rows}
+        for method in ("decomposition", "trained"):
+            per_row = getattr(comparison, method)
+            for row_id, per_step in zip(comparison.params_id, per_row.tolist()):
+                for step, err in enumerate(per_step, 1):
+                    assert got[(row_id, method, step)] == err
 
     def test_truncated_table_exits_two(self, tmp_path, capsys):
         table = tmp_path / "t.csv"

@@ -197,6 +197,72 @@ class TestStepUnitary:
         assert np.max(np.abs(mesh_forward(plan) - u)) <= 1e-8
 
 
+@st.composite
+def hermitian_and_dt(draw):
+    """A random Hermitian matrix of dim 1-16 and a step dt, int or float."""
+    n = draw(st.integers(1, 16))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    dt = draw(st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0)))
+    return (a + a.conj().T) / 2, dt
+
+
+class TestPropagatorCache:
+    """step_unitary computes and checks exp(-i H dt) once per (H, dt)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hermitian_and_dt())
+    def test_warm_result_is_the_cold_result(self, case):
+        h, dt = case
+        model._propagator.cache_clear()
+        cold = step_unitary(h, dt)
+        warm = step_unitary(h, dt)
+        assert model._propagator.cache_info().hits == 1
+        assert warm.tobytes() == cold.tobytes()
+        # an equal number of the other type shares the entry and the bytes
+        other = float(dt) if isinstance(dt, int) else dt
+        assert step_unitary(h, other).tobytes() == cold.tobytes()
+        # so do numpy scalars and a 0-d array
+        for array_dt in (np.float64(dt), np.asarray(dt)):
+            assert step_unitary(h, array_dt).tobytes() == cold.tobytes()
+        assert model._propagator.cache_info().misses == 1
+        assert step_unitary(h.copy(order="F"), dt).tobytes() == cold.tobytes()
+
+    @pytest.mark.parametrize("h, dt, message", [
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0, "not Hermitian"),
+        (np.diag([1.0, np.nan]), 1.0, "not Hermitian"),
+        (np.eye(2), np.inf, "dt must be finite"),
+        (np.eye(2), np.nan, "dt must be finite"),
+    ])
+    def test_bad_input_raises_on_every_call(self, h, dt, message):
+        model._propagator.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                step_unitary(h, dt)
+        assert model._propagator.cache_info().currsize == 0
+
+    def test_returned_array_is_a_fresh_copy(self):
+        h = build_hamiltonian(SpinBosonParams(0.5, 1.2, 0.8))
+        first = step_unitary(h, 1.0)
+        expected = first.copy()
+        first[:] = np.nan
+        second = step_unitary(h, 1.0)
+        assert second.flags.writeable
+        assert np.array_equal(second, expected)
+        second[0, 0] = 0.0
+        assert np.array_equal(step_unitary(h, 1.0), expected)
+
+    def test_one_miss_per_model(self):
+        # the counting benchmark's acquisition shape: the same default model every op
+        params = SpinBosonParams(1.0, 1.0, 1.0)
+        model._propagator.cache_clear()
+        for _ in range(5):
+            step_unitary(build_hamiltonian(params), params.dt)
+        info = model._propagator.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
+
+
 class TestEvolveExact:
     def test_matches_spectral_oracle(self):
         # oracle: diagonalize once, evolve with exp(-i E n dt) on eigenmodes

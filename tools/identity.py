@@ -1,0 +1,200 @@
+"""Byte-identity check of loopsim's outputs between two source trees.
+
+    python tools/identity.py BASE HEAD
+
+BASE and HEAD are repository checkouts (each with a src/loopsim package).
+One fixed corpus runs against each tree in its own interpreter, and every
+output file and library array it writes is compared byte for byte; the
+tool lists what differs, or is missing on one side, and exits 1 if
+anything does. Printed lines are not compared. The corpus:
+
+- each `loopsim ...` line of this checkout's README, with training capped
+  at 3 iterations;
+- simulate, counts and decompose for n_boson 1-8, once with float-typed
+  and once with int-typed settings;
+- losses and scaling for each chip size, and compare with a 3-iteration cap;
+- seeded library calls: step_unitary (fresh and repeated), sample_run,
+  expected_histograms, estimate_probabilities and platform_comparison.
+
+Bits can differ across BLAS builds, so compare two trees on one machine.
+"""
+
+import argparse
+import contextlib
+import filecmp
+import io
+import json
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+TRAINING_CAP = {"training": {"max_iters": 3}}
+
+
+def readme_commands() -> list:
+    """The argument lists of the README's `loopsim ...` command lines."""
+    block = README.read_text().split("## Command line", 1)[1].split("```sh", 1)[1]
+    return [shlex.split(line)[1:] for line in block.split("```", 1)[0].splitlines()
+            if line.startswith("loopsim ")]
+
+
+def _sweep_configs() -> dict:
+    """Two configs per n_boson 1-8: one with float-typed settings, one with int-typed."""
+    configs = {}
+    for n in range(1, 9):
+        chip = {"dim": 2 * n}
+        configs[f"n{n}-float"] = {
+            "model": {"epsilon": 0.5, "omega_hbar": 1.2, "lambda": 0.8, "h_field": 1.0,
+                      "n_boson": n, "dt": 0.5 + 0.125 * n},
+            "chip": {**chip, "loop_delay_ps": 400.0},
+            "counting": {"jitter_ps": 50.0, "bin_ps": 20.0, "pair_rate_hz": 1e4,
+                         "duration_s": 10.0, "seed": n},
+        }
+        configs[f"n{n}-int"] = {
+            "model": {"epsilon": 1, "omega_hbar": 1, "lambda": 1, "h_field": 1,
+                      "n_boson": n, "dt": 1},
+            "chip": {**chip, "loop_delay_ps": 400},
+            "counting": {"jitter_ps": 50, "bin_ps": 20, "pair_rate_hz": 10000,
+                         "duration_s": 10, "seed": 100 + n},
+        }
+    return configs
+
+
+def cli_corpus(config_dir: Path) -> list:
+    """(label, argv without --out) of every CLI call; writes the configs they read."""
+    config_dir.mkdir(parents=True, exist_ok=True)
+
+    def config(name, doc):
+        path = config_dir / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    unitary = config_dir / "my_unitary.json"
+    unitary.write_text(json.dumps({"re": [[0.6, 0.8], [-0.8, 0.6]], "im": [[0, 0], [0, 0]]}))
+    calls = []
+    cap = config("cap", TRAINING_CAP)
+    for i, argv in enumerate(readme_commands(), start=1):
+        argv = [str(unitary) if a == "my_unitary.json" else a for a in argv]
+        calls.append((f"readme-{i:02d}", ["--config", cap, *argv]))
+    for name, doc in _sweep_configs().items():
+        path = config(name, doc)
+        calls += [(f"{name}-{cmd}", ["--config", path, cmd])
+                  for cmd in ("simulate", "counts", "decompose")]
+        if name.endswith("-float"):
+            modes = [str(m) for m in range(2, doc["chip"]["dim"] + 1, 2)]
+            calls += [(f"{name}-losses", ["--config", path, "losses", "--max-loops", "4"]),
+                      (f"{name}-scaling", ["--config", path, "scaling", "--modes", *modes])]
+    calls.append(("compare", ["--config", cap, "compare", "--seeds", "1"]))
+    return calls
+
+
+def _library_arrays() -> dict:
+    """Named arrays from seeded library calls."""
+    import numpy as np
+
+    from loopsim import losses, loopchip, model, montecarlo
+
+    arrays = {}
+    rng = np.random.default_rng(2024)
+    for i in range(40):
+        n = int(rng.integers(1, 17))
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = (a + a.conj().T) / 2
+        dt = int(rng.integers(1, 4)) if i % 2 else float(rng.uniform(-2.0, 2.0))
+        arrays[f"step_unitary-{i:02d}"] = model.step_unitary(h, dt)
+        arrays[f"step_unitary-{i:02d}-again"] = model.step_unitary(h, float(dt))
+    chip = loopchip.ChipConfig()
+    for i, (jitter, bin_ps) in enumerate([(50.0, 20.0), (50, 20), (0.0, 25.0), (30.0, 7.5)]):
+        params = model.SpinBosonParams(*rng.uniform(-2.0, 2.0, size=3))
+        u = model.step_unitary(model.build_hamiltonian(params), params.dt)
+        power = loopchip.run_loop(chip, u, i % 6, 3)
+        cfg = montecarlo.CountingConfig(pair_rate_hz=1e5, duration_s=1.0, jitter_ps=jitter,
+                                        bin_ps=bin_ps, seed=i)
+        windows = montecarlo.default_windows(3, cfg, chip.loop_delay_ps)
+        for kind in ("sample_run", "expected_histograms"):
+            hists = getattr(montecarlo, kind)(power, cfg, chip.loop_delay_ps)
+            est = montecarlo.estimate_probabilities(hists, windows, cfg)
+            arrays[f"{kind}-{i}-edges"] = hists[0].bin_edges_ps
+            arrays[f"{kind}-{i}-counts"] = np.array([h.counts for h in hists])
+            arrays[f"{kind}-{i}-p_hat"] = est.p_hat
+            arrays[f"{kind}-{i}-stderr"] = est.stderr
+            arrays[f"{kind}-{i}-low_statistics"] = np.array(est.low_statistics)
+    platforms = losses.load_platforms()
+    for n in (1, 3, 8):
+        ratios = losses.optimal_splitters(n) if n >= 2 else (0.5, 0.5)
+        arrays[f"platform_comparison-{n}"] = losses.platform_comparison(platforms, chip,
+                                                                        ratios, n)
+    return arrays
+
+
+def run_corpus(out: Path) -> dict:
+    """Run the corpus with the loopsim on sys.path, writing under out; returns
+    {label: exit code} of the CLI calls."""
+    import numpy as np
+
+    from loopsim import cli
+
+    codes = {}
+    for label, argv in cli_corpus(out / "configs"):
+        log = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(log):
+            codes[label] = cli.main(["--out", str(out / "files" / "cli" / label), *argv])
+        if codes[label] != 0:
+            print(f"{label}: exit {codes[label]}: {log.getvalue().strip()}", file=sys.stderr)
+    lib = out / "files" / "lib"
+    lib.mkdir(parents=True, exist_ok=True)
+    for name, array in _library_arrays().items():
+        np.save(lib / f"{name}.npy", array)
+    (out / "files" / "exit_codes.json").write_text(json.dumps(codes, indent=1))
+    return codes
+
+
+def run_tree(tree: Path, out: Path) -> dict:
+    """run_corpus in a fresh interpreter that imports loopsim from tree/src."""
+    src = (tree / "src").resolve()
+    code = ("import json, loopsim; from pathlib import Path; import identity\n"
+            f"if not Path(loopsim.__file__).resolve().is_relative_to({str(src)!r}):\n"
+            "    raise SystemExit(f'loopsim imported from {loopsim.__file__}')\n"
+            f"print(json.dumps(identity.run_corpus(Path({str(out)!r}))))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          stdout=subprocess.PIPE, text=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def differences(a: Path, b: Path) -> list:
+    """Relative paths of files that differ, or exist on one side only, under a and b."""
+    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    out = [f"{p} (only in base)" for p in sorted(files_a - files_b)]
+    out += [f"{p} (only in head)" for p in sorted(files_b - files_a)]
+    out += [str(p) for p in sorted(files_a & files_b)
+            if not filecmp.cmp(a / p, b / p, shallow=False)]
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n", 1)[0])
+    parser.add_argument("base", type=Path, help="checkout whose src/ is the reference")
+    parser.add_argument("head", type=Path, help="checkout compared against it")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for side, tree in (("base", args.base), ("head", args.head)):
+            codes = run_tree(tree, work / side)
+            failed = sorted(label for label, code in codes.items() if code != 0)
+            print(f"{side}: {len(codes)} CLI calls, {len(failed)} nonzero exits {failed}")
+        diff = differences(work / "base" / "files", work / "head" / "files")
+        n_files = sum(1 for p in (work / "base" / "files").rglob("*") if p.is_file())
+    for line in diff:
+        print(f"differs: {line}")
+    print(f"{len(diff)} of {n_files} files differ")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
