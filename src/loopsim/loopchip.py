@@ -8,6 +8,7 @@ Losses are tracked as scalar prefactors on a unitary core propagation, so
 uniform per-step loss cancels exactly in conditional distributions.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,12 +69,16 @@ def _step_amplitudes(config: ChipConfig, n_steps: int):
     amp_chip = _db_to_amplitude(config.alpha_db_per_cm * config.chip_length_cm)
     amp_loop = _db_to_amplitude(config.alpha_db_per_cm * config.loop_length_cm)
     amp_others = _db_to_amplitude(config.others_loss_db)
-    in_scalar = np.sqrt(config.ratio_in) * amp_chip
+    in_scalar = math.sqrt(config.ratio_in) * amp_chip
     loop_scalar = (
-        np.sqrt((1.0 - config.ratio_in) * (1.0 - config.ratio_out)) * amp_loop * amp_chip
+        math.sqrt((1.0 - config.ratio_in) * (1.0 - config.ratio_out)) * amp_loop * amp_chip
     )
-    out_scalar = np.sqrt(config.ratio_out) * amp_others
-    return out_scalar, np.cumprod([in_scalar] + [loop_scalar] * (n_steps - 1))
+    out_scalar = math.sqrt(config.ratio_out) * amp_others
+    # A running product, in order, as np.cumprod forms it
+    scales = [in_scalar]
+    for _ in range(n_steps - 1):
+        scales.append(scales[-1] * loop_scalar)
+    return out_scalar, np.array(scales)
 
 
 def _check_mesh(mesh: np.ndarray, n_steps: int) -> np.ndarray:

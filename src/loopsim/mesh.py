@@ -129,15 +129,17 @@ def noise_offsets(noise: MeshNoise | None, n_cells: int) -> np.ndarray:
     """Per-cell draws (d_theta, d_phi, d_split1, d_split2), shape (n_cells, 4), all zeros
     when noise is None; read-only and cached, as training evaluates the mesh on the same draws.
 
-    Deterministic in (noise.seed, cell index); cell i's draws do not depend
-    on how many other cells exist.
+    Deterministic in (noise.seed, cell index): cell i draws from
+    PCG64(SeedSequence(noise.seed, spawn_key=(i,))), named so that a change of
+    numpy's default generator cannot move them, and its draws do not depend on
+    how many other cells exist.
     """
     out = np.zeros((n_cells, 4))
     if noise is not None:
         scales = np.array([noise.sigma_theta, noise.sigma_phi, noise.sigma_split, noise.sigma_split])
         for i in range(n_cells):
-            rng = np.random.default_rng(np.random.SeedSequence(noise.seed, spawn_key=(i,)))
-            out[i] = rng.normal(0.0, scales)
+            bits = np.random.PCG64(np.random.SeedSequence(noise.seed, spawn_key=(i,)))
+            out[i] = np.random.Generator(bits).normal(0.0, scales)
     out.setflags(write=False)
     return out
 

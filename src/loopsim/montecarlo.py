@@ -109,24 +109,39 @@ def _geometry(n_steps: int, jitter_ps: float, bin_ps: float, loop_delay_ps: floa
 
 
 def _bin_means(power: np.ndarray, cfg: CountingConfig, loop_delay_ps: float):
-    """Histogram edges and the expected signal-plus-background count per bin.
+    """Histogram edges and the expected signal-plus-background count per bin,
+    both read-only and computed once per setting (see _expected_counts)."""
+    power = np.ascontiguousarray(power, dtype=float)
+    return _expected_counts(power.tobytes(), power.shape, cfg.pair_rate_hz * cfg.duration_s,
+                            cfg.background_rate_hz * cfg.duration_s, cfg.jitter_ps, cfg.bin_ps,
+                            loop_delay_ps)
 
-    Returns (edges, means) with means of shape (dim, bins). Each step's jitter
-    mass comes from the cached geometry and is shared by all channels; jitter
-    tails beyond the edges are not counted, and background is uniform over the span.
+
+@lru_cache(maxsize=1)
+def _expected_counts(power_bytes: bytes, shape: tuple, expected_pairs: float, bg_total: float,
+                     jitter_ps: float, bin_ps: float, loop_delay_ps: float):
+    """Read-only (edges, means) with means of shape (dim, bins), from power's
+    float64 bytes. Each step's jitter mass comes from the cached geometry and
+    is shared by all channels; jitter tails beyond the edges are not counted,
+    and background is uniform over the span. Cached, as a run's seed does not
+    change its means: only the last setting's means stay alive, the array
+    sample_run draws from. A bad setting raises on every call (none cached).
     """
     if loop_delay_ps <= 0:
         raise ValueError("loop_delay_ps must be positive")
+    power = np.frombuffer(power_bytes).reshape(shape)
     total = float(power.sum())
     if total > 1.0 + 1e-9:
         raise ValueError(f"total detection probability {total} exceeds 1")
-    n_steps, dim = power.shape
-    edges, mass = _geometry(n_steps, cfg.jitter_ps, cfg.bin_ps, loop_delay_ps)
-    expected_pairs = cfg.pair_rate_hz * cfg.duration_s
-    bg_per_bin = (cfg.background_rate_hz * cfg.duration_s) * cfg.bin_ps / (edges[-1] - edges[0])
+    if not (power >= 0).all():
+        raise ValueError("power entries must be nonnegative numbers, not negative or NaN")
+    n_steps, dim = shape
+    edges, mass = _geometry(n_steps, jitter_ps, bin_ps, loop_delay_ps)
+    bg_per_bin = bg_total * bin_ps / (edges[-1] - edges[0])
     means = np.full((dim, edges.size - 1), bg_per_bin)
     for n in range(n_steps):
         means = means + (expected_pairs * power[n])[:, None] * mass[n]
+    means.setflags(write=False)
     return edges, means
 
 
@@ -141,20 +156,20 @@ def sample_run(power: np.ndarray, cfg: CountingConfig, loop_delay_ps: float) -> 
     Binned, each bin is an independent Poisson count whose mean is the
     expected_histograms value, so each bin is drawn as one Poisson variate:
     cost is O(channels x bins) and does not depend on the photon count.
-    Channel c draws from SeedSequence(cfg.seed, spawn_key=(c,)).
+    Channel c draws from PCG64(SeedSequence(cfg.seed, spawn_key=(c,))).
     """
     edges, means = _bin_means(power, cfg, loop_delay_ps)
     out = []
     for channel, mean in enumerate(means):
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(channel,)))
-        out.append(ArrivalHistogram(edges, rng.poisson(mean)))
+        bits = np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(channel,)))
+        out.append(ArrivalHistogram(edges, np.random.Generator(bits).poisson(mean)))
     return out
 
 
 def expected_histograms(power: np.ndarray, cfg: CountingConfig, loop_delay_ps: float) -> list:
-    """Infinite-statistics limit of sample_run: expected counts per bin."""
+    """Infinite-statistics limit of sample_run: expected counts per bin, writable."""
     edges, means = _bin_means(power, cfg, loop_delay_ps)
-    return [ArrivalHistogram(edges, mean) for mean in means]
+    return [ArrivalHistogram(edges, mean) for mean in means.copy()]
 
 
 def default_windows(n_steps: int, cfg: CountingConfig, loop_delay_ps: float) -> list:
@@ -170,13 +185,15 @@ def default_windows(n_steps: int, cfg: CountingConfig, loop_delay_ps: float) -> 
 
 
 @lru_cache(maxsize=4)
-def _gates(edges_bytes: bytes, bounds_bytes: bytes, jitter_ps: float):
-    """Read-only (gate_widths, sizes, index) of windows over strictly increasing
+def _gates(edges_bytes: bytes, bounds_bytes: bytes, jitter_ps: float, bg_total: float):
+    """Read-only (bg_in_gate, floor, index) of windows over strictly increasing
     edges, both float64 bytes: gate n holds the sizes[n] bins with edges[i] >= lo
     and edges[i + 1] <= hi, and row n of index lists them, padded with the bin
-    count. Cached, as every run at the same settings has the same gates; at most
-    4 entries, with their key bytes, stay alive. Overlapping or narrow windows
-    raise on every call (none cached)."""
+    count. bg_in_gate[n] is the gate's share of the run's bg_total background
+    counts, and a channel at most floor[n] above it has no signal. Cached, as
+    every run at the same settings has the same gates; at most 4 entries, with
+    their key bytes, stay alive. Overlapping or narrow windows raise on every
+    call (none cached)."""
     edges = np.frombuffer(edges_bytes)
     bounds = np.frombuffer(bounds_bytes).reshape(-1, 2)
     lows, his = bounds.T
@@ -199,9 +216,14 @@ def _gates(edges_bytes: bytes, bounds_bytes: bytes, jitter_ps: float):
     offsets = np.arange(sizes.max(initial=0))
     index = starts[:, None] + offsets
     index[offsets >= sizes] = bin_widths.size
-    for a in (gate_widths, sizes, index):
+    span = edges[-1] - edges[0]
+    bg_in_gate = (bg_total * gate_widths / span if span > 0 else np.zeros(len(bounds)))[:, None]
+    # A channel within the rounding of its gate's background, eps per summed bin and eps
+    # of the span per gate edge, has no signal.
+    floor = _EPS * (sizes * bg_in_gate + 2.0 * bg_total)
+    for a in (bg_in_gate, floor, index):
         a.setflags(write=False)
-    return gate_widths, sizes, index
+    return bg_in_gate, floor, index
 
 
 def estimate_probabilities(histograms: list, windows: list, cfg: CountingConfig) -> ProbabilityEstimates:
@@ -219,7 +241,7 @@ def estimate_probabilities(histograms: list, windows: list, cfg: CountingConfig)
     Bin edges, read as float64, must strictly increase and window bounds must be
     numbers. All gates are handled at once, as arrays: one copy of the counts,
     then work in proportion to channels x gated bins; the gate geometry is
-    computed once per (edges, windows, jitter_ps) and cached.
+    computed once per (edges, windows, jitter_ps, background counts) and cached.
     """
     if not histograms:
         raise ValueError("need at least one histogram")
@@ -237,7 +259,8 @@ def estimate_probabilities(histograms: list, windows: list, cfg: CountingConfig)
         if lo != lo or hi != hi:
             raise ValueError(f"window {n} bounds must be numbers, got {windows[n]}")
     edges = np.asarray(edges, dtype=float)
-    gate_widths, sizes, index = _gates(edges.tobytes(), bounds.tobytes(), cfg.jitter_ps)
+    bg_in_gate, floor, index = _gates(edges.tobytes(), bounds.tobytes(), cfg.jitter_ps,
+                                      cfg.background_rate_hz * cfg.duration_s)
     dim, n_bins = len(histograms), bin_widths.size
     # Bin-major counts with one zero row past the end, which pads the shorter gates.
     by_channel = np.array([h.counts for h in histograms])
@@ -247,13 +270,8 @@ def estimate_probabilities(histograms: list, windows: list, cfg: CountingConfig)
     # gate's bins one after another. Floats, as the channels' total may pass
     # int64's range.
     raw = counts[index].sum(axis=1).astype(float)
-    span = edges[-1] - edges[0]
-    bg_total = cfg.background_rate_hz * cfg.duration_s
-    bg_in_gate = (bg_total * gate_widths / span if span > 0 else np.zeros(len(bounds)))[:, None]
-    # A channel within the rounding of its gate's background, eps per summed bin and eps
-    # of the span per gate edge, has no signal. NaN counts stay NaN.
     excess = raw - bg_in_gate
-    signal = np.where(excess <= _EPS * (sizes * bg_in_gate + 2.0 * bg_total), 0.0, excess)
+    signal = np.where(excess <= floor, 0.0, excess)  # NaN counts stay NaN
     total = signal.sum(axis=1, keepdims=True)
     low_statistics = tuple((total.ravel() < 100).tolist())
     # Each total is squared by a scalar power (libm pow): an array ** 2

@@ -14,6 +14,8 @@ from loopsim.model import SpinBosonParams, build_hamiltonian, step_unitary
 from loopsim.montecarlo import (
     ArrivalHistogram,
     CountingConfig,
+    _bin_means,
+    _expected_counts,
     _gates,
     _geometry,
     _normal_cdf,
@@ -370,6 +372,7 @@ def run_outputs(power, cfg, loop_delay_ps):
 
 def clear_caches():
     _geometry.cache_clear()
+    _expected_counts.cache_clear()
     _gates.cache_clear()
 
 
@@ -389,16 +392,25 @@ class TestGeometryCaches:
         def as_int(x):  # an integral float as an int, as a JSON config may give it
             return int(x) if x == int(x) else x
 
-        kw = dict(pair_rate_hz=1e4, background_rate_hz=background_rate_hz, seed=seed)
-        floats = CountingConfig(jitter_ps=jitter_ps, bin_ps=bin_ps, **kw)
-        ints = CountingConfig(jitter_ps=as_int(jitter_ps), bin_ps=as_int(bin_ps), **kw)
+        floats = CountingConfig(pair_rate_hz=1e4, duration_s=10.0, jitter_ps=jitter_ps,
+                                bin_ps=bin_ps, background_rate_hz=background_rate_hz, seed=seed)
+        ints = CountingConfig(pair_rate_hz=10000, duration_s=10, jitter_ps=as_int(jitter_ps),
+                              bin_ps=as_int(bin_ps), background_rate_hz=as_int(background_rate_hz),
+                              seed=seed)
+        # Equal pair_rate_hz and background_rate_hz products with duration_s: one entry
+        halved = replace(floats, pair_rate_hz=2e4, duration_s=5.0,
+                         background_rate_hz=2 * background_rate_hz)
         clear_caches()
         cold = run_outputs(power, floats, DELAY)
         assert run_outputs(power, floats, DELAY) == cold
         assert run_outputs(power, ints, int(DELAY)) == cold  # warm from the float run
+        assert run_outputs(power, halved, DELAY) == cold  # warm from the same products
+        assert _expected_counts.cache_info().misses == 1
         clear_caches()
         assert run_outputs(power, ints, int(DELAY)) == cold
         assert run_outputs(power, floats, DELAY) == cold  # warm from the int run
+        clear_caches()
+        assert run_outputs(power, halved, DELAY) == cold
 
     def test_acquisition_computes_each_geometry_once(self):
         # The calls of one benchmark-style acquisition: one miss per cache.
@@ -409,8 +421,18 @@ class TestGeometryCaches:
         hists = sample_run(power, cfg, DELAY)
         estimate_probabilities(hists, windows, cfg)
         estimate_probabilities(expected_histograms(power, cfg, DELAY), windows, cfg)
-        assert (_geometry.cache_info().misses, _geometry.cache_info().hits) == (1, 2)
-        assert (_gates.cache_info().misses, _gates.cache_info().hits) == (1, 1)
+        for cache in (_geometry, _expected_counts, _gates):
+            assert (cache.cache_info().misses, cache.cache_info().hits) == (1, 1)
+
+    def test_expected_counts_are_fresh_copies(self):
+        power, cfg = model_power(3), CountingConfig()
+        first = expected_histograms(power, cfg, DELAY)
+        before = [h.counts.copy() for h in first]
+        for h in first:
+            assert h.counts.flags.writeable
+            h.counts[:] = -1.0
+        again = expected_histograms(power, cfg, DELAY)
+        assert all(a.counts.tobytes() == b.tobytes() for a, b in zip(again, before))
 
     def test_bad_input_raises_on_every_call(self):
         cfg = CountingConfig()
@@ -418,7 +440,13 @@ class TestGeometryCaches:
         edges = hists[0].bin_edges_ps
         backwards = [ArrivalHistogram(edges[::-1].copy(), h.counts[::-1]) for h in hists]
         windows = default_windows(2, cfg, DELAY)
+        negative, nan = identity_power(2), identity_power(2)
+        negative[1, 2], nan[0, 3] = -0.1, float("nan")
         calls = [
+            (lambda: sample_run(negative, cfg, DELAY), "power entries must be nonnegative"),
+            (lambda: expected_histograms(negative, cfg, DELAY), "power entries must be nonnegative"),
+            (lambda: sample_run(nan, cfg, DELAY), "power entries must be nonnegative"),
+            (lambda: expected_histograms(nan, cfg, DELAY), "power entries must be nonnegative"),
             (lambda: default_windows(2, CountingConfig(bin_ps=7e-4), DELAY), "histogram bins"),
             (lambda: estimate_probabilities(hists, [(-100.0, 300.0), (250.0, 600.0)], cfg),
              "overlap"),
@@ -439,7 +467,8 @@ class TestGeometryCaches:
         edges, mass = _geometry(3, 50.0, 20.0, DELAY)
         assert mass.shape == (3, edges.size - 1)
         windows = np.array(default_windows(3, CountingConfig(), DELAY))
-        cached = (edges, mass, *_gates(edges.tobytes(), windows.tobytes(), 50.0))
+        cached = (edges, mass, *_gates(edges.tobytes(), windows.tobytes(), 50.0, 100.0),
+                  *_bin_means(model_power(3), CountingConfig(), DELAY))
         assert not any(a.flags.writeable for a in cached)
 
 

@@ -37,7 +37,7 @@ def test_argument_caches_are_bounded():
             if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__:
                 caches[f"{info.name}.{name}"] = obj
     assert {"cli.build_parser", "mesh._columns", "model._propagator", "montecarlo._geometry",
-            "montecarlo._gates"} <= set(caches)
+            "montecarlo._expected_counts", "montecarlo._gates"} <= set(caches)
     unbounded = [name for name, f in caches.items()
                  if inspect.signature(f.__wrapped__).parameters
                  and f.cache_parameters()["maxsize"] is None]

@@ -14,7 +14,9 @@ anything does. Printed lines are not compared. The corpus:
   and once with int-typed settings;
 - losses and scaling for each chip size, and compare with a 3-iteration cap;
 - seeded library calls: step_unitary (fresh and repeated), sample_run,
-  expected_histograms, estimate_probabilities and platform_comparison.
+  expected_histograms, estimate_probabilities (also over several seeds at
+  one setting, after a second setting, and with only the background
+  changed) and platform_comparison.
 
 Bits can differ across BLAS builds, so compare two trees on one machine.
 """
@@ -108,21 +110,36 @@ def _library_arrays() -> dict:
         arrays[f"step_unitary-{i:02d}"] = model.step_unitary(h, dt)
         arrays[f"step_unitary-{i:02d}-again"] = model.step_unitary(h, float(dt))
     chip = loopchip.ChipConfig()
-    for i, (jitter, bin_ps) in enumerate([(50.0, 20.0), (50, 20), (0.0, 25.0), (30.0, 7.5)]):
-        params = model.SpinBosonParams(*rng.uniform(-2.0, 2.0, size=3))
-        u = model.step_unitary(model.build_hamiltonian(params), params.dt)
-        power = loopchip.run_loop(chip, u, i % 6, 3)
-        cfg = montecarlo.CountingConfig(pair_rate_hz=1e5, duration_s=1.0, jitter_ps=jitter,
-                                        bin_ps=bin_ps, seed=i)
+
+    def count(label, power, **counting):
+        cfg = montecarlo.CountingConfig(**counting)
         windows = montecarlo.default_windows(3, cfg, chip.loop_delay_ps)
         for kind in ("sample_run", "expected_histograms"):
             hists = getattr(montecarlo, kind)(power, cfg, chip.loop_delay_ps)
             est = montecarlo.estimate_probabilities(hists, windows, cfg)
-            arrays[f"{kind}-{i}-edges"] = hists[0].bin_edges_ps
-            arrays[f"{kind}-{i}-counts"] = np.array([h.counts for h in hists])
-            arrays[f"{kind}-{i}-p_hat"] = est.p_hat
-            arrays[f"{kind}-{i}-stderr"] = est.stderr
-            arrays[f"{kind}-{i}-low_statistics"] = np.array(est.low_statistics)
+            arrays[f"{kind}-{label}-edges"] = hists[0].bin_edges_ps
+            arrays[f"{kind}-{label}-counts"] = np.array([h.counts for h in hists])
+            arrays[f"{kind}-{label}-p_hat"] = est.p_hat
+            arrays[f"{kind}-{label}-stderr"] = est.stderr
+            arrays[f"{kind}-{label}-low_statistics"] = np.array(est.low_statistics)
+
+    powers = []
+    for i, (jitter, bin_ps) in enumerate([(50.0, 20.0), (50, 20), (0.0, 25.0), (30.0, 7.5)]):
+        params = model.SpinBosonParams(*rng.uniform(-2.0, 2.0, size=3))
+        u = model.step_unitary(model.build_hamiltonian(params), params.dt)
+        powers.append(loopchip.run_loop(chip, u, i % 6, 3))
+        count(str(i), powers[-1], pair_rate_hz=1e5, duration_s=1.0, jitter_ps=jitter,
+              bin_ps=bin_ps, seed=i)
+    # Warm counting paths: one setting over several seeds, a second setting,
+    # the first again, and a background change at fixed geometry.
+    first = dict(pair_rate_hz=1e5, duration_s=1e4)
+    for label, power, counting in [
+        *((f"warm-seed{seed}", powers[0], {**first, "seed": seed}) for seed in range(3)),
+        ("warm-other", powers[3], dict(pair_rate_hz=1e5, jitter_ps=30.0, bin_ps=7.5, seed=3)),
+        ("warm-again", powers[0], {**first, "seed": 4}),
+        ("warm-background", powers[0], {**first, "background_rate_hz": 1e3, "seed": 4}),
+    ]:
+        count(label, power, **counting)
     platforms = losses.load_platforms()
     for n in (1, 3, 8):
         ratios = losses.optimal_splitters(n) if n >= 2 else (0.5, 0.5)
