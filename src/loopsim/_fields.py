@@ -1,5 +1,6 @@
-"""One type, finiteness and sign check for the fields of the config dataclasses."""
+"""The config dataclasses' one field check, and the one cache decorator, frozen_cache."""
 
+import functools
 import math
 import sys
 from dataclasses import fields
@@ -30,3 +31,18 @@ def check_fields(obj, positive=(), nonneg=()) -> None:
     for name in nonneg:
         if not getattr(obj, name) >= 0:
             raise ValueError(f"{name} must be >= 0")
+
+
+def frozen_cache(maxsize: int):
+    """functools.lru_cache(maxsize) around a function whose returned ndarrays, alone or in
+    a tuple, are made read-only on a miss. A hit is the bare lru_cache lookup, a call that
+    raises caches nothing, and entries live only as long as the process."""
+    def decorate(fn):
+        def frozen(*args):
+            result = fn(*args)
+            for a in result if isinstance(result, tuple) else (result,):
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
+            return result
+        return functools.lru_cache(maxsize)(functools.wraps(fn)(frozen))
+    return decorate

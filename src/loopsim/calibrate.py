@@ -17,7 +17,7 @@ import numpy as np
 from ._fields import check_fields
 from .loopchip import step_power_matrices
 from .mesh import (MeshNoise, MeshPlan, cell_entries, clements_decompose, forward_arrays, mesh_forward,
-                   noise_offsets)
+                   noise_offsets, phase_column)
 from .model import SpinBosonParams, build_hamiltonian, step_unitary
 
 
@@ -159,12 +159,12 @@ def train(plan: MeshPlan, noise, target: np.ndarray, tc: TrainingConfig) -> Trai
     flat_target = _input_major(target)
     n_cells = len(plan.los)
     offsets = noise_offsets(noise, n_cells)
-    output_phases = np.array(plan.output_phases, dtype=float)
+    phases = phase_column(plan.output_phases)
 
     def losses(points):
         """The loss at each row of a stack of phase vectors."""
         entries = cell_entries(points[:, :n_cells], points[:, n_cells:], offsets)
-        meshes = np.stack([forward_arrays(dim, plan.los, e, output_phases) for e in entries])
+        meshes = np.stack([forward_arrays(dim, plan.los, e) for e in entries]) * phases
         return kl_loss(flat_target, _input_major(step_power_matrices(meshes, n_steps)))
 
     x = np.array(plan.thetas + plan.phis, dtype=float)

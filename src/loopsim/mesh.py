@@ -20,17 +20,16 @@ ratio 1/2 + d_split2, then diag(-exp(-i theta'), exp(-i theta')), with fabricati
 offsets theta' = theta + d_theta, phi' = phi + d_phi. Evaluation has two stages:
 cell_entries computes every cell's 2x2 entries, batched over leading axes (a whole
 training stencil in one call), and forward_arrays multiplies one mesh's entries
-column by column (Clements et al., Optica 3, 1460 (2016)), then applies the output-phase
-factor, which is computed once per distinct phase vector.
+column by column (Clements et al., Optica 3, 1460 (2016)). Callers apply the output
+phases last, uncached, as phase_column, once per mesh or once per stack of meshes.
 """
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from ._fields import check_fields
+from ._fields import check_fields, frozen_cache
 
 _NULL_ATOL = 1e-10
 _TWO_PI = 2.0 * np.pi
@@ -93,7 +92,7 @@ class MeshPlan:
             raise ValueError("phases must be finite")
 
 
-@lru_cache(maxsize=128)
+@frozen_cache(maxsize=128)
 def _cell_coefficients(splits: bytes) -> np.ndarray:
     """Read-only complex (a, b), shape (2, 4, n_cells), of cells given the float64 bytes of
     their (d_split1, d_split2); cached, as training freezes the offsets. A bad ratio raises
@@ -106,9 +105,7 @@ def _cell_coefficients(splits: bytes) -> np.ndarray:
     (u1, u2), (v1, v2) = np.sqrt(ratios.T), np.sqrt(1.0 - ratios.T)
     # Products of coupler amplitudes through the two internal paths.
     p, q, ps, qs = u1 * u2, v1 * v2, u1 * v2, u2 * v1
-    coefficients = np.array([[p, 1j * qs, -1j * ps, q], [q, -1j * ps, 1j * qs, p]], dtype=complex)
-    coefficients.setflags(write=False)
-    return coefficients
+    return np.array([[p, 1j * qs, -1j * ps, q], [q, -1j * ps, 1j * qs, p]], dtype=complex)
 
 
 def cell_entries(thetas, phis, offsets) -> np.ndarray:
@@ -124,7 +121,7 @@ def cell_entries(thetas, phis, offsets) -> np.ndarray:
     return entries
 
 
-@lru_cache(maxsize=128)
+@frozen_cache(maxsize=128)
 def noise_offsets(noise: MeshNoise | None, n_cells: int) -> np.ndarray:
     """Per-cell draws (d_theta, d_phi, d_split1, d_split2), shape (n_cells, 4), all zeros
     when noise is None; read-only and cached, as training evaluates the mesh on the same draws.
@@ -140,15 +137,14 @@ def noise_offsets(noise: MeshNoise | None, n_cells: int) -> np.ndarray:
         for i in range(n_cells):
             bits = np.random.PCG64(np.random.SeedSequence(noise.seed, spawn_key=(i,)))
             out[i] = np.random.Generator(bits).normal(0.0, scales)
-    out.setflags(write=False)
     return out
 
 
-@lru_cache(maxsize=128)
+@frozen_cache(maxsize=128)
 def _columns(dim: int, los: tuple):
     """Each cell's column, the first free on both its modes (so one column's cells act on
-    disjoint pairs), a read-only identity stack (n_columns >= 1, dim, dim), and the flat
-    positions in it of every cell's m00, then m01, m10, m11."""
+    disjoint pairs), an identity stack (n_columns >= 1, dim, dim), and the flat positions in
+    it of every cell's m00, then m01, m10, m11; cached and read-only."""
     depth = [0] * dim
     cols = []
     for lo in los:
@@ -156,37 +152,30 @@ def _columns(dim: int, los: tuple):
         depth[lo] = depth[lo + 1] = col + 1
         cols.append(col)
     stack = np.tile(np.eye(dim, dtype=complex), (max(1, *depth), 1, 1))
-    stack.setflags(write=False)
     diag = np.array(cols, dtype=np.intp) * dim * dim + np.array(los, dtype=np.intp) * (dim + 1)
     positions = np.concatenate([diag, diag + 1, diag + dim, diag + dim + 1])
     return tuple(cols), stack, positions
 
 
-@lru_cache(maxsize=128)
-def _phase_factor(phases: bytes) -> np.ndarray:
-    """Read-only column (dim, 1) of exp(i p) given the float64 bytes of the output phases p;
-    cached, as training freezes them."""
-    factor = np.exp(1j * np.frombuffer(phases))[:, None]
-    factor.setflags(write=False)
-    return factor
+def phase_column(output_phases) -> np.ndarray:
+    """Column (dim, 1) of exp(i p) over a plan's output phases p; a column product, or a
+    stack of them, times it is the mesh. Not cached."""
+    return np.exp(1j * np.asarray(output_phases, dtype=float))[:, None]
 
 
-def forward_arrays(dim, los, entries, output_phases) -> np.ndarray:
-    """One mesh from its (4, len(los)) cell entries (see cell_entries) and (dim,) output
-    phases: a product of block-diagonal column matrices (see _columns), first column
-    rightmost, output phases last."""
+def forward_arrays(dim, los, entries) -> np.ndarray:
+    """One mesh's column product from its (4, len(los)) cell entries (see cell_entries): a
+    product of block-diagonal column matrices (see _columns), first column rightmost. The
+    output phases are not applied; times phase_column, it is the mesh."""
     if entries.shape != (4, len(los)):
         raise ValueError(f"entries must have shape (4, {len(los)}), not {entries.shape}")
-    phases = np.asarray(output_phases, dtype=float)
-    if phases.shape != (dim,):
-        raise ValueError(f"output_phases must have shape ({dim},), not {phases.shape}")
     _, stack, positions = _columns(dim, tuple(los))
     mats = stack.copy()
     mats.reshape(-1)[positions] = entries.reshape(-1)
     u = mats[0]
     for column in mats[1:]:
         u = column.dot(u)
-    return u * _phase_factor(phases.tobytes())
+    return u
 
 
 def mesh_forward(plan: MeshPlan, noise: MeshNoise | None = None) -> np.ndarray:
@@ -198,7 +187,7 @@ def mesh_forward(plan: MeshPlan, noise: MeshNoise | None = None) -> np.ndarray:
     noisy or not.
     """
     entries = cell_entries(plan.thetas, plan.phis, noise_offsets(noise, len(plan.los)))
-    return forward_arrays(plan.dim, plan.los, entries, plan.output_phases)
+    return forward_arrays(plan.dim, plan.los, entries) * phase_column(plan.output_phases)
 
 
 def _null_angles(num, den):

@@ -7,11 +7,10 @@ total channel count is ``2 * n_boson``.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from ._fields import check_fields
+from ._fields import check_fields, frozen_cache
 
 _HERMITIAN_ATOL = 1e-12
 _EIG_RESIDUAL_ATOL = 1e-9
@@ -42,7 +41,7 @@ class SpinBosonParams:
         return 2 * self.n_boson
 
 
-@lru_cache(maxsize=32)
+@frozen_cache(maxsize=32)
 def _operators(n_boson: int) -> tuple:
     """Read-only (1 x a'a, sz x 1, sx x 1, sx x (a' + a)) on the channel space, the
     Kronecker factors of build_hamiltonian's four terms; cached, as they depend on
@@ -52,11 +51,8 @@ def _operators(n_boson: int) -> tuple:
     eye_b = np.eye(n_boson)
     sz = np.array([[1.0, 0.0], [0.0, -1.0]])
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    ops = (np.kron(np.eye(2), adag @ a), np.kron(sz, eye_b), np.kron(sx, eye_b),
-           np.kron(sx, a + adag))
-    for op in ops:
-        op.setflags(write=False)
-    return ops
+    return (np.kron(np.eye(2), adag @ a), np.kron(sz, eye_b), np.kron(sx, eye_b),
+            np.kron(sx, a + adag))
 
 
 def build_hamiltonian(params: SpinBosonParams) -> np.ndarray:
@@ -83,7 +79,7 @@ def step_unitary(hamiltonian: np.ndarray, dt: float) -> np.ndarray:
     return _propagator(h.tobytes(), h.shape[0], float(dt)).copy()
 
 
-@lru_cache(maxsize=4)
+@frozen_cache(maxsize=4)
 def _propagator(h_bytes: bytes, dim: int, dt: float) -> np.ndarray:
     """Read-only exp(-i H dt) of the C-order complex128 bytes of a dim x dim H,
     with its Hermitian, dt, eigen-residual and unitarity checks. A failed
@@ -101,7 +97,6 @@ def _propagator(h_bytes: bytes, dim: int, dt: float) -> np.ndarray:
     defect = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
     if not defect <= _UNITARY_ATOL:
         raise RuntimeError(f"propagator unitarity defect {defect:.3e} too large")
-    u.setflags(write=False)
     return u
 
 

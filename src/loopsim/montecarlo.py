@@ -10,11 +10,10 @@ with the C library's erfc through math.erfc.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from ._fields import check_fields
+from ._fields import check_fields, frozen_cache
 
 # Histogram bins per channel. sample_run holds dim x bins floats at once, so
 # the cap bounds its memory; a too-small bin_ps is rejected, not allocated.
@@ -79,7 +78,7 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
     return 0.5 * np.fromiter(map(math.erfc, flat), float, count=x.size).reshape(x.shape)
 
 
-@lru_cache(maxsize=4)
+@frozen_cache(maxsize=4)
 def _geometry(n_steps: int, jitter_ps: float, bin_ps: float, loop_delay_ps: float):
     """Read-only (edges, mass) of one timing grid, computed in float: edges span
     all peaks plus 6 sigma of jitter, aligned to bin_ps, and mass[n, i] is step
@@ -103,8 +102,6 @@ def _geometry(n_steps: int, jitter_ps: float, bin_ps: float, loop_delay_ps: floa
     else:  # at a positive delay the edges pad every center by at least one bin
         step_bin = np.searchsorted(edges, centers, side="right") - 1
         mass = (np.arange(edges.size - 1) == step_bin[:, None]).astype(float)
-    edges.setflags(write=False)
-    mass.setflags(write=False)
     return edges, mass
 
 
@@ -117,7 +114,7 @@ def _bin_means(power: np.ndarray, cfg: CountingConfig, loop_delay_ps: float):
                             loop_delay_ps)
 
 
-@lru_cache(maxsize=1)
+@frozen_cache(maxsize=1)
 def _expected_counts(power_bytes: bytes, shape: tuple, expected_pairs: float, bg_total: float,
                      jitter_ps: float, bin_ps: float, loop_delay_ps: float):
     """Read-only (edges, means) with means of shape (dim, bins), from power's
@@ -141,7 +138,6 @@ def _expected_counts(power_bytes: bytes, shape: tuple, expected_pairs: float, bg
     means = np.full((dim, edges.size - 1), bg_per_bin)
     for n in range(n_steps):
         means = means + (expected_pairs * power[n])[:, None] * mass[n]
-    means.setflags(write=False)
     return edges, means
 
 
@@ -184,7 +180,7 @@ def default_windows(n_steps: int, cfg: CountingConfig, loop_delay_ps: float) -> 
     return [((n * loop_delay_ps) - half, (n * loop_delay_ps) + half) for n in range(n_steps)]
 
 
-@lru_cache(maxsize=4)
+@frozen_cache(maxsize=4)
 def _gates(edges_bytes: bytes, bounds_bytes: bytes, jitter_ps: float, bg_total: float):
     """Read-only (bg_in_gate, floor, index) of windows over strictly increasing
     edges, both float64 bytes: gate n holds the sizes[n] bins with edges[i] >= lo
@@ -221,8 +217,6 @@ def _gates(edges_bytes: bytes, bounds_bytes: bytes, jitter_ps: float, bg_total: 
     # A channel within the rounding of its gate's background, eps per summed bin and eps
     # of the span per gate edge, has no signal.
     floor = _EPS * (sizes * bg_in_gate + 2.0 * bg_total)
-    for a in (bg_in_gate, floor, index):
-        a.setflags(write=False)
     return bg_in_gate, floor, index
 
 
@@ -245,10 +239,11 @@ def estimate_probabilities(histograms: list, windows: list, cfg: CountingConfig)
     """
     if not histograms:
         raise ValueError("need at least one histogram")
-    edges = histograms[0].bin_edges_ps
+    given = histograms[0].bin_edges_ps
+    edges = np.asarray(given, dtype=float)
     bin_widths = edges[1:] - edges[:-1]
     for h in histograms:
-        if h.bin_edges_ps is not edges and not np.array_equal(h.bin_edges_ps, edges):
+        if h.bin_edges_ps is not given and not np.array_equal(h.bin_edges_ps, given):
             raise ValueError("histograms must share bin edges")
         if h.counts.shape != bin_widths.shape:
             raise ValueError(f"each histogram needs one count per bin, {bin_widths.size} here")
@@ -258,7 +253,6 @@ def estimate_probabilities(histograms: list, windows: list, cfg: CountingConfig)
     for n, (lo, hi) in enumerate(bounds.tolist()):
         if lo != lo or hi != hi:
             raise ValueError(f"window {n} bounds must be numbers, got {windows[n]}")
-    edges = np.asarray(edges, dtype=float)
     bg_in_gate, floor, index = _gates(edges.tobytes(), bounds.tobytes(), cfg.jitter_ps,
                                       cfg.background_rate_hz * cfg.duration_s)
     dim, n_bins = len(histograms), bin_widths.size

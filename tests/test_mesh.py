@@ -16,6 +16,7 @@ from loopsim.mesh import (
     forward_arrays,
     mesh_forward,
     noise_offsets,
+    phase_column,
     plan_from_json,
     plan_to_json,
 )
@@ -68,7 +69,7 @@ def realized(theta, phi, d_theta=0.0, d_phi=0.0, d_split1=0.0, d_split2=0.0):
     """One realized cell as the mesh evaluates it: a 2-mode mesh of one cell."""
     entries = cell_entries(np.array([theta]), np.array([phi]),
                            np.array([[d_theta, d_phi, d_split1, d_split2]]))
-    return forward_arrays(2, (0,), entries, np.zeros(2))
+    return forward_arrays(2, (0,), entries)
 
 
 class TestTransfer:
@@ -279,7 +280,7 @@ class TestColumnKernel:
         for k, lo in enumerate(los):
             expected = embed(realized_cell(thetas[k], phis[k], *offsets[k]), lo, dim) @ expected
         expected = np.diag(np.exp(1j * out)) @ expected
-        got = forward_arrays(dim, los, cell_entries(thetas, phis, offsets), out)
+        got = forward_arrays(dim, los, cell_entries(thetas, phis, offsets)) * phase_column(out)
         assert np.max(np.abs(got - expected)) <= 1e-15 * (n + 1)
 
     @settings(max_examples=200, deadline=None)
@@ -301,13 +302,14 @@ class TestColumnKernel:
             expected = column @ expected
         expected = expected * np.exp(1j * np.asarray(out))[:, None]
         for phases_arg in (out, np.array(out)):
-            assert forward_arrays(dim, los, entries, phases_arg).tobytes() == expected.tobytes()
+            got = forward_arrays(dim, los, entries) * phase_column(phases_arg)
+            assert got.tobytes() == expected.tobytes()
 
     def test_out_of_range_draw_raises_on_every_call(self):
         offsets = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.6, 0.0]])
         for _ in range(2):
             with pytest.raises(ValueError, match="cell 1: coupler power ratio 1.1"):
-                forward_arrays(3, (0, 1), cell_entries(np.zeros(2), np.zeros(2), offsets), np.zeros(3))
+                forward_arrays(3, (0, 1), cell_entries(np.zeros(2), np.zeros(2), offsets))
 
     def test_offsets_mutated_in_place_give_fresh_products(self, rng):
         plan = clements_decompose(haar_unitary(4, rng))
@@ -315,7 +317,7 @@ class TestColumnKernel:
 
         def forward():
             entries = cell_entries(np.array(plan.thetas), np.array(plan.phis), offsets)
-            return forward_arrays(plan.dim, plan.los, entries, plan.output_phases)
+            return forward_arrays(plan.dim, plan.los, entries)
 
         before = forward()
         offsets[:, 2:] *= -1.0
@@ -328,37 +330,26 @@ class TestColumnKernel:
         plan = clements_decompose(haar_unitary(4, rng))
         entries = cell_entries(np.array(plan.thetas), np.array(plan.phis),
                                noise_offsets(MeshNoise(seed=4), len(plan.los)))
+        product = forward_arrays(plan.dim, plan.los, entries)
         phases = np.array(plan.output_phases)
-        before = forward_arrays(plan.dim, plan.los, entries, phases)
+        before = product * phase_column(phases)
         phases[1] += 0.5
-        after = forward_arrays(plan.dim, plan.los, entries, phases)
+        after = product * phase_column(phases)
         assert np.allclose(after[1], before[1] * np.exp(0.5j), rtol=0.0, atol=1e-15)
         assert np.array_equal(np.delete(after, 1, axis=0), np.delete(before, 1, axis=0))
-        mesh._phase_factor.cache_clear()
-        assert np.array_equal(forward_arrays(plan.dim, plan.los, entries, phases), after)
 
     def test_cached_arrays_read_only(self):
         _, stack, _ = mesh._columns(4, (0, 2, 1, 0))
         assert stack.shape == (3, 4, 4) and not stack.flags.writeable
         splits = np.array([[0.01, -0.02]]).tobytes()
         assert not any(a.flags.writeable for a in mesh._cell_coefficients(splits))
-        factor = mesh._phase_factor(np.array([0.1, -0.2, 0.0]).tobytes())
-        assert factor.shape == (3, 1) and not factor.flags.writeable
-
-    def test_output_phases_shape_must_match_dim(self):
-        # one phase would broadcast over every row, a (4, 4) array into a (4, 4, 4) stack
-        entries = cell_entries(np.zeros(3), np.zeros(3), np.zeros((3, 4)))
-        for phases, shape in (([0.3], r"\(1,\)"), (np.zeros((4, 4)), r"\(4, 4\)"),
-                              (0.3, r"\(\)")):
-            with pytest.raises(ValueError, match=r"output_phases must have shape \(4,\), not " + shape):
-                forward_arrays(4, (0, 2, 1), entries, phases)
 
     def test_entries_shape_must_match_cells(self):
         # a size-1 array would broadcast silently into every cell
         for entries, shape in ((np.ones((4, 2), dtype=complex), r"\(4, 2\)"),
                                (np.complex128(1.0), r"\(\)"), (np.array(1.0), r"\(\)")):
             with pytest.raises(ValueError, match=r"shape \(4, 3\), not " + shape):
-                forward_arrays(4, (0, 2, 1), entries, np.zeros(4))
+                forward_arrays(4, (0, 2, 1), entries)
 
 
 @st.composite

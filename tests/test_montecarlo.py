@@ -668,6 +668,15 @@ class TestEstimation:
         assert again.p_hat.tobytes() == est.p_hat.tobytes()
         assert again.stderr.tobytes() == est.stderr.tobytes()
 
+    def test_bin_edges_increase_as_float64(self):
+        # int64 edges that strictly increase, but 2**53 + 1 rounds to 2**53 as a float64
+        edges = np.array([0, 100, 2**53, 2**53 + 1, 2**53 + 2], dtype=np.int64)
+        assert (np.diff(edges) > 0).all()
+        hists = [ArrivalHistogram(edges, np.array([50, 0, 0, 0])) for _ in range(2)]
+        cfg = CountingConfig(jitter_ps=0.0, background_rate_hz=0.0)
+        with pytest.raises(ValueError, match="bin_edges_ps must strictly increase"):
+            estimate_probabilities(hists, [(0.0, 100.0)], cfg)
+
     def test_default_windows_shape(self):
         cfg = CountingConfig(jitter_ps=50.0, bin_ps=20.0)
         windows = default_windows(3, cfg, DELAY)

@@ -4,6 +4,7 @@ import pkgutil
 from types import ModuleType
 
 import loopsim
+from loopsim._fields import frozen_cache
 
 
 def test_public_surface():
@@ -28,6 +29,7 @@ def test_argument_caches_are_bounded():
     # A functools cache keyed on its arguments holds every distinct call's
     # result; unbounded, memory would grow with the inputs seen, not with
     # problem size. A cache on a function without arguments holds one result.
+    # Every cache that takes arguments is a frozen_cache, so its arrays are read-only.
     caches = {}
     for info in pkgutil.iter_modules(loopsim.__path__):
         if info.name == "__main__":
@@ -42,3 +44,8 @@ def test_argument_caches_are_bounded():
                  if inspect.signature(f.__wrapped__).parameters
                  and f.cache_parameters()["maxsize"] is None]
     assert unbounded == []
+    frozen = frozen_cache(1)(lambda: None).__wrapped__.__code__
+    not_frozen = [name for name, f in caches.items()
+                  if inspect.signature(f.__wrapped__).parameters
+                  and getattr(f.__wrapped__, "__code__", None) is not frozen]
+    assert not_frozen == []

@@ -16,7 +16,10 @@ anything does. Printed lines are not compared. The corpus:
 - seeded library calls: step_unitary (fresh and repeated), sample_run,
   expected_histograms, estimate_probabilities (also over several seeds at
   one setting, after a second setting, and with only the background
-  changed) and platform_comparison.
+  changed) and platform_comparison;
+- noisy meshes: mesh_forward(clements_decompose(u), MeshNoise(seed=i)) for
+  seeded Haar u of dim 1-16, and the loss trace and trained phases of a
+  3-iteration calibrate.train at n_boson 1-4.
 
 Bits can differ across BLAS builds, so compare two trees on one machine.
 """
@@ -98,7 +101,7 @@ def _library_arrays() -> dict:
     """Named arrays from seeded library calls."""
     import numpy as np
 
-    from loopsim import losses, loopchip, model, montecarlo
+    from loopsim import calibrate, losses, loopchip, mesh, model, montecarlo
 
     arrays = {}
     rng = np.random.default_rng(2024)
@@ -145,6 +148,20 @@ def _library_arrays() -> dict:
         ratios = losses.optimal_splitters(n) if n >= 2 else (0.5, 0.5)
         arrays[f"platform_comparison-{n}"] = losses.platform_comparison(platforms, chip,
                                                                         ratios, n)
+    haar = np.random.default_rng(2025)
+    for dim in range(1, 17):
+        q, r = np.linalg.qr(haar.normal(size=(dim, dim)) + 1j * haar.normal(size=(dim, dim)))
+        u = q * (np.diag(r) / np.abs(np.diag(r)))
+        arrays[f"mesh_forward-noisy-{dim:02d}"] = mesh.mesh_forward(
+            mesh.clements_decompose(u), mesh.MeshNoise(seed=dim))
+    for n in range(1, 5):
+        params = model.SpinBosonParams(*haar.uniform(-2.0, 2.0, size=3), n_boson=n)
+        u = model.step_unitary(model.build_hamiltonian(params), params.dt)
+        result = calibrate.train(mesh.clements_decompose(u), mesh.MeshNoise(seed=n),
+                                 calibrate.theory_step_matrices(u, 3),
+                                 calibrate.TrainingConfig(max_iters=3))
+        arrays[f"train-n{n}-trace"] = result.trace
+        arrays[f"train-n{n}-phases"] = np.array(result.plan.thetas + result.plan.phis)
     return arrays
 
 
