@@ -16,8 +16,8 @@ import numpy as np
 
 from ._fields import check_fields
 from .loopchip import step_power_matrices
-from .mesh import (MeshNoise, MeshPlan, cell_entries, clements_decompose, forward_arrays, mesh_forward,
-                   noise_offsets, phase_column)
+from .mesh import (MeshNoise, MeshPlan, _columns, cell_entries, clements_decompose, forward_arrays,
+                   mesh_forward, noise_offsets, phase_column)
 from .model import SpinBosonParams, build_hamiltonian, step_unitary
 
 
@@ -143,13 +143,13 @@ def finite_diff_gradient(fn, x: np.ndarray, eps: float) -> np.ndarray:
 def train(plan: MeshPlan, noise, target: np.ndarray, tc: TrainingConfig) -> TrainResult:
     """Adjust commanded cell phases to pull the noisy chip toward the target.
 
-    The target holds the ideal (n_steps, dim, dim) step matrices (see
-    theory_step_matrices); its first axis fixes the step count. The chip's
-    losses and splitter ratios are left out: they scale every step
-    uniformly, so row normalization cancels them. Noise offsets are frozen
-    for the whole run. The best parameters seen are returned, so the final
-    loss never exceeds the initial one; convergence means reaching tc.tol.
-    An already-converged start returns immediately with a one-entry trace.
+    The target holds the ideal (n_steps, dim, dim) step matrices (see theory_step_matrices);
+    its first axis fixes the step count. The chip's losses and splitter ratios are left out:
+    they scale every step uniformly, so row normalization cancels them. Noise offsets are
+    frozen for the whole run. A stencil point recomputes only its changed cell's entries and
+    the columns from that cell's on, from the current point's state, bit for bit. The best
+    parameters seen are returned, so the final loss never exceeds the initial one;
+    convergence means reaching tc.tol; an already-converged start returns a one-entry trace.
     """
     dim = plan.dim
     target = np.asarray(target, dtype=float)
@@ -160,15 +160,32 @@ def train(plan: MeshPlan, noise, target: np.ndarray, tc: TrainingConfig) -> Trai
     n_cells = len(plan.los)
     offsets = noise_offsets(noise, n_cells)
     phases = phase_column(plan.output_phases)
+    cols, stack, _ = _columns(dim, plan.los)
 
-    def losses(points):
-        """The loss at each row of a stack of phase vectors."""
-        entries = cell_entries(points[:, :n_cells], points[:, n_cells:], offsets)
-        meshes = np.stack([forward_arrays(dim, plan.los, e) for e in entries]) * phases
-        return kl_loss(flat_target, _input_major(step_power_matrices(meshes, n_steps)))
+    def evaluate(points, at=None):
+        """The loss at each row of a stack of phase vectors and, for one row without at, its
+        state (phases, entries, partials). Given at, a row recomputes only the cells whose
+        phases differ from at's and the columns from the first of them on (see forward_arrays)."""
+        if at is None:
+            entries = cell_entries(points[:, :n_cells], points[:, n_cells:], offsets)
+            resumes = [None] * len(points)
+        else:
+            x0, entries0, prefix = at
+            changed = (points != x0).reshape(len(points), 2, n_cells).any(axis=1)
+            rows, cells = np.nonzero(changed)
+            entries = np.repeat(entries0[None], len(points), axis=0)
+            entries[rows, :, cells] = cell_entries(points[rows, cells], points[rows, n_cells + cells],
+                                                   offsets[cells]).T
+            starts = np.where(changed, cols, len(stack)).min(axis=1)
+            resumes = [(s, prefix) for s in starts.tolist()]
+        partials = np.empty_like(stack) if at is None and len(points) == 1 else None
+        meshes = np.stack([forward_arrays(dim, plan.los, e, r, partials)
+                           for e, r in zip(entries, resumes)]) * phases
+        loss = kl_loss(flat_target, _input_major(step_power_matrices(meshes, n_steps)))
+        return loss, None if partials is None else (points[0], entries[0], partials)
 
     x = np.array(plan.thetas + plan.phis, dtype=float)
-    loss = float(losses(x[None])[0])
+    (loss,), at = evaluate(x[None])
     trace = [loss]
     best_x, best_loss = x.copy(), loss
     if loss <= tc.tol:
@@ -179,13 +196,13 @@ def train(plan: MeshPlan, noise, target: np.ndarray, tc: TrainingConfig) -> Trai
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     converged = False
     for it in range(1, tc.max_iters + 1):
-        g = finite_diff_gradient(losses, x, _GRAD_EPS)
+        g = finite_diff_gradient(lambda p: evaluate(p, at)[0], x, _GRAD_EPS)
         m = beta1 * m + (1.0 - beta1) * g
         v = beta2 * v + (1.0 - beta2) * g * g
         m_hat = m / (1.0 - beta1 ** it)
         v_hat = v / (1.0 - beta2 ** it)
         x = x - tc.learning_rate * m_hat / (np.sqrt(v_hat) + adam_eps)
-        loss = float(losses(x[None])[0])
+        (loss,), at = evaluate(x[None])
         trace.append(loss)
         if loss < best_loss:
             best_loss, best_x = loss, x.copy()

@@ -18,10 +18,10 @@ A realized cell is, input to output: phase exp(i phi') on the lo port, coupler o
 power ratio 1/2 + d_split1, phase exp(i (2 theta' + pi)) on the lo arm, coupler of
 ratio 1/2 + d_split2, then diag(-exp(-i theta'), exp(-i theta')), with fabrication
 offsets theta' = theta + d_theta, phi' = phi + d_phi. Evaluation has two stages:
-cell_entries computes every cell's 2x2 entries, batched over leading axes (a whole
-training stencil in one call), and forward_arrays multiplies one mesh's entries
-column by column (Clements et al., Optica 3, 1460 (2016)). Callers apply the output
-phases last, uncached, as phase_column, once per mesh or once per stack of meshes.
+cell_entries computes cells' 2x2 entries, batched over leading axes (a training
+stencil's changed cells in one call); forward_arrays multiplies one mesh's entries
+column by column, from the first column or a later one (Clements et al., Optica 3,
+1460 (2016)). Callers apply the output phases last, uncached, as phase_column.
 """
 
 import json
@@ -163,19 +163,35 @@ def phase_column(output_phases) -> np.ndarray:
     return np.exp(1j * np.asarray(output_phases, dtype=float))[:, None]
 
 
-def forward_arrays(dim, los, entries) -> np.ndarray:
+def forward_arrays(dim, los, entries, resume=None, partials=None) -> np.ndarray:
     """One mesh's column product from its (4, len(los)) cell entries (see cell_entries): a
     product of block-diagonal column matrices (see _columns), first column rightmost. The
-    output phases are not applied; times phase_column, it is the mesh."""
+    output phases are not applied; times phase_column, it is the mesh. partials, complex
+    (n_columns, dim, dim), is filled with the product of columns 0..k at k. resume=(s, prefix),
+    the partials of a mesh with these entries before column s, chains on from prefix[s - 1] with
+    the plain chain's bits (s == 0 is that chain): a stencil point recomputes the columns from
+    its first changed cell's on, and one with no change gets a copy of prefix[-1]."""
     if entries.shape != (4, len(los)):
         raise ValueError(f"entries must have shape (4, {len(los)}), not {entries.shape}")
     _, stack, positions = _columns(dim, tuple(los))
+    start, prefix = resume or (0, stack)
+    if not (isinstance(start, (int, np.integer)) and 0 <= start <= len(stack)
+            and getattr(prefix, "shape", None) == stack.shape):
+        raise ValueError(f"resume must be (s, prefix) with 0 <= s <= {len(stack)} and prefix of "
+                         f"shape {stack.shape}, not s={start!r} and shape {np.shape(prefix)}")
+    if partials is not None and (partials.shape, partials.dtype, partials.flags.c_contiguous) \
+            != (stack.shape, complex, True):
+        raise ValueError(f"partials must be a C-contiguous complex array of shape {stack.shape}")
     mats = stack.copy()
     mats.reshape(-1)[positions] = entries.reshape(-1)
-    u = mats[0]
-    for column in mats[1:]:
-        u = column.dot(u)
-    return u
+    if start == 0:
+        start, prefix = 1, mats  # column 0 alone is the first partial product
+    u = prefix[start - 1]
+    if partials is not None:
+        partials[:start] = prefix[:start]
+    for k in range(start, len(mats)):
+        u = mats[k].dot(u, None if partials is None else partials[k])  # ndarray.dot(b, out)
+    return u if start < len(mats) and partials is None else u.copy()
 
 
 def mesh_forward(plan: MeshPlan, noise: MeshNoise | None = None) -> np.ndarray:

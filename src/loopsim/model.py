@@ -81,9 +81,9 @@ def step_unitary(hamiltonian: np.ndarray, dt: float) -> np.ndarray:
 
 @frozen_cache(maxsize=4)
 def _propagator(h_bytes: bytes, dim: int, dt: float) -> np.ndarray:
-    """Read-only exp(-i H dt) of the C-order complex128 bytes of a dim x dim H,
-    with its Hermitian, dt, eigen-residual and unitarity checks. A failed
-    check raises on every call (none cached)."""
+    """Read-only exp(-i H dt) of the C-order complex128 bytes of a dim x dim H, with its Hermitian,
+    dt, eigen-residual (at most max(1e-9, 16 eps dim ||H||_2), as eigh's grows with ||H||_2 =
+    max|w|) and unitarity checks. A failed check raises on every call (none cached)."""
     h = np.frombuffer(h_bytes, dtype=complex).reshape(dim, dim)
     if not np.max(np.abs(h - h.conj().T)) <= _HERMITIAN_ATOL:
         raise ValueError("hamiltonian is not Hermitian")
@@ -91,7 +91,8 @@ def _propagator(h_bytes: bytes, dim: int, dt: float) -> np.ndarray:
         raise ValueError("dt must be finite")
     w, v = np.linalg.eigh(h)
     residual = np.max(np.abs(h @ v - v * w))
-    if not residual <= _EIG_RESIDUAL_ATOL:
+    bound = max(_EIG_RESIDUAL_ATOL, 16 * np.finfo(float).eps * dim * np.max(np.abs(w)))
+    if not residual <= bound:
         raise RuntimeError(f"eigendecomposition residual {residual:.3e} too large")
     u = (v * np.exp(-1j * w * dt)) @ v.conj().T
     defect = np.max(np.abs(u.conj().T @ u - np.eye(dim)))

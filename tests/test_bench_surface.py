@@ -9,6 +9,8 @@ training iteration does that the train-table self-check would reject.
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -27,29 +29,33 @@ def test_tracer_covers_every_listed_function(monkeypatch):
     assert sys.modules["loopsim.cli"].run is original
 
 
-def test_training_iteration_matches_train_table_self_check(monkeypatch):
+@pytest.mark.parametrize("n_boson", [2, 3])
+def test_training_iteration_matches_train_table_self_check(monkeypatch, n_boson):
     # train-table's traced run requires 2P + 1 loss evaluations per Adam
-    # iteration (P phases); read through the benchmark's own metric.
+    # iteration (P phases), read through the benchmark's own metric, and one
+    # mesh.forward_arrays call per mesh; n_boson 3 is train-table's size.
     monkeypatch.syspath_prepend(str(ROOT))
     import loopsim.cli  # noqa: F401  (the tracer patches every loopsim module)
     from loopsim import calibrate, mesh, model
     from perfbench.spans import Tracer
 
-    params = model.SpinBosonParams(1.0, 1.0, 1.0, n_boson=2)
+    params = model.SpinBosonParams(1.0, 1.0, 1.0, n_boson=n_boson)
     u = model.step_unitary(model.build_hamiltonian(params), params.dt)
     plan = mesh.clements_decompose(u)
     target = calibrate.theory_step_matrices(u, 3)
-    tc = calibrate.TrainingConfig(max_iters=2, tol=1e-30)
+    iters = 2
+    tc = calibrate.TrainingConfig(max_iters=iters, tol=1e-30)
     tracer = Tracer()
     tracer.install()
     try:
         result = calibrate.train(plan, mesh.MeshNoise(), target, tc)
     finally:
         tracer.uninstall()
-    assert len(result.trace) == 3 and not result.converged
+    assert len(result.trace) == iters + 1 and not result.converged
     phases = 2 * len(plan.los)
-    assert phases == 12
+    assert phases == params.dim * (params.dim - 1)
     assert tracer.metrics(1, 1.0)["calibrate.loss_evals_per_iter"][0] == 2 * phases + 1
+    assert tracer.calls["mesh.forward_arrays"] == 1 + iters * (2 * phases + 1)
     # The stencil is one batch: the start, then the stencil and the step's loss per iteration.
-    assert tracer.calls["loopchip.step_power_matrices"] == 5
-    assert tracer.calls["calibrate.kl_loss"] == 5
+    assert tracer.calls["loopchip.step_power_matrices"] == 1 + 2 * iters
+    assert tracer.calls["calibrate.kl_loss"] == 1 + 2 * iters

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from loopsim import calibrate
+from loopsim import calibrate, mesh
 from loopsim.calibrate import (
     MethodComparison,
     ParamTable,
@@ -23,7 +23,7 @@ from loopsim.calibrate import (
 )
 from loopsim.cli import main
 from loopsim.loopchip import conditional_probabilities, run_loop, step_power_matrices
-from loopsim.mesh import MeshNoise, clements_decompose, mesh_forward
+from loopsim.mesh import MeshNoise, clements_decompose, forward_arrays, mesh_forward
 from loopsim.model import SpinBosonParams, build_hamiltonian, evolve_exact, step_unitary
 from conftest import haar_unitary, lossless_chip
 
@@ -202,9 +202,10 @@ class TestGradient:
             with pytest.raises(ValueError, match=r"shape \(6,\), not " + shape):
                 finite_diff_gradient(fn, x, 1e-6)
 
-    @pytest.mark.parametrize("n_boson", [3, 8])
+    @pytest.mark.parametrize("n_boson", [1, 2, 3, 5, 8])
     def test_batched_train_gradient_matches_per_point_oracle(self, monkeypatch, n_boson):
-        # train's own loss, caught on its way into the gradient, evaluated both ways
+        # train's own loss, caught on its way into the gradient, evaluated both ways; the
+        # second gradient resumes from the point an Adam step reached
         params = SpinBosonParams(0.5, 1.2, 0.8, n_boson=n_boson)
         u = step_unitary(build_hamiltonian(params), params.dt)
         seen = []
@@ -216,13 +217,16 @@ class TestGradient:
 
         monkeypatch.setattr(calibrate, "finite_diff_gradient", recording_gradient)
         noise = MeshNoise(sigma_theta=0.05, sigma_phi=0.05, sigma_split=0.005, seed=4)
-        train(clements_decompose(u), noise, theory_step_matrices(u, 3), TrainingConfig(max_iters=1))
-        ((batched, oracle),) = seen
-        assert batched.size == 2 * n_boson * (2 * n_boson - 1)
-        assert np.array_equal(batched, oracle)
+        train(clements_decompose(u), noise, theory_step_matrices(u, 3),
+              TrainingConfig(max_iters=2, tol=1e-30))
+        assert len(seen) == 2
+        for batched, oracle in seen:
+            assert batched.size == 2 * n_boson * (2 * n_boson - 1)
+            assert np.array_equal(batched, oracle)
 
     def test_train_gradient_matches_per_point_mesh_forward(self, monkeypatch):
-        # oracle: every stencil point's loss from its own plan through mesh_forward
+        # oracle: every stencil point's loss from its own plan through mesh_forward, at the
+        # start and after an Adam step
         u = default_unitary()
         plan = clements_decompose(u)
         target = theory_step_matrices(u, 3)
@@ -235,8 +239,8 @@ class TestGradient:
             return g
 
         monkeypatch.setattr(calibrate, "finite_diff_gradient", recording_gradient)
-        train(plan, noise, target, TrainingConfig(max_iters=1))
-        ((g, x, eps),) = seen
+        train(plan, noise, target, TrainingConfig(max_iters=2, tol=1e-30))
+        assert len(seen) == 2
         n = len(plan.los)
 
         def loss(points):
@@ -244,7 +248,8 @@ class TestGradient:
             point = replace(plan, thetas=tuple(p[:n].tolist()), phis=tuple(p[n:].tolist()))
             return [kl_loss(input_major(target), input_major(chip_distributions(point, noise, 3)))]
 
-        assert np.array_equal(g, per_point_gradient(loss, x, eps))
+        for g, x, eps in seen:
+            assert np.array_equal(g, per_point_gradient(loss, x, eps))
 
 
 class TestTrain:
@@ -296,6 +301,26 @@ class TestTrain:
         tight = train(plan, noise, target, TrainingConfig(learning_rate=0.02,
                                                           max_iters=3, tol=1e-12))
         assert not tight.converged
+
+    def test_stencil_point_resumes_at_its_cell_column(self, monkeypatch):
+        # stencil row i moves phase i, of cell i mod n_cells, so its chain resumes at that
+        # cell's column; each point after an Adam step is evaluated in full
+        plan = clements_decompose(default_unitary())
+        starts = []
+
+        def recording_forward(dim, los, entries, resume=None, partials=None):
+            starts.append(None if resume is None else resume[0])
+            return forward_arrays(dim, los, entries, resume, partials)
+
+        monkeypatch.setattr(calibrate, "forward_arrays", recording_forward)
+        mesh._cell_coefficients.cache_clear()
+        train(plan, MeshNoise(seed=4), theory_step_matrices(default_unitary(), 3),
+              TrainingConfig(max_iters=3, tol=1e-30))
+        cols = list(mesh._columns(plan.dim, plan.los)[0])
+        assert starts == [None] + (4 * cols + [None]) * 3
+        # the stencil's changed cells are one more coefficient key, hit from the second gradient on
+        info = mesh._cell_coefficients.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 5, 2)
 
     def test_bad_target_length(self):
         plan = clements_decompose(default_unitary())

@@ -126,6 +126,18 @@ class TestDecompose:
         assert "'re' and 'im' must be matrices of one shape" in capsys.readouterr().err
 
 
+
+class TestLargeNormModel:
+    @pytest.mark.parametrize("omega_hbar", [1e7, 1e9])
+    @pytest.mark.parametrize("command", ["decompose", "simulate", "train"])
+    def test_exits_zero(self, tmp_path, capsys, omega_hbar, command):
+        # a valid model whose eigen-residual exceeds 1e-9 only because ||H||_2 is large
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"model": {"omega_hbar": omega_hbar},
+                                       "training": {"max_iters": 2}}))
+        assert main(["--config", str(cfgfile), "--out", str(tmp_path), command]) == 0
+        assert "failure" not in capsys.readouterr().err
+
 class TestLosses:
     def test_default_table(self, tmp_path, capsys):
         rc = main(["--out", str(tmp_path), "losses"])

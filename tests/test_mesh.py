@@ -265,6 +265,17 @@ def mesh_cases(draw):
     return dim, tuple(los), phases, np.array(offsets, dtype=float).reshape(n, 4)
 
 
+def column_chain(dim, los, entries):
+    """Oracle: the products of columns 0..k, for every k, formed with @."""
+    _, stack, positions = mesh._columns(dim, los)
+    mats = stack.copy()
+    mats.reshape(-1)[positions] = entries.reshape(-1)
+    chain = [mats[0]]
+    for column in mats[1:]:
+        chain.append(column @ chain[-1])
+    return chain
+
+
 class TestColumnKernel:
     @settings(max_examples=200, deadline=None)
     @given(mesh_cases())
@@ -294,13 +305,7 @@ class TestColumnKernel:
         entries = cell_entries(np.array(phases[:n]), np.array(phases[n:2 * n]), offsets)
         out = tuple(phases[2 * n:])
         # oracle: the column chain formed with @, output phases exponentiated per call
-        _, stack, positions = mesh._columns(dim, los)
-        mats = stack.copy()
-        mats.reshape(-1)[positions] = entries.reshape(-1)
-        expected = mats[0]
-        for column in mats[1:]:
-            expected = column @ expected
-        expected = expected * np.exp(1j * np.asarray(out))[:, None]
+        expected = column_chain(dim, los, entries)[-1] * np.exp(1j * np.asarray(out))[:, None]
         for phases_arg in (out, np.array(out)):
             got = forward_arrays(dim, los, entries) * phase_column(phases_arg)
             assert got.tobytes() == expected.tobytes()
@@ -350,6 +355,61 @@ class TestColumnKernel:
                                (np.complex128(1.0), r"\(\)"), (np.array(1.0), r"\(\)")):
             with pytest.raises(ValueError, match=r"shape \(4, 3\), not " + shape):
                 forward_arrays(4, (0, 2, 1), entries)
+
+
+
+class TestResume:
+    """forward_arrays fills the partial products and resumes its chain from another mesh's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mesh_cases(), st.integers(0, 2 ** 32 - 1))
+    @example((1, (), [0.3], np.zeros((0, 4))), 0)
+    @example((3, (1, 1, 1), [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.0, 1.0, 2.0], np.zeros((3, 4))), 1)
+    def test_resumed_chain_equals_plain_chain_bitwise(self, case, seed):
+        dim, los, phases, offsets = case
+        n = len(los)
+        cols, stack, _ = mesh._columns(dim, los)
+        entries = cell_entries(np.array(phases[:n]), np.array(phases[n:2 * n]), offsets)
+        other = cell_entries(*np.random.default_rng(seed).uniform(-7.0, 7.0, (2, n)), offsets)
+        prefix = np.empty_like(stack)
+        product = forward_arrays(dim, los, entries, partials=prefix)
+        assert product.tobytes() == prefix[-1].tobytes()
+        assert product.tobytes() == forward_arrays(dim, los, entries).tobytes()
+        assert not np.shares_memory(product, prefix)
+        assert [m.tobytes() for m in prefix] == [m.tobytes() for m in column_chain(dim, los, entries)]
+        for s in range(len(stack) + 1):
+            # a mesh sharing the columns before s with the prefix's, other's entries after
+            mixed = np.where(np.array(cols, dtype=int) < s, entries, other)
+            plain_partials = np.empty_like(stack)
+            plain = forward_arrays(dim, los, mixed, partials=plain_partials)
+            got = forward_arrays(dim, los, mixed, resume=(s, prefix))
+            assert got.tobytes() == plain.tobytes()
+            assert not np.shares_memory(got, prefix)
+            filled = np.full_like(stack, np.nan)
+            assert forward_arrays(dim, los, mixed, (s, prefix), filled).tobytes() == plain.tobytes()
+            assert filled.tobytes() == plain_partials.tobytes()
+            assert not np.shares_memory(got, filled)
+        # resuming after the last column returns a copy of the prefix's product
+        assert forward_arrays(dim, los, other, resume=(len(stack), prefix)).tobytes() \
+            == product.tobytes()
+
+    def test_bad_resume_or_partials_raises(self):
+        dim, los = 4, (0, 2, 1)
+        _, stack, _ = mesh._columns(dim, los)
+        assert stack.shape == (2, 4, 4)
+        entries = cell_entries(np.zeros(3), np.zeros(3), np.zeros((3, 4)))
+        prefix = np.empty_like(stack)
+        forward_arrays(dim, los, entries, partials=prefix)
+        for resume in ((-1, prefix), (3, prefix), (1.0, prefix), (1, prefix[:1]), (1, prefix[0]),
+                       (2, prefix.reshape(2, 2, 8)), (0, None)):
+            with pytest.raises(ValueError, match=r"resume must be \(s, prefix\)"):
+                forward_arrays(dim, los, entries, resume=resume)
+        for partials in (np.empty((3, 4, 4), dtype=complex), np.empty((2, 4, 4)),
+                         np.empty((2, 4, 8), dtype=complex)[:, :, ::2], np.empty((4, 4), dtype=complex)):
+            with pytest.raises(ValueError, match="partials must be a C-contiguous complex array"):
+                forward_arrays(dim, los, entries, partials=partials)
+            with pytest.raises(ValueError, match="partials must be a C-contiguous complex array"):
+                forward_arrays(dim, los, entries, (1, prefix), partials)
 
 
 @st.composite

@@ -197,6 +197,34 @@ class TestStepUnitary:
         assert np.max(np.abs(mesh_forward(plan) - u)) <= 1e-8
 
 
+    @pytest.mark.parametrize("omega_hbar", [1e7, 1e9, 1e12])
+    def test_large_norm_model_passes_its_checks(self, omega_hbar):
+        # eigh's residual grows with ||H||_2, so an absolute 1e-9 bound rejected these models
+        params = SpinBosonParams(1.0, omega_hbar, 1.0)
+        h = build_hamiltonian(params)
+        u = step_unitary(h, params.dt)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(params.dim))) < 1e-14
+        assert np.max(np.abs(mesh_forward(clements_decompose(u)) - u)) <= 1e-8
+        bad = h.copy()
+        bad[0, 1] += 1e-6
+        with pytest.raises(ValueError, match="not Hermitian"):
+            step_unitary(bad, params.dt)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e9])
+    def test_inaccurate_eigenvectors_still_raise(self, monkeypatch, scale):
+        # a residual above both 1e-9 and 16 eps dim ||H||_2 fails, with the same message
+        eigh = np.linalg.eigh
+
+        def perturbed_eigh(h):
+            w, v = eigh(h)
+            return w, v + 1e-6
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh)
+        model._propagator.cache_clear()
+        h = build_hamiltonian(SpinBosonParams(0.5, 1.2, 0.8)) * scale
+        with pytest.raises(RuntimeError, match="eigendecomposition residual .* too large"):
+            step_unitary(h, 1.0)
+
 @st.composite
 def hermitian_and_dt(draw):
     """A random Hermitian matrix of dim 1-16 and a step dt, int or float."""

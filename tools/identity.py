@@ -18,8 +18,10 @@ anything does. Printed lines are not compared. The corpus:
   one setting, after a second setting, and with only the background
   changed) and platform_comparison;
 - noisy meshes: mesh_forward(clements_decompose(u), MeshNoise(seed=i)) for
-  seeded Haar u of dim 1-16, and the loss trace and trained phases of a
-  3-iteration calibrate.train at n_boson 1-4.
+  seeded Haar u of dim 1-16;
+- training: the loss trace, the trained phases and every gradient vector
+  (calibrate.finite_diff_gradient is wrapped to record each) of a
+  3-iteration calibrate.train at n_boson 1-8.
 
 Bits can differ across BLAS builds, so compare two trees on one machine.
 """
@@ -154,14 +156,29 @@ def _library_arrays() -> dict:
         u = q * (np.diag(r) / np.abs(np.diag(r)))
         arrays[f"mesh_forward-noisy-{dim:02d}"] = mesh.mesh_forward(
             mesh.clements_decompose(u), mesh.MeshNoise(seed=dim))
-    for n in range(1, 5):
-        params = model.SpinBosonParams(*haar.uniform(-2.0, 2.0, size=3), n_boson=n)
-        u = model.step_unitary(model.build_hamiltonian(params), params.dt)
-        result = calibrate.train(mesh.clements_decompose(u), mesh.MeshNoise(seed=n),
-                                 calibrate.theory_step_matrices(u, 3),
-                                 calibrate.TrainingConfig(max_iters=3))
-        arrays[f"train-n{n}-trace"] = result.trace
-        arrays[f"train-n{n}-phases"] = np.array(result.plan.thetas + result.plan.phis)
+    # Every gradient train takes, so a last-bit change in one stencil shows as its own file.
+    finite_diff_gradient = calibrate.finite_diff_gradient
+    gradients = []
+
+    def recording_gradient(fn, x, eps):
+        gradients.append(finite_diff_gradient(fn, x, eps))
+        return gradients[-1]
+
+    calibrate.finite_diff_gradient = recording_gradient
+    try:
+        for n in range(1, 9):
+            params = model.SpinBosonParams(*haar.uniform(-2.0, 2.0, size=3), n_boson=n)
+            u = model.step_unitary(model.build_hamiltonian(params), params.dt)
+            result = calibrate.train(mesh.clements_decompose(u), mesh.MeshNoise(seed=n),
+                                     calibrate.theory_step_matrices(u, 3),
+                                     calibrate.TrainingConfig(max_iters=3))
+            arrays[f"train-n{n}-trace"] = result.trace
+            arrays[f"train-n{n}-phases"] = np.array(result.plan.thetas + result.plan.phis)
+            for k, g in enumerate(gradients, start=1):
+                arrays[f"train-n{n}-gradient-{k}"] = g
+            gradients.clear()
+    finally:
+        calibrate.finite_diff_gradient = finite_diff_gradient
     return arrays
 
 
