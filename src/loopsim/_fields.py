@@ -1,4 +1,4 @@
-"""The config dataclasses' one field check, and the one cache decorator, frozen_cache."""
+"""The config dataclasses' one field check, fits, and the one cache decorator, frozen_cache."""
 
 import functools
 import math
@@ -13,18 +13,22 @@ _KINDS = {int: ((int, np.integer), "an integer"),
           str: ((str,), "a string")}
 
 
+def fits(value, kind) -> bool:
+    """Whether value is a kind (int, float or str): never a bool, and a float one finite."""
+    types = _KINDS[kind][0]
+    ok = isinstance(value, types) and not isinstance(value, bool)
+    if ok and float in types:  # rejects NaN, infinities and ints too large for a float
+        ok = abs(value) < (sys.float_info.max if isinstance(value, int) else math.inf)
+    return ok
+
+
 def check_fields(obj, positive=(), nonneg=()) -> None:
-    """Raise ValueError unless each field of dataclass obj fits its annotation
-    (no int, float or str field takes a bool, float fields take finite values),
-    each name in positive is > 0 and each name in nonneg is >= 0."""
+    """Raise ValueError unless each field of dataclass obj fits its annotation (see fits;
+    others are not checked), each name in positive is > 0 and each name in nonneg is >= 0."""
     for f in fields(obj):
-        types, what = _KINDS.get(f.type, ((object,), None))
         value = getattr(obj, f.name)
-        ok = isinstance(value, types) and not isinstance(value, bool)
-        if ok and float in types:  # rejects NaN, infinities and ints too large for a float
-            ok = abs(value) < (sys.float_info.max if isinstance(value, int) else math.inf)
-        if what and not ok:
-            raise ValueError(f"{f.name} must be {what}, got {value!r}")
+        if f.type in _KINDS and not fits(value, f.type):
+            raise ValueError(f"{f.name} must be {_KINDS[f.type][1]}, got {value!r}")
     for name in positive:
         if not getattr(obj, name) > 0:
             raise ValueError(f"{name} must be positive")

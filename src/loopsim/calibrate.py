@@ -16,8 +16,8 @@ import numpy as np
 
 from ._fields import check_fields
 from .loopchip import step_power_matrices
-from .mesh import (MeshNoise, MeshPlan, _columns, cell_entries, clements_decompose, forward_arrays,
-                   mesh_forward, noise_offsets, phase_column)
+from .mesh import (MeshNoise, MeshPlan, cell_entries, clements_decompose, forward_arrays,
+                   mesh_forward, noise_offsets, phase_column, resume_columns)
 from .model import SpinBosonParams, build_hamiltonian, step_unitary
 
 
@@ -146,8 +146,8 @@ def train(plan: MeshPlan, noise, target: np.ndarray, tc: TrainingConfig) -> Trai
     The target holds the ideal (n_steps, dim, dim) step matrices (see theory_step_matrices);
     its first axis fixes the step count. The chip's losses and splitter ratios are left out:
     they scale every step uniformly, so row normalization cancels them. Noise offsets are
-    frozen for the whole run. A stencil point recomputes only its changed cell's entries and
-    the columns from that cell's on, from the current point's state, bit for bit. The best
+    frozen for the whole run. Each point recomputes only its changed cells' entries and its
+    chain from the first of their columns on, from the current point's state, bit for bit. The best
     parameters seen are returned, so the final loss never exceeds the initial one;
     convergence means reaching tc.tol; an already-converged start returns a one-entry trace.
     """
@@ -160,32 +160,25 @@ def train(plan: MeshPlan, noise, target: np.ndarray, tc: TrainingConfig) -> Trai
     n_cells = len(plan.los)
     offsets = noise_offsets(noise, n_cells)
     phases = phase_column(plan.output_phases)
-    cols, stack, _ = _columns(dim, plan.los)
 
-    def evaluate(points, at=None):
-        """The loss at each row of a stack of phase vectors and, for one row without at, its
-        state (phases, entries, partials). Given at, a row recomputes only the cells whose
-        phases differ from at's and the columns from the first of them on (see forward_arrays)."""
-        if at is None:
-            entries = cell_entries(points[:, :n_cells], points[:, n_cells:], offsets)
-            resumes = [None] * len(points)
-        else:
-            x0, entries0, prefix = at
-            changed = (points != x0).reshape(len(points), 2, n_cells).any(axis=1)
-            rows, cells = np.nonzero(changed)
-            entries = np.repeat(entries0[None], len(points), axis=0)
-            entries[rows, :, cells] = cell_entries(points[rows, cells], points[rows, n_cells + cells],
-                                                   offsets[cells]).T
-            starts = np.where(changed, cols, len(stack)).min(axis=1)
-            resumes = [(s, prefix) for s in starts.tolist()]
-        partials = np.empty_like(stack) if at is None and len(points) == 1 else None
-        meshes = np.stack([forward_arrays(dim, plan.los, e, r, partials)
-                           for e, r in zip(entries, resumes)]) * phases
+    def evaluate(points, at):
+        """The loss at each row of a stack of phase vectors, each resumed from the state at (see
+        resume_columns), and the last row's state (phases, entries, chain); other chains go."""
+        x0, entries0, chain0 = at
+        changed = (points != x0).reshape(len(points), 2, n_cells).any(axis=1)
+        rows, cells = np.nonzero(changed)
+        entries = np.repeat(entries0[None], len(points), axis=0)
+        entries[rows, :, cells] = cell_entries(points[rows, cells], points[rows, n_cells + cells],
+                                               offsets[cells]).T
+        starts = resume_columns(dim, plan.los, changed).tolist()
+        meshes = np.stack([(chain := forward_arrays(dim, plan.los, e, (s, chain0)))[-1]
+                           for e, s in zip(entries, starts)]) * phases
         loss = kl_loss(flat_target, _input_major(step_power_matrices(meshes, n_steps)))
-        return loss, None if partials is None else (points[0], entries[0], partials)
+        return loss, (points[-1], entries[-1], chain)
 
     x = np.array(plan.thetas + plan.phis, dtype=float)
-    (loss,), at = evaluate(x[None])
+    # every phase differs from NaN, so the start resumes at column 0 (a cell-less mesh at 1, of [I])
+    (loss,), at = evaluate(x[None], (x * np.nan, np.zeros((4, n_cells), complex), [np.eye(dim) + 0j]))
     trace = [loss]
     best_x, best_loss = x.copy(), loss
     if loss <= tc.tol:
@@ -202,7 +195,7 @@ def train(plan: MeshPlan, noise, target: np.ndarray, tc: TrainingConfig) -> Trai
         m_hat = m / (1.0 - beta1 ** it)
         v_hat = v / (1.0 - beta2 ** it)
         x = x - tc.learning_rate * m_hat / (np.sqrt(v_hat) + adam_eps)
-        (loss,), at = evaluate(x[None])
+        (loss,), at = evaluate(x[None], at)
         trace.append(loss)
         if loss < best_loss:
             best_loss, best_x = loss, x.copy()

@@ -81,15 +81,6 @@ def _step_amplitudes(config: ChipConfig, n_steps: int):
     return out_scalar, np.array(scales)
 
 
-def _check_mesh(mesh: np.ndarray, n_steps: int) -> np.ndarray:
-    m = np.asarray(mesh, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError("mesh must be a square matrix or a stack of them")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    return m
-
-
 def conditional_probabilities(power: np.ndarray) -> np.ndarray:
     """Per-step output distributions of run_loop's power, renormalized over channels.
 
@@ -115,7 +106,7 @@ def run_loop(config: ChipConfig, mesh: np.ndarray, input_channel: int, n_steps: 
     detection-path loss), while sqrt((1-ratio_out)(1-ratio_in)) of it, times
     loop and chip propagation losses, re-enters the mesh.
     """
-    m = _check_mesh(mesh, n_steps)
+    m = np.asarray(mesh, dtype=complex)
     if m.shape != (config.dim, config.dim):
         raise ValueError("mesh must be a dim x dim matrix")
     if not 0 <= input_channel < config.dim:
@@ -134,5 +125,5 @@ def step_power_matrices(mesh: np.ndarray, n_steps: int) -> np.ndarray:
     normalization, so no config enters. A (..., dim, dim) stack of meshes
     gives (n_steps, ..., dim, dim), each mesh's matrices bit for bit.
     """
-    m = _check_mesh(mesh, n_steps)
+    m = np.asarray(mesh, dtype=complex)
     return conditional_probabilities(np.abs(propagate(m, m, n_steps).swapaxes(-1, -2)) ** 2)

@@ -19,9 +19,9 @@ power ratio 1/2 + d_split1, phase exp(i (2 theta' + pi)) on the lo arm, coupler 
 ratio 1/2 + d_split2, then diag(-exp(-i theta'), exp(-i theta')), with fabrication
 offsets theta' = theta + d_theta, phi' = phi + d_phi. Evaluation has two stages:
 cell_entries computes cells' 2x2 entries, batched over leading axes (a training
-stencil's changed cells in one call); forward_arrays multiplies one mesh's entries
-column by column, from the first column or a later one (Clements et al., Optica 3,
-1460 (2016)). Callers apply the output phases last, uncached, as phase_column.
+stencil's changed cells in one call); forward_arrays chains one mesh's columns, from the
+first or from another mesh's chain (Clements et al., Optica 3, 1460 (2016)). Callers apply
+the output phases last, uncached, as phase_column.
 """
 
 import json
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import check_fields, frozen_cache
+from ._fields import check_fields, fits, frozen_cache
 
 _NULL_ATOL = 1e-10
 _TWO_PI = 2.0 * np.pi
@@ -80,16 +80,20 @@ class MeshPlan:
     output_phases: tuple
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        if not (fits(self.dim, int) and self.dim >= 1):
+            raise ValueError(f"dim must be an integer >= 1, got {self.dim!r}")
         if len(self.output_phases) != self.dim:
             raise ValueError("output_phases length must equal dim")
         if not len(self.los) == len(self.thetas) == len(self.phis):
             raise ValueError("los, thetas and phis must have equal lengths")
-        if not all(isinstance(lo, int) and 0 <= lo < self.dim - 1 for lo in self.los):
-            raise ValueError("cell mode index exceeds dim (each lo is an int, 0 <= lo < dim - 1)")
-        if not np.all(np.isfinite(self.thetas + self.phis + self.output_phases)):
-            raise ValueError("phases must be finite")
+        for k, lo in enumerate(self.los):
+            if not (fits(lo, int) and 0 <= lo < self.dim - 1):
+                raise ValueError(f"cell {k}: lo {lo!r} exceeds dim or is not an int (0 <= lo < dim - 1)")
+        for where, key, values in (("cell", "theta", self.thetas), ("cell", "phi", self.phis),
+                                   ("mode", "output phase", self.output_phases)):
+            for k, x in enumerate(values):
+                if not fits(x, float):
+                    raise ValueError(f"{where} {k}: {key} must be a finite number, got {x!r}")
 
 
 @frozen_cache(maxsize=128)
@@ -142,7 +146,7 @@ def noise_offsets(noise: MeshNoise | None, n_cells: int) -> np.ndarray:
 
 @frozen_cache(maxsize=128)
 def _columns(dim: int, los: tuple):
-    """Each cell's column, the first free on both its modes (so one column's cells act on
+    """Each cell's column (intp), the first free on both its modes (so one column's cells act on
     disjoint pairs), an identity stack (n_columns >= 1, dim, dim), and the flat positions in
     it of every cell's m00, then m01, m10, m11; cached and read-only."""
     depth = [0] * dim
@@ -152,9 +156,10 @@ def _columns(dim: int, los: tuple):
         depth[lo] = depth[lo + 1] = col + 1
         cols.append(col)
     stack = np.tile(np.eye(dim, dtype=complex), (max(1, *depth), 1, 1))
-    diag = np.array(cols, dtype=np.intp) * dim * dim + np.array(los, dtype=np.intp) * (dim + 1)
+    cols = np.array(cols, dtype=np.intp)
+    diag = cols * dim * dim + np.array(los, dtype=np.intp) * (dim + 1)
     positions = np.concatenate([diag, diag + 1, diag + dim, diag + dim + 1])
-    return tuple(cols), stack, positions
+    return cols, stack, positions
 
 
 def phase_column(output_phases) -> np.ndarray:
@@ -163,35 +168,33 @@ def phase_column(output_phases) -> np.ndarray:
     return np.exp(1j * np.asarray(output_phases, dtype=float))[:, None]
 
 
-def forward_arrays(dim, los, entries, resume=None, partials=None) -> np.ndarray:
-    """One mesh's column product from its (4, len(los)) cell entries (see cell_entries): a
-    product of block-diagonal column matrices (see _columns), first column rightmost. The
-    output phases are not applied; times phase_column, it is the mesh. partials, complex
-    (n_columns, dim, dim), is filled with the product of columns 0..k at k. resume=(s, prefix),
-    the partials of a mesh with these entries before column s, chains on from prefix[s - 1] with
-    the plain chain's bits (s == 0 is that chain): a stencil point recomputes the columns from
-    its first changed cell's on, and one with no change gets a copy of prefix[-1]."""
+def forward_arrays(dim, los, entries, resume=None) -> list:
+    """One mesh's column chain from its (4, len(los)) cell entries (see cell_entries): the
+    products of columns 0..k of block-diagonal column matrices (see _columns), first column
+    rightmost; the last, times phase_column, is the mesh. resume=(s, chain) takes the first s
+    products of the chain (a list) of a mesh with these entries before column s (see
+    resume_columns), and forms the rest with the plain chain's bits."""
     if entries.shape != (4, len(los)):
         raise ValueError(f"entries must have shape (4, {len(los)}), not {entries.shape}")
     _, stack, positions = _columns(dim, tuple(los))
-    start, prefix = resume or (0, stack)
-    if not (isinstance(start, (int, np.integer)) and 0 <= start <= len(stack)
-            and getattr(prefix, "shape", None) == stack.shape):
-        raise ValueError(f"resume must be (s, prefix) with 0 <= s <= {len(stack)} and prefix of "
-                         f"shape {stack.shape}, not s={start!r} and shape {np.shape(prefix)}")
-    if partials is not None and (partials.shape, partials.dtype, partials.flags.c_contiguous) \
-            != (stack.shape, complex, True):
-        raise ValueError(f"partials must be a C-contiguous complex array of shape {stack.shape}")
+    start, chain = resume or (0, None)
+    if not (isinstance(start, (int, np.integer)) and 0 <= start <= len(stack)) or start and (
+            len(chain) != len(stack) or getattr(chain[0], "shape", None) != (dim, dim)):
+        raise ValueError(f"resume must be (s, chain) with 0 <= s <= {len(stack)} and, for s > 0, "
+                         f"a chain of {len(stack)} ({dim}, {dim}) products; got s={start!r}")
     mats = stack.copy()
     mats.reshape(-1)[positions] = entries.reshape(-1)
-    if start == 0:
-        start, prefix = 1, mats  # column 0 alone is the first partial product
-    u = prefix[start - 1]
-    if partials is not None:
-        partials[:start] = prefix[:start]
-    for k in range(start, len(mats)):
-        u = mats[k].dot(u, None if partials is None else partials[k])  # ndarray.dot(b, out)
-    return u if start < len(mats) and partials is None else u.copy()
+    chain = chain[:start] if start else [mats[0]]
+    for k in range(len(chain), len(mats)):  # indexing, as iterating an array's rows is slower
+        chain.append(mats[k].dot(chain[-1]))
+    return chain
+
+
+def resume_columns(dim, los, changed) -> np.ndarray:
+    """The column each row of a (..., len(los)) changed-cell mask resumes a chain at (see
+    forward_arrays): the first column holding a changed cell, or the column count if none."""
+    cols, stack, _ = _columns(dim, tuple(los))
+    return np.where(changed, cols, len(stack)).min(axis=-1, initial=len(stack))
 
 
 def mesh_forward(plan: MeshPlan, noise: MeshNoise | None = None) -> np.ndarray:
@@ -203,7 +206,7 @@ def mesh_forward(plan: MeshPlan, noise: MeshNoise | None = None) -> np.ndarray:
     noisy or not.
     """
     entries = cell_entries(plan.thetas, plan.phis, noise_offsets(noise, len(plan.los)))
-    return forward_arrays(plan.dim, plan.los, entries) * phase_column(plan.output_phases)
+    return forward_arrays(plan.dim, plan.los, entries)[-1] * phase_column(plan.output_phases)
 
 
 def _null_angles(num, den):
@@ -303,10 +306,16 @@ def plan_to_json(plan: MeshPlan) -> str:
 
 
 def plan_from_json(text: str) -> MeshPlan:
-    """Inverse of plan_to_json; the column entries are not read back."""
+    """Inverse of plan_to_json; the column entries are not read back. A malformed plan raises
+    a ValueError naming the field, and the cell or mode it belongs to."""
     doc = json.loads(text)
-    cells = doc["cells"]
-    if any(c["hi"] != c["lo"] + 1 for c in cells):
-        raise ValueError("cells couple adjacent modes only (hi must equal lo + 1)")
-    return MeshPlan(doc["dim"], *(tuple(c[key] for c in cells) for key in ("lo", "theta", "phi")),
-                    tuple(doc["output_phases"]))
+    cells, phases = (doc.get(key) if isinstance(doc, dict) else None for key in ("cells", "output_phases"))
+    if not (isinstance(cells, list) and isinstance(phases, list)):
+        raise ValueError("a plan is a JSON object with dim, cells (a list) and output_phases (a list)")
+    for k, c in enumerate(cells):
+        if not isinstance(c, dict):
+            raise ValueError(f"cell {k} must be a JSON object with lo, hi, theta and phi")
+        if fits(c.get("lo"), int) and c.get("hi") != c["lo"] + 1:  # MeshPlan names any other lo
+            raise ValueError(f"cell {k}: cells couple adjacent modes only (hi must equal lo + 1)")
+    return MeshPlan(doc.get("dim"), *(tuple(c.get(key) for c in cells) for key in ("lo", "theta", "phi")),
+                    tuple(phases))

@@ -102,13 +102,17 @@ def _propagator(h_bytes: bytes, dim: int, dt: float) -> np.ndarray:
 
 
 def propagate(matrix: np.ndarray, first: np.ndarray, n_steps: int) -> np.ndarray:
-    """Loop-pass outputs for passes 1..n_steps, stacked on a new leading axis.
+    """Loop-pass outputs for passes 1..n_steps >= 1, stacked on a new leading axis.
 
-    first is pass 1's output: one vector, or a matrix whose columns are
-    inputs. Each further pass applies matrix once to the previous pass's
-    output, as one trip round the loop does. A column of the all-inputs
-    result can differ in the last bit from that input alone.
+    first is pass 1's output: one vector, or a matrix whose columns are inputs.
+    Each further pass applies matrix, square or a stack of square matrices, once
+    to the previous pass's output, as one trip round the loop does. A column of
+    the all-inputs result can differ in the last bit from that input alone.
     """
+    if np.ndim(matrix) < 2 or np.shape(matrix)[-1] != np.shape(matrix)[-2]:
+        raise ValueError("matrix must be a square matrix or a stack of them")
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
     out = np.empty((n_steps,) + np.shape(first), dtype=complex)
     out[0] = first
     for n in range(1, n_steps):
@@ -122,10 +126,8 @@ def evolve_exact(unitary: np.ndarray, initial_channel: int, n_steps: int) -> np.
 
     Returns an (n_steps, dim) array; row n-1 is the distribution after n steps.
     """
-    if np.ndim(unitary) != 2 or unitary.shape[0] != unitary.shape[1]:
+    if np.ndim(unitary) != 2:
         raise ValueError("unitary must be a square matrix")
     if not 0 <= initial_channel < unitary.shape[0]:
         raise ValueError("initial_channel out of range")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
     return np.abs(propagate(unitary, unitary[:, initial_channel], n_steps)) ** 2

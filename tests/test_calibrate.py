@@ -23,7 +23,7 @@ from loopsim.calibrate import (
 )
 from loopsim.cli import main
 from loopsim.loopchip import conditional_probabilities, run_loop, step_power_matrices
-from loopsim.mesh import MeshNoise, clements_decompose, forward_arrays, mesh_forward
+from loopsim.mesh import MeshNoise, MeshPlan, clements_decompose, forward_arrays, mesh_forward
 from loopsim.model import SpinBosonParams, build_hamiltonian, evolve_exact, step_unitary
 from conftest import haar_unitary, lossless_chip
 
@@ -304,23 +304,50 @@ class TestTrain:
 
     def test_stencil_point_resumes_at_its_cell_column(self, monkeypatch):
         # stencil row i moves phase i, of cell i mod n_cells, so its chain resumes at that
-        # cell's column; each point after an Adam step is evaluated in full
+        # cell's column; an Adam step moves every phase, so the point it reaches resumes at 0,
+        # as the start does
         plan = clements_decompose(default_unitary())
         starts = []
 
-        def recording_forward(dim, los, entries, resume=None, partials=None):
-            starts.append(None if resume is None else resume[0])
-            return forward_arrays(dim, los, entries, resume, partials)
+        def recording_forward(dim, los, entries, resume=None):
+            starts.append(resume[0])
+            return forward_arrays(dim, los, entries, resume)
 
         monkeypatch.setattr(calibrate, "forward_arrays", recording_forward)
         mesh._cell_coefficients.cache_clear()
         train(plan, MeshNoise(seed=4), theory_step_matrices(default_unitary(), 3),
               TrainingConfig(max_iters=3, tol=1e-30))
         cols = list(mesh._columns(plan.dim, plan.los)[0])
-        assert starts == [None] + (4 * cols + [None]) * 3
+        assert starts == [0] + (4 * cols + [0]) * 3
         # the stencil's changed cells are one more coefficient key, hit from the second gradient on
         info = mesh._cell_coefficients.cache_info()
         assert (info.misses, info.hits, info.currsize) == (2, 5, 2)
+
+    def test_cell_less_plan_at_its_target_returns_immediately(self):
+        # a plan of no cells is its output phases; its chain is one identity column
+        plan = MeshPlan(2, (), (), (), (0.0, 0.0))
+        result = train(plan, MeshNoise(seed=1), theory_step_matrices(np.eye(2), 3), TrainingConfig())
+        assert result.converged and result.trace.tolist() == [0.0] and result.plan == plan
+
+    def test_unmoved_point_resumes_at_the_column_count(self, monkeypatch):
+        # at learning rate 0 no step moves a phase: each post-step point keeps the whole
+        # chain of the point before it, and its loss is the start loss bit for bit
+        plan = clements_decompose(default_unitary())
+        n_columns = len(mesh._columns(plan.dim, plan.los)[1])
+        starts = []
+
+        def recording_forward(dim, los, entries, resume=None):
+            starts.append(resume[0])
+            return forward_arrays(dim, los, entries, resume)
+
+        monkeypatch.setattr(calibrate, "forward_arrays", recording_forward)
+        result = train(plan, MeshNoise(seed=4), theory_step_matrices(default_unitary(), 3),
+                       TrainingConfig(learning_rate=0.0, max_iters=3))
+        point = 1 + 2 * 2 * len(plan.los)
+        assert [starts[k * point] for k in range(4)] == [0] + [n_columns] * 3
+        assert len(starts) == 1 + 3 * point
+        assert result.trace.size == 4 and result.plan == plan
+        assert [t.tobytes() for t in result.trace] == [result.trace[0].tobytes()] * 4
 
     def test_bad_target_length(self):
         plan = clements_decompose(default_unitary())

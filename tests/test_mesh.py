@@ -69,7 +69,7 @@ def realized(theta, phi, d_theta=0.0, d_phi=0.0, d_split1=0.0, d_split2=0.0):
     """One realized cell as the mesh evaluates it: a 2-mode mesh of one cell."""
     entries = cell_entries(np.array([theta]), np.array([phi]),
                            np.array([[d_theta, d_phi, d_split1, d_split2]]))
-    return forward_arrays(2, (0,), entries)
+    return forward_arrays(2, (0,), entries)[-1]
 
 
 class TestTransfer:
@@ -291,7 +291,7 @@ class TestColumnKernel:
         for k, lo in enumerate(los):
             expected = embed(realized_cell(thetas[k], phis[k], *offsets[k]), lo, dim) @ expected
         expected = np.diag(np.exp(1j * out)) @ expected
-        got = forward_arrays(dim, los, cell_entries(thetas, phis, offsets)) * phase_column(out)
+        got = forward_arrays(dim, los, cell_entries(thetas, phis, offsets))[-1] * phase_column(out)
         assert np.max(np.abs(got - expected)) <= 1e-15 * (n + 1)
 
     @settings(max_examples=200, deadline=None)
@@ -305,9 +305,12 @@ class TestColumnKernel:
         entries = cell_entries(np.array(phases[:n]), np.array(phases[n:2 * n]), offsets)
         out = tuple(phases[2 * n:])
         # oracle: the column chain formed with @, output phases exponentiated per call
-        expected = column_chain(dim, los, entries)[-1] * np.exp(1j * np.asarray(out))[:, None]
+        chain = column_chain(dim, los, entries)
+        expected = chain[-1] * np.exp(1j * np.asarray(out))[:, None]
+        got_chain = forward_arrays(dim, los, entries)
+        assert [m.tobytes() for m in got_chain] == [m.tobytes() for m in chain]
         for phases_arg in (out, np.array(out)):
-            got = forward_arrays(dim, los, entries) * phase_column(phases_arg)
+            got = got_chain[-1] * phase_column(phases_arg)
             assert got.tobytes() == expected.tobytes()
 
     def test_out_of_range_draw_raises_on_every_call(self):
@@ -322,7 +325,7 @@ class TestColumnKernel:
 
         def forward():
             entries = cell_entries(np.array(plan.thetas), np.array(plan.phis), offsets)
-            return forward_arrays(plan.dim, plan.los, entries)
+            return forward_arrays(plan.dim, plan.los, entries)[-1]
 
         before = forward()
         offsets[:, 2:] *= -1.0
@@ -335,7 +338,7 @@ class TestColumnKernel:
         plan = clements_decompose(haar_unitary(4, rng))
         entries = cell_entries(np.array(plan.thetas), np.array(plan.phis),
                                noise_offsets(MeshNoise(seed=4), len(plan.los)))
-        product = forward_arrays(plan.dim, plan.los, entries)
+        product = forward_arrays(plan.dim, plan.los, entries)[-1]
         phases = np.array(plan.output_phases)
         before = product * phase_column(phases)
         phases[1] += 0.5
@@ -359,7 +362,7 @@ class TestColumnKernel:
 
 
 class TestResume:
-    """forward_arrays fills the partial products and resumes its chain from another mesh's."""
+    """forward_arrays resumes its chain from another mesh's at a column resume_columns names."""
 
     @settings(max_examples=200, deadline=None)
     @given(mesh_cases(), st.integers(0, 2 ** 32 - 1))
@@ -371,45 +374,46 @@ class TestResume:
         cols, stack, _ = mesh._columns(dim, los)
         entries = cell_entries(np.array(phases[:n]), np.array(phases[n:2 * n]), offsets)
         other = cell_entries(*np.random.default_rng(seed).uniform(-7.0, 7.0, (2, n)), offsets)
-        prefix = np.empty_like(stack)
-        product = forward_arrays(dim, los, entries, partials=prefix)
-        assert product.tobytes() == prefix[-1].tobytes()
-        assert product.tobytes() == forward_arrays(dim, los, entries).tobytes()
-        assert not np.shares_memory(product, prefix)
+        prefix = forward_arrays(dim, los, entries)
+        assert len(prefix) == len(stack)
         assert [m.tobytes() for m in prefix] == [m.tobytes() for m in column_chain(dim, los, entries)]
         for s in range(len(stack) + 1):
             # a mesh sharing the columns before s with the prefix's, other's entries after
             mixed = np.where(np.array(cols, dtype=int) < s, entries, other)
-            plain_partials = np.empty_like(stack)
-            plain = forward_arrays(dim, los, mixed, partials=plain_partials)
+            plain = forward_arrays(dim, los, mixed)
             got = forward_arrays(dim, los, mixed, resume=(s, prefix))
-            assert got.tobytes() == plain.tobytes()
-            assert not np.shares_memory(got, prefix)
-            filled = np.full_like(stack, np.nan)
-            assert forward_arrays(dim, los, mixed, (s, prefix), filled).tobytes() == plain.tobytes()
-            assert filled.tobytes() == plain_partials.tobytes()
-            assert not np.shares_memory(got, filled)
-        # resuming after the last column returns a copy of the prefix's product
-        assert forward_arrays(dim, los, other, resume=(len(stack), prefix)).tobytes() \
-            == product.tobytes()
+            assert [m.tobytes() for m in got] == [m.tobytes() for m in plain]
+            # s = 0 reads nothing from the chain
+            assert [m.tobytes() for m in forward_arrays(dim, los, mixed, (0, []))] \
+                == [m.tobytes() for m in plain]
+        # resuming after the last column keeps the whole prefix chain
+        assert [m.tobytes() for m in forward_arrays(dim, los, other, resume=(len(stack), prefix))] \
+            == [m.tobytes() for m in prefix]
 
-    def test_bad_resume_or_partials_raises(self):
+    def test_bad_resume_raises(self):
         dim, los = 4, (0, 2, 1)
         _, stack, _ = mesh._columns(dim, los)
         assert stack.shape == (2, 4, 4)
         entries = cell_entries(np.zeros(3), np.zeros(3), np.zeros((3, 4)))
-        prefix = np.empty_like(stack)
-        forward_arrays(dim, los, entries, partials=prefix)
-        for resume in ((-1, prefix), (3, prefix), (1.0, prefix), (1, prefix[:1]), (1, prefix[0]),
-                       (2, prefix.reshape(2, 2, 8)), (0, None)):
-            with pytest.raises(ValueError, match=r"resume must be \(s, prefix\)"):
+        chain = forward_arrays(dim, los, entries)
+        for resume in ((-1, chain), (3, chain), (1.0, chain), (1, chain[:1]),
+                       (2, []), (1, chain + chain[:1]), (1, [m[:, :3] for m in chain]),
+                       (2, [m.reshape(2, 8) for m in chain]), (1, np.ones((2, 3, 3)))):
+            with pytest.raises(ValueError, match=r"resume must be \(s, chain\)"):
                 forward_arrays(dim, los, entries, resume=resume)
-        for partials in (np.empty((3, 4, 4), dtype=complex), np.empty((2, 4, 4)),
-                         np.empty((2, 4, 8), dtype=complex)[:, :, ::2], np.empty((4, 4), dtype=complex)):
-            with pytest.raises(ValueError, match="partials must be a C-contiguous complex array"):
-                forward_arrays(dim, los, entries, partials=partials)
-            with pytest.raises(ValueError, match="partials must be a C-contiguous complex array"):
-                forward_arrays(dim, los, entries, (1, prefix), partials)
+
+
+class TestResumeColumns:
+    def test_first_changed_column_or_column_count(self):
+        # cells on (0,1), (2,3), (1,2), (0,1) sit in columns 0, 0, 1, 2
+        dim, los = 4, (0, 2, 1, 0)
+        changed = np.array([[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1], [0, 1, 0, 0], [1, 0, 0, 1]],
+                           dtype=bool)
+        assert mesh.resume_columns(dim, los, changed).tolist() == [3, 2, 1, 0, 0]
+        assert mesh.resume_columns(dim, los, changed[1]) == 2
+        # a mesh of no cells has one identity column; the columns are integers either way
+        empty = mesh.resume_columns(3, (), np.zeros((2, 0), dtype=bool))
+        assert empty.tolist() == [1, 1] and empty.dtype.kind == "i"
 
 
 @st.composite
@@ -477,8 +481,44 @@ class TestPlanSerialization:
         with pytest.raises(ValueError, match="finite"):
             MeshPlan(3, (0,), (float("nan"),), (0.0,), (0.0,) * 3)
 
+    def test_plan_rejects_bools_as_integers(self):
+        # as check_fields does: a bool is not an int, whatever its value
+        with pytest.raises(ValueError, match="cell 0: lo True exceeds dim"):
+            MeshPlan(3, (True,), (0.0,), (0.0,), (0.0,) * 3)
+        with pytest.raises(ValueError, match="dim must be an integer >= 1, got True"):
+            MeshPlan(True, (), (), (), (0.0,))
+        with pytest.raises(ValueError, match="mode 1: output phase must be a finite number"):
+            MeshPlan(2, (0,), (0.0,), (0.0,), (0.0, True))
+
     def test_from_json_rejects_non_adjacent_cell(self, rng):
         doc = json.loads(plan_to_json(clements_decompose(haar_unitary(4, rng))))
         doc["cells"][2]["hi"] += 1
         with pytest.raises(ValueError, match="adjacent"):
             plan_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["cells"][1].update(lo=True), r"cell 1: lo True exceeds dim or is not an int"),
+        (lambda d: d["cells"][1].update(lo=0.0), r"cell 1: lo 0.0 exceeds dim or is not an int"),
+        (lambda d: d["cells"][1].update(lo="0"), r"cell 1: lo '0' exceeds dim or is not an int"),
+        (lambda d: d["cells"][2].pop("theta"), r"cell 2: theta must be a finite number, got None"),
+        (lambda d: d["cells"][2].pop("lo"), r"cell 2: lo None exceeds dim or is not an int"),
+        (lambda d: d["cells"][0].update(phi="1.5"), r"cell 0: phi must be a finite number, got '1.5'"),
+        (lambda d: d["cells"][0].update(theta=False), r"cell 0: theta must be a finite number, got False"),
+        (lambda d: d["output_phases"].__setitem__(3, None),
+         r"mode 3: output phase must be a finite number, got None"),
+        (lambda d: d.update(dim=True), r"dim must be an integer >= 1, got True"),
+        (lambda d: d.pop("dim"), r"dim must be an integer >= 1, got None"),
+        (lambda d: d["cells"].__setitem__(4, [0, 1, 0.2, 0.3]), r"cell 4 must be a JSON object"),
+        (lambda d: d.update(cells={}), r"a plan is a JSON object with dim, cells \(a list\)"),
+        (lambda d: d.pop("output_phases"), r"a plan is a JSON object"),
+    ])
+    def test_from_json_names_the_malformed_field(self, rng, edit, message):
+        doc = json.loads(plan_to_json(clements_decompose(haar_unitary(4, rng))))
+        edit(doc)
+        with pytest.raises(ValueError, match=message):
+            plan_from_json(json.dumps(doc))
+
+    def test_from_json_rejects_a_non_object_document(self):
+        for text in ("[]", "[1, 2]", "3", "null", '"plan"'):
+            with pytest.raises(ValueError, match="a plan is a JSON object"):
+                plan_from_json(text)

@@ -9,6 +9,7 @@ from loopsim.model import (
     SpinBosonParams,
     build_hamiltonian,
     evolve_exact,
+    propagate,
     step_unitary,
 )
 
@@ -339,3 +340,14 @@ class TestEvolveExact:
             evolve_exact(u, 6, 1)
         with pytest.raises(ValueError):
             evolve_exact(u, 0, 0)
+
+    def test_propagate_checks_its_operands(self):
+        # the loop kernel's one check, which run_loop, step_power_matrices and evolve_exact share;
+        # a vector or a non-square matrix would otherwise broadcast into a wrong result
+        for matrix in (np.ones(3), np.ones((3, 2)), np.ones((2, 3, 2)), np.ones((4, 3, 3))[..., :2]):
+            with pytest.raises(ValueError, match="square matrix or a stack of them"):
+                propagate(matrix, np.ones(3), 2)
+        for n_steps in (0, -1):
+            with pytest.raises(ValueError, match="n_steps must be >= 1"):
+                propagate(np.eye(3), np.ones(3), n_steps)
+        assert propagate(np.ones((2, 3, 3)), np.ones((2, 3)), 1).shape == (1, 2, 3)

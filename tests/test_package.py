@@ -1,6 +1,8 @@
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 from types import ModuleType
 
 import loopsim
@@ -49,3 +51,32 @@ def test_argument_caches_are_bounded():
                   if inspect.signature(f.__wrapped__).parameters
                   and getattr(f.__wrapped__, "__code__", None) is not frozen]
     assert not_frozen == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    # Each module owns its underscore names; _fields is the one shared private module.
+    # Caught: `from .mesh import _columns`, `from loopsim.mesh import _columns`, and
+    # `mesh._columns` on a module bound by `from . import mesh` or `import loopsim.mesh as mesh`.
+    package = {info.name for info in pkgutil.iter_modules(loopsim.__path__)}
+    leaks = []
+    for path in sorted(Path(loopsim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {}  # local name -> the loopsim module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "loopsim"
+                                                     or (node.module or "").startswith("loopsim.")):
+                source = (node.module or "").rpartition(".")[2]
+                for alias in node.names:
+                    if source in ("", "loopsim") and alias.name in package:
+                        bound[alias.asname or alias.name] = alias.name
+                    elif alias.name.startswith("_") and source != "_fields":
+                        leaks.append(f"{path.name}: from {source} import {alias.name}")
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("loopsim.") and alias.asname:
+                        bound[alias.asname] = alias.name.rpartition(".")[2]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and bound.get(node.value.id, "_fields") != "_fields" and node.attr.startswith("_")):
+                leaks.append(f"{path.name}: {node.value.id}.{node.attr}")
+    assert leaks == []

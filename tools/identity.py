@@ -21,7 +21,8 @@ anything does. Printed lines are not compared. The corpus:
   seeded Haar u of dim 1-16;
 - training: the loss trace, the trained phases and every gradient vector
   (calibrate.finite_diff_gradient is wrapped to record each) of a
-  3-iteration calibrate.train at n_boson 1-8.
+  3-iteration calibrate.train at n_boson 1-8, at the default learning rate
+  and at learning rate 0, where every point a step reaches equals the start.
 
 Bits can differ across BLAS builds, so compare two trees on one machine.
 """
@@ -169,14 +170,15 @@ def _library_arrays() -> dict:
         for n in range(1, 9):
             params = model.SpinBosonParams(*haar.uniform(-2.0, 2.0, size=3), n_boson=n)
             u = model.step_unitary(model.build_hamiltonian(params), params.dt)
-            result = calibrate.train(mesh.clements_decompose(u), mesh.MeshNoise(seed=n),
-                                     calibrate.theory_step_matrices(u, 3),
-                                     calibrate.TrainingConfig(max_iters=3))
-            arrays[f"train-n{n}-trace"] = result.trace
-            arrays[f"train-n{n}-phases"] = np.array(result.plan.thetas + result.plan.phis)
-            for k, g in enumerate(gradients, start=1):
-                arrays[f"train-n{n}-gradient-{k}"] = g
-            gradients.clear()
+            for label, rate in ((f"train-n{n}", 0.01), (f"train-lr0-n{n}", 0.0)):
+                result = calibrate.train(mesh.clements_decompose(u), mesh.MeshNoise(seed=n),
+                                         calibrate.theory_step_matrices(u, 3),
+                                         calibrate.TrainingConfig(learning_rate=rate, max_iters=3))
+                arrays[f"{label}-trace"] = result.trace
+                arrays[f"{label}-phases"] = np.array(result.plan.thetas + result.plan.phis)
+                for k, g in enumerate(gradients, start=1):
+                    arrays[f"{label}-gradient-{k}"] = g
+                gradients.clear()
     finally:
         calibrate.finite_diff_gradient = finite_diff_gradient
     return arrays
