@@ -16,8 +16,7 @@ import numpy as np
 
 from ._fields import check_fields
 from .loopchip import step_power_matrices
-from .mesh import (MeshNoise, MeshPlan, cell_entries, clements_decompose, forward_arrays,
-                   mesh_forward, noise_offsets, phase_column, resume_columns)
+from .mesh import MeshNoise, MeshPlan, clements_decompose, mesh_forward, meshes
 from .model import SpinBosonParams, build_hamiltonian, step_unitary
 
 
@@ -146,10 +145,10 @@ def train(plan: MeshPlan, noise, target: np.ndarray, tc: TrainingConfig) -> Trai
     The target holds the ideal (n_steps, dim, dim) step matrices (see theory_step_matrices);
     its first axis fixes the step count. The chip's losses and splitter ratios are left out:
     they scale every step uniformly, so row normalization cancels them. Noise offsets are
-    frozen for the whole run. Each point recomputes only its changed cells' entries and its
-    chain from the first of their columns on, from the current point's state, bit for bit. The best
-    parameters seen are returned, so the final loss never exceeds the initial one;
-    convergence means reaching tc.tol; an already-converged start returns a one-entry trace.
+    frozen for the whole run. Each point's meshes resume from the current point's state (see
+    mesh.meshes), bit for bit. The best parameters seen are returned, so the final loss never
+    exceeds the initial one; convergence means reaching tc.tol. An already-converged start, or
+    a plan with no cells to train, returns a one-entry trace.
     """
     dim = plan.dim
     target = np.asarray(target, dtype=float)
@@ -158,31 +157,18 @@ def train(plan: MeshPlan, noise, target: np.ndarray, tc: TrainingConfig) -> Trai
     n_steps = target.shape[0]
     flat_target = _input_major(target)
     n_cells = len(plan.los)
-    offsets = noise_offsets(noise, n_cells)
-    phases = phase_column(plan.output_phases)
 
-    def evaluate(points, at):
-        """The loss at each row of a stack of phase vectors, each resumed from the state at (see
-        resume_columns), and the last row's state (phases, entries, chain); other chains go."""
-        x0, entries0, chain0 = at
-        changed = (points != x0).reshape(len(points), 2, n_cells).any(axis=1)
-        rows, cells = np.nonzero(changed)
-        entries = np.repeat(entries0[None], len(points), axis=0)
-        entries[rows, :, cells] = cell_entries(points[rows, cells], points[rows, n_cells + cells],
-                                               offsets[cells]).T
-        starts = resume_columns(dim, plan.los, changed).tolist()
-        meshes = np.stack([(chain := forward_arrays(dim, plan.los, e, (s, chain0)))[-1]
-                           for e, s in zip(entries, starts)]) * phases
-        loss = kl_loss(flat_target, _input_major(step_power_matrices(meshes, n_steps)))
-        return loss, (points[-1], entries[-1], chain)
+    def evaluate(points, at=None):
+        """The loss at each row of a stack of phase vectors, and the last row's state."""
+        stack, state = meshes(plan, noise, points, at)
+        return kl_loss(flat_target, _input_major(step_power_matrices(stack, n_steps))), state
 
     x = np.array(plan.thetas + plan.phis, dtype=float)
-    # every phase differs from NaN, so the start resumes at column 0 (a cell-less mesh at 1, of [I])
-    (loss,), at = evaluate(x[None], (x * np.nan, np.zeros((4, n_cells), complex), [np.eye(dim) + 0j]))
+    (loss,), at = evaluate(x[None])
     trace = [loss]
     best_x, best_loss = x.copy(), loss
-    if loss <= tc.tol:
-        return TrainResult(plan, np.array(trace), True)
+    if loss <= tc.tol or not n_cells:
+        return TrainResult(plan, np.array(trace), loss <= tc.tol)
 
     m = np.zeros_like(x)
     v = np.zeros_like(x)

@@ -74,11 +74,7 @@ def _step_amplitudes(config: ChipConfig, n_steps: int):
         math.sqrt((1.0 - config.ratio_in) * (1.0 - config.ratio_out)) * amp_loop * amp_chip
     )
     out_scalar = math.sqrt(config.ratio_out) * amp_others
-    # A running product, in order, as np.cumprod forms it
-    scales = [in_scalar]
-    for _ in range(n_steps - 1):
-        scales.append(scales[-1] * loop_scalar)
-    return out_scalar, np.array(scales)
+    return out_scalar, np.cumprod([in_scalar] + [loop_scalar] * (n_steps - 1))
 
 
 def conditional_probabilities(power: np.ndarray) -> np.ndarray:

@@ -17,11 +17,11 @@ so the result reads as (output phases) x (cell product).
 A realized cell is, input to output: phase exp(i phi') on the lo port, coupler of
 power ratio 1/2 + d_split1, phase exp(i (2 theta' + pi)) on the lo arm, coupler of
 ratio 1/2 + d_split2, then diag(-exp(-i theta'), exp(-i theta')), with fabrication
-offsets theta' = theta + d_theta, phi' = phi + d_phi. Evaluation has two stages:
-cell_entries computes cells' 2x2 entries, batched over leading axes (a training
-stencil's changed cells in one call); forward_arrays chains one mesh's columns, from the
-first or from another mesh's chain (Clements et al., Optica 3, 1460 (2016)). Callers apply
-the output phases last, uncached, as phase_column.
+offsets theta' = theta + d_theta, phi' = phi + d_phi. meshes is the one evaluation path,
+for one mesh (mesh_forward) or a training stencil's stack: cell_entries computes the changed
+cells' 2x2 entries in one call, forward_arrays chains each mesh's columns, from the first or
+from another mesh's chain (Clements et al., Optica 3, 1460 (2016)), and the output phases
+apply last.
 """
 
 import json
@@ -162,26 +162,17 @@ def _columns(dim: int, los: tuple):
     return cols, stack, positions
 
 
-def phase_column(output_phases) -> np.ndarray:
-    """Column (dim, 1) of exp(i p) over a plan's output phases p; a column product, or a
-    stack of them, times it is the mesh. Not cached."""
-    return np.exp(1j * np.asarray(output_phases, dtype=float))[:, None]
-
-
 def forward_arrays(dim, los, entries, resume=None) -> list:
     """One mesh's column chain from its (4, len(los)) cell entries (see cell_entries): the
     products of columns 0..k of block-diagonal column matrices (see _columns), first column
-    rightmost; the last, times phase_column, is the mesh. resume=(s, chain) takes the first s
-    products of the chain (a list) of a mesh with these entries before column s (see
-    resume_columns), and forms the rest with the plain chain's bits."""
+    rightmost; the last, times the output phases, is the mesh. resume=(s, chain) takes the
+    first s products of the chain of a mesh with these entries before column s, and forms the
+    rest with the plain chain's bits. resume is unchecked: meshes, its one resuming caller,
+    builds it from _columns."""
     if entries.shape != (4, len(los)):
         raise ValueError(f"entries must have shape (4, {len(los)}), not {entries.shape}")
     _, stack, positions = _columns(dim, tuple(los))
     start, chain = resume or (0, None)
-    if not (isinstance(start, (int, np.integer)) and 0 <= start <= len(stack)) or start and (
-            len(chain) != len(stack) or getattr(chain[0], "shape", None) != (dim, dim)):
-        raise ValueError(f"resume must be (s, chain) with 0 <= s <= {len(stack)} and, for s > 0, "
-                         f"a chain of {len(stack)} ({dim}, {dim}) products; got s={start!r}")
     mats = stack.copy()
     mats.reshape(-1)[positions] = entries.reshape(-1)
     chain = chain[:start] if start else [mats[0]]
@@ -190,11 +181,27 @@ def forward_arrays(dim, los, entries, resume=None) -> list:
     return chain
 
 
-def resume_columns(dim, los, changed) -> np.ndarray:
-    """The column each row of a (..., len(los)) changed-cell mask resumes a chain at (see
-    forward_arrays): the first column holding a changed cell, or the column count if none."""
-    cols, stack, _ = _columns(dim, tuple(los))
-    return np.where(changed, cols, len(stack)).min(axis=-1, initial=len(stack))
+def meshes(plan: MeshPlan, noise: MeshNoise | None, points, at=None):
+    """The (len(points), dim, dim) meshes of a stack of phase vectors (thetas, then phis) on
+    plan's cells, under noise, output phases applied, and the last row's state to pass back
+    as at. Each row recomputes only the entries of the cells whose phases differ from at's, and
+    its chain from the first of their columns on, bit for bit as from scratch; without at every
+    cell is computed from column 0 (a cell-less mesh keeps its one identity column)."""
+    dim, n_cells = plan.dim, len(plan.los)
+    cols, stack, _ = _columns(dim, tuple(plan.los))
+    x0, entries0, chain0 = at or (np.full(2 * n_cells, np.nan), np.zeros((4, n_cells), complex),
+                                  [np.eye(dim) + 0j])
+    changed = (points != x0).reshape(len(points), 2, n_cells).any(axis=1)
+    rows, cells = np.nonzero(changed)
+    entries = np.repeat(entries0[None], len(points), axis=0)
+    entries[rows, :, cells] = cell_entries(points[rows, cells], points[rows, n_cells + cells],
+                                           noise_offsets(noise, n_cells)[cells]).T
+    # each row resumes at its first changed cell's column, or keeps the whole chain of at
+    starts = np.where(changed, cols, len(stack)).min(axis=-1, initial=len(stack)).tolist()
+    products = np.stack([(chain := forward_arrays(dim, plan.los, e, (s, chain0)))[-1]
+                         for e, s in zip(entries, starts)])
+    phases = np.exp(1j * np.asarray(plan.output_phases, dtype=float))[:, None]
+    return products * phases, (points[-1], entries[-1], chain)
 
 
 def mesh_forward(plan: MeshPlan, noise: MeshNoise | None = None) -> np.ndarray:
@@ -205,8 +212,7 @@ def mesh_forward(plan: MeshPlan, noise: MeshNoise | None = None) -> np.ndarray:
     bit-identical to passing no noise at all. The result is always unitary,
     noisy or not.
     """
-    entries = cell_entries(plan.thetas, plan.phis, noise_offsets(noise, len(plan.los)))
-    return forward_arrays(plan.dim, plan.los, entries)[-1] * phase_column(plan.output_phases)
+    return meshes(plan, noise, np.array(plan.thetas + plan.phis, dtype=float)[None])[0][0]
 
 
 def _null_angles(num, den):

@@ -313,7 +313,7 @@ class TestTrain:
             starts.append(resume[0])
             return forward_arrays(dim, los, entries, resume)
 
-        monkeypatch.setattr(calibrate, "forward_arrays", recording_forward)
+        monkeypatch.setattr(mesh, "forward_arrays", recording_forward)
         mesh._cell_coefficients.cache_clear()
         train(plan, MeshNoise(seed=4), theory_step_matrices(default_unitary(), 3),
               TrainingConfig(max_iters=3, tol=1e-30))
@@ -329,6 +329,16 @@ class TestTrain:
         result = train(plan, MeshNoise(seed=1), theory_step_matrices(np.eye(2), 3), TrainingConfig())
         assert result.converged and result.trace.tolist() == [0.0] and result.plan == plan
 
+    def test_cell_less_plan_off_its_target_returns_its_start(self):
+        # no phase to train: the start loss, unconverged, and the plan unchanged
+        plan = MeshPlan(2, (), (), (), (0.0, 0.0))
+        c, s = np.cos(0.3), np.sin(0.3)
+        target = theory_step_matrices(np.array([[c, -s], [s, c]]), 3)
+        result = train(plan, MeshNoise(seed=1), target, TrainingConfig(max_iters=2))
+        start = kl_loss(input_major(target), input_major(chip_distributions(plan, None, 3)))
+        assert result.trace.tolist() == [start] and start > 1e-6
+        assert not result.converged and result.plan == plan
+
     def test_unmoved_point_resumes_at_the_column_count(self, monkeypatch):
         # at learning rate 0 no step moves a phase: each post-step point keeps the whole
         # chain of the point before it, and its loss is the start loss bit for bit
@@ -340,7 +350,7 @@ class TestTrain:
             starts.append(resume[0])
             return forward_arrays(dim, los, entries, resume)
 
-        monkeypatch.setattr(calibrate, "forward_arrays", recording_forward)
+        monkeypatch.setattr(mesh, "forward_arrays", recording_forward)
         result = train(plan, MeshNoise(seed=4), theory_step_matrices(default_unitary(), 3),
                        TrainingConfig(learning_rate=0.0, max_iters=3))
         point = 1 + 2 * 2 * len(plan.los)

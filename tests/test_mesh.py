@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from loopsim.mesh import (
     clements_decompose,
     forward_arrays,
     mesh_forward,
+    meshes,
     noise_offsets,
-    phase_column,
     plan_from_json,
     plan_to_json,
 )
@@ -285,14 +286,26 @@ class TestColumnKernel:
     def test_matches_ordered_cell_product(self, case):
         dim, los, phases, offsets = case
         n = len(los)
-        thetas, phis, out = (np.array(phases[:n]), np.array(phases[n:2 * n]),
-                             np.array(phases[2 * n:]))
+        thetas, phis = np.array(phases[:n]), np.array(phases[n:2 * n])
         expected = np.eye(dim, dtype=complex)
         for k, lo in enumerate(los):
             expected = embed(realized_cell(thetas[k], phis[k], *offsets[k]), lo, dim) @ expected
-        expected = np.diag(np.exp(1j * out)) @ expected
-        got = forward_arrays(dim, los, cell_entries(thetas, phis, offsets))[-1] * phase_column(out)
+        got = forward_arrays(dim, los, cell_entries(thetas, phis, offsets))[-1]
         assert np.max(np.abs(got - expected)) <= 1e-15 * (n + 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mesh_cases(), st.integers(0, 2 ** 32 - 1))
+    def test_mesh_forward_matches_ordered_cell_product(self, case, seed):
+        # oracle: the plan's realized cells under its noise draws, in order, output phases last
+        dim, los, phases, _ = case
+        n = len(los)
+        plan = MeshPlan(dim, los, tuple(phases[:n]), tuple(phases[n:2 * n]), tuple(phases[2 * n:]))
+        noise = MeshNoise(seed=seed)
+        expected = np.eye(dim, dtype=complex)
+        for k, (lo, offsets) in enumerate(zip(los, noise_offsets(noise, n))):
+            expected = embed(realized_cell(phases[k], phases[n + k], *offsets), lo, dim) @ expected
+        expected = np.diag(np.exp(1j * np.array(plan.output_phases))) @ expected
+        assert np.max(np.abs(mesh_forward(plan, noise) - expected)) <= 1e-15 * (n + 1)
 
     @settings(max_examples=200, deadline=None)
     @given(mesh_cases())
@@ -303,15 +316,14 @@ class TestColumnKernel:
         dim, los, phases, offsets = case
         n = len(los)
         entries = cell_entries(np.array(phases[:n]), np.array(phases[n:2 * n]), offsets)
-        out = tuple(phases[2 * n:])
-        # oracle: the column chain formed with @, output phases exponentiated per call
+        # oracle: the column chain formed with @
         chain = column_chain(dim, los, entries)
-        expected = chain[-1] * np.exp(1j * np.asarray(out))[:, None]
-        got_chain = forward_arrays(dim, los, entries)
-        assert [m.tobytes() for m in got_chain] == [m.tobytes() for m in chain]
-        for phases_arg in (out, np.array(out)):
-            got = got_chain[-1] * phase_column(phases_arg)
-            assert got.tobytes() == expected.tobytes()
+        assert [m.tobytes() for m in forward_arrays(dim, los, entries)] == [m.tobytes() for m in chain]
+        # mesh_forward is the noiseless chain's last product times the exponentiated output phases
+        plan = MeshPlan(dim, los, tuple(phases[:n]), tuple(phases[n:2 * n]), tuple(phases[2 * n:]))
+        plain = cell_entries(np.array(plan.thetas), np.array(plan.phis), np.zeros((n, 4)))
+        expected = column_chain(dim, los, plain)[-1] * np.exp(1j * np.array(plan.output_phases))[:, None]
+        assert mesh_forward(plan).tobytes() == expected.tobytes()
 
     def test_out_of_range_draw_raises_on_every_call(self):
         offsets = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.6, 0.0]])
@@ -335,14 +347,14 @@ class TestColumnKernel:
         assert np.array_equal(forward(), after)
 
     def test_output_phases_mutated_in_place_give_fresh_products(self, rng):
+        # a plan built from output phases mutated in place after an earlier call moves only
+        # the mutated phase's row
         plan = clements_decompose(haar_unitary(4, rng))
-        entries = cell_entries(np.array(plan.thetas), np.array(plan.phis),
-                               noise_offsets(MeshNoise(seed=4), len(plan.los)))
-        product = forward_arrays(plan.dim, plan.los, entries)[-1]
-        phases = np.array(plan.output_phases)
-        before = product * phase_column(phases)
+        noise = MeshNoise(seed=4)
+        before = mesh_forward(plan, noise)
+        phases = list(plan.output_phases)
         phases[1] += 0.5
-        after = product * phase_column(phases)
+        after = mesh_forward(replace(plan, output_phases=tuple(phases)), noise)
         assert np.allclose(after[1], before[1] * np.exp(0.5j), rtol=0.0, atol=1e-15)
         assert np.array_equal(np.delete(after, 1, axis=0), np.delete(before, 1, axis=0))
 
@@ -360,9 +372,8 @@ class TestColumnKernel:
                 forward_arrays(4, (0, 2, 1), entries)
 
 
-
 class TestResume:
-    """forward_arrays resumes its chain from another mesh's at a column resume_columns names."""
+    """forward_arrays resumes its chain from another mesh's at a column s."""
 
     @settings(max_examples=200, deadline=None)
     @given(mesh_cases(), st.integers(0, 2 ** 32 - 1))
@@ -390,30 +401,78 @@ class TestResume:
         assert [m.tobytes() for m in forward_arrays(dim, los, other, resume=(len(stack), prefix))] \
             == [m.tobytes() for m in prefix]
 
-    def test_bad_resume_raises(self):
-        dim, los = 4, (0, 2, 1)
-        _, stack, _ = mesh._columns(dim, los)
-        assert stack.shape == (2, 4, 4)
-        entries = cell_entries(np.zeros(3), np.zeros(3), np.zeros((3, 4)))
-        chain = forward_arrays(dim, los, entries)
-        for resume in ((-1, chain), (3, chain), (1.0, chain), (1, chain[:1]),
-                       (2, []), (1, chain + chain[:1]), (1, [m[:, :3] for m in chain]),
-                       (2, [m.reshape(2, 8) for m in chain]), (1, np.ones((2, 3, 3)))):
-            with pytest.raises(ValueError, match=r"resume must be \(s, chain\)"):
-                forward_arrays(dim, los, entries, resume=resume)
+
+@st.composite
+def moved_points(draw):
+    """A plan on mesh_cases' cells, a noise seed, and 1-8 phase vectors that each move a
+    random set of the plan's phases (none and all included) to new values."""
+    dim, los, phases, _ = draw(mesh_cases())
+    n = len(los)
+    plan = MeshPlan(dim, los, tuple(phases[:n]), tuple(phases[n:2 * n]), tuple(phases[2 * n:]))
+    kinds = draw(st.lists(st.sampled_from(("none", "all", "some")), min_size=1, max_size=8))
+    some = draw(hnp.arrays(bool, (len(kinds), 2 * n)))
+    moved = np.array([row if kind == "some" else np.full(2 * n, kind == "all")
+                      for kind, row in zip(kinds, some)])
+    new = draw(hnp.arrays(float, moved.shape, elements=st.floats(-20.0, 20.0)))
+    base = np.array(phases[:2 * n], dtype=float)
+    return plan, draw(st.integers(0, 2 ** 32 - 1)), base, np.where(moved, new, base)
+
+
+def point_plan(plan, point):
+    """plan with its thetas and phis replaced by a phase vector's."""
+    n = len(plan.los)
+    return replace(plan, thetas=tuple(point[:n].tolist()), phis=tuple(point[n:].tolist()))
+
+
+class TestMeshes:
+    @settings(max_examples=200, deadline=None)
+    @given(moved_points())
+    def test_rows_equal_mesh_forward_bitwise(self, case):
+        # resumed from the base point's state or computed from scratch, each row is its own
+        # plan's mesh_forward, and the state holds the last row's plain chain
+        plan, seed, base, points = case
+        noise = MeshNoise(seed=seed)
+        n = len(plan.los)
+        _, at = meshes(plan, noise, base[None])
+        last = cell_entries(points[-1, :n], points[-1, n:], noise_offsets(noise, n))
+        plain_chain = forward_arrays(plan.dim, plan.los, last)
+        for state in (at, None):
+            stack, (x, entries, chain) = meshes(plan, noise, points, state)
+            assert stack.shape == (len(points), plan.dim, plan.dim)
+            for row, point in zip(stack, points):
+                assert row.tobytes() == mesh_forward(point_plan(plan, point), noise).tobytes()
+            assert x.tobytes() == points[-1].tobytes() and entries.tobytes() == last.tobytes()
+            assert [m.tobytes() for m in chain] == [m.tobytes() for m in plain_chain]
 
 
 class TestResumeColumns:
-    def test_first_changed_column_or_column_count(self):
-        # cells on (0,1), (2,3), (1,2), (0,1) sit in columns 0, 0, 1, 2
-        dim, los = 4, (0, 2, 1, 0)
+    """meshes resumes each row's chain at the first column holding a changed cell."""
+
+    def test_first_changed_column_or_column_count(self, monkeypatch):
+        # cells on (0,1), (2,3), (1,2), (0,1) sit in columns 0, 0, 1, 2; an unmoved row keeps
+        # the whole chain (the column count), and without a state every row starts at column 0
+        plan = MeshPlan(4, (0, 2, 1, 0), (0.1, 0.2, 0.3, 0.4), (0.5, 0.6, 0.7, 0.8), (0.0,) * 4)
         changed = np.array([[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1], [0, 1, 0, 0], [1, 0, 0, 1]],
                            dtype=bool)
-        assert mesh.resume_columns(dim, los, changed).tolist() == [3, 2, 1, 0, 0]
-        assert mesh.resume_columns(dim, los, changed[1]) == 2
+        base = np.array(plan.thetas + plan.phis)
+        points = base + np.concatenate([changed, np.zeros_like(changed)], axis=1)
+        starts = []
+
+        def recording_forward(dim, los, entries, resume=None):
+            starts.append(resume[0])
+            return forward_arrays(dim, los, entries, resume)
+
+        monkeypatch.setattr(mesh, "forward_arrays", recording_forward)
+        _, at = meshes(plan, None, base[None])
+        meshes(plan, None, points, at)
+        meshes(plan, None, points)
+        assert starts == [0] + [3, 2, 1, 0, 0] + [0] * 5
         # a mesh of no cells has one identity column; the columns are integers either way
-        empty = mesh.resume_columns(3, (), np.zeros((2, 0), dtype=bool))
-        assert empty.tolist() == [1, 1] and empty.dtype.kind == "i"
+        starts.clear()
+        empty = MeshPlan(3, (), (), (), (0.0, 0.1, 0.2))
+        stack, _ = meshes(empty, None, np.zeros((2, 0)))
+        assert starts == [1, 1] and all(type(s) is int for s in starts)
+        assert stack.tobytes() == np.stack([mesh_forward(empty)] * 2).tobytes()
 
 
 @st.composite

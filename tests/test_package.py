@@ -6,6 +6,7 @@ from pathlib import Path
 from types import ModuleType
 
 import loopsim
+from loopsim import mesh
 from loopsim._fields import frozen_cache
 
 
@@ -80,3 +81,20 @@ def test_no_module_imports_another_modules_private_name():
                     and bound.get(node.value.id, "_fields") != "_fields" and node.attr.startswith("_")):
                 leaks.append(f"{path.name}: {node.value.id}.{node.attr}")
     assert leaks == []
+
+
+def test_only_mesh_evaluates_a_mesh():
+    # mesh.meshes is the one mesh evaluation path: no other module binds the entry and chain
+    # stages, under any name, or reads them off the mesh module.
+    stages = ("cell_entries", "forward_arrays")
+    found = []
+    for info in pkgutil.iter_modules(loopsim.__path__):
+        if info.name in ("__main__", "mesh"):
+            continue
+        module = importlib.import_module(f"loopsim.{info.name}")
+        found += [f"{info.name}.{name}" for name, value in vars(module).items()
+                  if any(value is getattr(mesh, stage) for stage in stages)]
+        tree = ast.parse(Path(module.__file__).read_text())
+        found += [f"{info.name}: .{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in stages]
+    assert found == []
