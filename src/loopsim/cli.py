@@ -4,9 +4,9 @@ Subcommands: simulate, decompose, losses, scaling, train, compare, counts.
 A JSON config file overrides the built-in defaults (keys it leaves out keep
 them) and flags override the file. Each cmd_* computes its outputs and
 returns them as {file name: text}; run() checks the input and output paths
-first and writes the files under the output directory only once the command
-has returned, so a failed run writes nothing. Exit codes: 0 success, 2
-invalid user input, 1 any other failure.
+first, and every returned file's path before it writes any under the output
+directory, so a failed run writes nothing. Exit codes: 0 success, 2 invalid
+user input, 1 any other failure.
 """
 
 import argparse
@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    """Parse, check paths, run the command, then write every file it returns under output_dir."""
+    """Parse, check paths, run the command, check its files' paths, write them under output_dir."""
     args = build_parser().parse_args(argv)
     for flag in ("config", "unitary", "table"):
         path = getattr(args, flag, None)
@@ -352,6 +352,9 @@ def run(argv=None) -> int:
     if not nearest.is_dir():
         raise ValueError(f"output_dir (--out) {str(out)!r}: {str(nearest)!r} is not a directory")
     files = args.handler(cfg, args)
+    for path in map(out.joinpath, files):
+        if path.exists() and not path.is_file():
+            raise ValueError(f"output file {str(path)!r} exists and is not a file")
     out.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
         (out / name).write_text(text, newline="")

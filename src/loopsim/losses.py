@@ -8,7 +8,6 @@ times and the delay line n - 1 times.
 import json
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -36,13 +35,9 @@ class PlatformSpec:
             raise ValueError("name must be non-empty")
 
 
-def load_platforms(path=None) -> list[PlatformSpec]:
-    """Platform table from a JSON file; the bundled defaults when path is None."""
-    if path is None:
-        text = resources.files("loopsim.data").joinpath("platforms.json").read_text()
-    else:
-        text = Path(path).read_text()
-    rows = json.loads(text)
+def load_platforms() -> list[PlatformSpec]:
+    """The bundled platform table."""
+    rows = json.loads(resources.files("loopsim.data").joinpath("platforms.json").read_text())
     return [PlatformSpec(**row) for row in rows]
 
 

@@ -82,16 +82,20 @@ def step_unitary(hamiltonian: np.ndarray, dt: float) -> np.ndarray:
 @frozen_cache(maxsize=4)
 def _propagator(h_bytes: bytes, dim: int, dt: float) -> np.ndarray:
     """Read-only exp(-i H dt) of the C-order complex128 bytes of a dim x dim H, with its Hermitian,
-    dt, eigen-residual (at most max(1e-9, 16 eps dim ||H||_2), as eigh's grows with ||H||_2 =
-    max|w|) and unitarity checks. A failed check raises on every call (none cached)."""
+    dt, phase range (||H||_2 dt finite), eigen-residual (at most max(1e-9, 16 eps dim ||H||_2), as
+    eigh's grows with ||H||_2 = max|w|) and unitarity checks. A failed check raises on every call
+    (none cached)."""
     h = np.frombuffer(h_bytes, dtype=complex).reshape(dim, dim)
     if not np.max(np.abs(h - h.conj().T)) <= _HERMITIAN_ATOL:
         raise ValueError("hamiltonian is not Hermitian")
     if not np.isfinite(dt):
         raise ValueError("dt must be finite")
     w, v = np.linalg.eigh(h)
+    norm = float(np.max(np.abs(w)))
+    if not np.isfinite(norm * dt):  # Python floats: an overflow is inf, not a warning
+        raise ValueError(f"dt {dt} times the eigenvalue bound max|w| {norm:.3e} is not finite")
     residual = np.max(np.abs(h @ v - v * w))
-    bound = max(_EIG_RESIDUAL_ATOL, 16 * np.finfo(float).eps * dim * np.max(np.abs(w)))
+    bound = max(_EIG_RESIDUAL_ATOL, 16 * np.finfo(float).eps * dim * norm)
     if not residual <= bound:
         raise RuntimeError(f"eigendecomposition residual {residual:.3e} too large")
     u = (v * np.exp(-1j * w * dt)) @ v.conj().T

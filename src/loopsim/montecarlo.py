@@ -82,27 +82,25 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
 def _geometry(n_steps: int, jitter_ps: float, bin_ps: float, loop_delay_ps: float):
     """Read-only (edges, mass) of one timing grid, computed in float: edges span
     all peaks plus 6 sigma of jitter, aligned to bin_ps, and mass[n, i] is step
-    n's jitter mass in bin i. Cached, as every run at the same settings has the
-    same grid; equal numbers such as 50 and 50.0 share one entry, and at most 4
-    geometries' edges and mass stay alive. Too many bins raises on every call
-    (none cached), naming bin_ps as given."""
+    n's jitter CDF difference across bin i. Zero jitter takes the CDF's step
+    limit, 0 at an edge, so a center on an edge lands in the bin starting there.
+    Cached, as every run at the same settings has the same grid; equal numbers
+    such as 50 and 50.0 share one entry, and at most 4 geometries' edges and mass
+    stay alive. Too many bins, or infinitely many, raise on every call (none
+    cached), naming bin_ps as given."""
     given_bin_ps = bin_ps
     jitter_ps, bin_ps, loop_delay_ps = float(jitter_ps), float(bin_ps), float(loop_delay_ps)
     pad = 6.0 * jitter_ps + bin_ps
     lo = np.floor(-pad / bin_ps) * bin_ps
     hi = np.ceil(((n_steps - 1) * loop_delay_ps + pad) / bin_ps) * bin_ps
-    n_bins = int(round((hi - lo) / bin_ps))
-    if n_bins > _MAX_BINS:
-        raise ValueError(f"bin_ps {given_bin_ps} gives {n_bins} histogram bins per channel, "
+    n_bins = np.rint((hi - lo) / bin_ps)
+    if not n_bins <= _MAX_BINS:
+        raise ValueError(f"bin_ps {given_bin_ps} gives {n_bins:.0f} histogram bins per channel, "
                          f"more than {_MAX_BINS}")
-    edges = lo + bin_ps * np.arange(n_bins + 1)
-    centers = np.arange(n_steps) * loop_delay_ps
-    if jitter_ps > 0:
-        mass = np.diff(_normal_cdf((edges - centers[:, None]) / jitter_ps), axis=1)
-    else:  # at a positive delay the edges pad every center by at least one bin
-        step_bin = np.searchsorted(edges, centers, side="right") - 1
-        mass = (np.arange(edges.size - 1) == step_bin[:, None]).astype(float)
-    return edges, mass
+    edges = lo + bin_ps * np.arange(int(n_bins) + 1)
+    offsets = edges - np.arange(n_steps)[:, None] * loop_delay_ps
+    cdf = _normal_cdf(offsets / jitter_ps) if jitter_ps > 0 else np.heaviside(offsets, 0.0)
+    return edges, np.diff(cdf, axis=1)
 
 
 def _bin_means(power: np.ndarray, cfg: CountingConfig, loop_delay_ps: float):
@@ -182,15 +180,18 @@ def default_windows(n_steps: int, cfg: CountingConfig, loop_delay_ps: float) -> 
 
 @frozen_cache(maxsize=4)
 def _gates(edges_bytes: bytes, bounds_bytes: bytes, jitter_ps: float, bg_total: float):
-    """Read-only (bg_in_gate, floor, index) of windows over strictly increasing
-    edges, both float64 bytes: gate n holds the sizes[n] bins with edges[i] >= lo
-    and edges[i + 1] <= hi, and row n of index lists them, padded with the bin
-    count. bg_in_gate[n] is the gate's share of the run's bg_total background
-    counts, and a channel at most floor[n] above it has no signal. Cached, as
-    every run at the same settings has the same gates; at most 4 entries, with
-    their key bytes, stay alive. Overlapping or narrow windows raise on every
-    call (none cached)."""
+    """Read-only (bg_in_gate, floor) and the ranges of windows over edges, both
+    float64 bytes: ranges[n] is gate n's (start, stop) bin range, the bins with
+    edges[i] >= lo and edges[i + 1] <= hi, empty when it holds none.
+    bg_in_gate[n] is the gate's share of the run's bg_total background counts,
+    and a channel at most floor[n] above it has no signal. Cached, as every run
+    at the same settings has the same gates; at most 4 entries, with their key
+    bytes, stay alive. Edges that do not strictly increase, and overlapping or
+    narrow windows, raise on every call (none cached)."""
     edges = np.frombuffer(edges_bytes)
+    bin_widths = edges[1:] - edges[:-1]
+    if not (bin_widths > 0).all():
+        raise ValueError("bin_edges_ps must strictly increase")
     bounds = np.frombuffer(bounds_bytes).reshape(-1, 2)
     lows, his = bounds.T
     by_low = bounds[lows.argsort()]
@@ -202,22 +203,17 @@ def _gates(edges_bytes: bytes, bounds_bytes: bytes, jitter_ps: float, bg_total: 
             raise ValueError("window must have positive width")
         if hi - lo < width_needed:
             raise ValueError("window narrower than 6 sigma of jitter")
-    bin_widths = edges[1:] - edges[:-1]
     starts = edges.searchsorted(lows, side="left")
-    stops = edges.searchsorted(his, side="right") - 1
+    stops = np.maximum(edges.searchsorted(his, side="right") - 1, starts)
+    ranges = tuple(zip(starts.tolist(), stops.tolist()))
     # Each gate's width is its own pairwise sum; its rounding sets the background.
-    gate_widths = np.array([bin_widths[s:e].sum() for s, e in zip(starts.tolist(), stops.tolist())],
-                           dtype=float)
-    sizes = (stops - starts)[:, None]
-    offsets = np.arange(sizes.max(initial=0))
-    index = starts[:, None] + offsets
-    index[offsets >= sizes] = bin_widths.size
+    gate_widths = np.array([bin_widths[start:stop].sum() for start, stop in ranges], dtype=float)
     span = edges[-1] - edges[0]
     bg_in_gate = (bg_total * gate_widths / span if span > 0 else np.zeros(len(bounds)))[:, None]
     # A channel within the rounding of its gate's background, eps per summed bin and eps
     # of the span per gate edge, has no signal.
-    floor = _EPS * (sizes * bg_in_gate + 2.0 * bg_total)
-    return bg_in_gate, floor, index
+    floor = _EPS * ((stops - starts)[:, None] * bg_in_gate + 2.0 * bg_total)
+    return bg_in_gate, floor, ranges
 
 
 def estimate_probabilities(histograms: list, windows: list, cfg: CountingConfig) -> ProbabilityEstimates:
@@ -233,37 +229,35 @@ def estimate_probabilities(histograms: list, windows: list, cfg: CountingConfig)
     the gate and D the channel count. With no background this is binomial.
     A step whose S is below 100 is flagged low_statistics.
     Bin edges, read as float64, must strictly increase and window bounds must be
-    numbers. All gates are handled at once, as arrays: one copy of the counts,
-    then work in proportion to channels x gated bins; the gate geometry is
-    computed once per (edges, windows, jitter_ps, background counts) and cached.
+    numbers. The counts are copied once, bin-major, and each gate is one slice
+    of that copy, so the work is in proportion to channels x gated bins; the
+    gate geometry is computed once per (edges, windows, jitter_ps, background
+    counts) and cached.
     """
     if not histograms:
         raise ValueError("need at least one histogram")
     given = histograms[0].bin_edges_ps
     edges = np.asarray(given, dtype=float)
-    bin_widths = edges[1:] - edges[:-1]
+    n_bins = edges.size - 1
     for h in histograms:
         if h.bin_edges_ps is not given and not np.array_equal(h.bin_edges_ps, given):
             raise ValueError("histograms must share bin edges")
-        if h.counts.shape != bin_widths.shape:
-            raise ValueError(f"each histogram needs one count per bin, {bin_widths.size} here")
-    if not (bin_widths > 0).all():
-        raise ValueError("bin_edges_ps must strictly increase")
+        if h.counts.shape != (n_bins,):
+            raise ValueError(f"each histogram needs one count per bin, {n_bins} here")
     bounds = np.asarray(windows, dtype=float).reshape(len(windows), 2)
     for n, (lo, hi) in enumerate(bounds.tolist()):
         if lo != lo or hi != hi:
             raise ValueError(f"window {n} bounds must be numbers, got {windows[n]}")
-    bg_in_gate, floor, index = _gates(edges.tobytes(), bounds.tobytes(), cfg.jitter_ps,
-                                      cfg.background_rate_hz * cfg.duration_s)
-    dim, n_bins = len(histograms), bin_widths.size
-    # Bin-major counts with one zero row past the end, which pads the shorter gates.
-    by_channel = np.array([h.counts for h in histograms])
-    counts = np.zeros((n_bins + 1, dim), by_channel.dtype)
-    counts[:-1] = by_channel.T
-    # Reducing the (step, bin, channel) gather over its bin axis adds each
-    # gate's bins one after another. Floats, as the channels' total may pass
-    # int64's range.
-    raw = counts[index].sum(axis=1).astype(float)
+    bg_in_gate, floor, ranges = _gates(edges.tobytes(), bounds.tobytes(), cfg.jitter_ps,
+                                       cfg.background_rate_hz * cfg.duration_s)
+    dim = len(histograms)
+    # C-ordered (bin, channel) counts: with two or more channels a gate's slice
+    # adds its bins one after another, and one channel's adds them pairwise.
+    counts = np.array([h.counts for h in histograms]).T.copy()
+    # Floats, as the channels' total may pass int64's range.
+    raw = np.empty((len(ranges), dim))
+    for n, (start, stop) in enumerate(ranges):
+        raw[n] = counts[start:stop].sum(axis=0)
     excess = raw - bg_in_gate
     signal = np.where(excess <= floor, 0.0, excess)  # NaN counts stay NaN
     total = signal.sum(axis=1, keepdims=True)

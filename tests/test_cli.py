@@ -502,6 +502,9 @@ class TestInvalidValues:
         ({"counting": {"background_rate_hz": 1e18}}, "counting", "background_rate_hz"),
         # 6 sigma is 312 ps, but the gates are rounded up to 2 * 160 ps = loop_delay_ps
         ({"counting": {"jitter_ps": 52}, "chip": {"loop_delay_ps": 320}}, "counting", "jitter_ps"),
+        # a subnormal bin width gives an infinite bin count
+        ({"counting": {"bin_ps": 5e-324}}, "counting", "bin_ps"),
+        ({"counting": {"bin_ps": 1e-310}}, "counting", "bin_ps"),
     ])
     def test_simulate(self, tmp_path, capsys, doc, section, key):
         rc, out = self._run(tmp_path, doc, ["simulate"])
@@ -535,6 +538,18 @@ class TestInvalidValues:
         assert main(["--out", str(out), "--seed", "-1", "simulate"]) == 2
         assert not out.exists()
         assert "seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [{"model": {"dt": 1e308}},
+                                     {"model": {"epsilon": 1e308, "lambda": 1e308}}])
+    @pytest.mark.parametrize("command", ["simulate", "decompose", "train"])
+    def test_propagator_out_of_range(self, tmp_path, capsys, doc, command):
+        # the phases max|w| * dt overflow; no numpy warning is printed
+        rc, out = self._run(tmp_path, doc, [command])
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: dt ") and "eigenvalue bound max|w|" in err
+        assert "Warning" not in err
 
     def test_too_many_bins(self, tmp_path, capsys):
         # about 2e6 bins per channel at 7e-4 ps
@@ -675,6 +690,16 @@ class TestOutputs:
         out = tmp_path / "out"
         assert main(["--out", str(out), "simulate"]) == 2
         assert not out.exists()
+
+    def test_output_file_that_is_a_directory_writes_nothing(self, tmp_path, capsys):
+        # simulate returns theory.csv before chip.csv, yet neither is written
+        out = tmp_path / "out"
+        (out / "chip.csv").mkdir(parents=True)
+        assert main(["--out", str(out), "simulate"]) == 2
+        assert [p.name for p in out.iterdir()] == ["chip.csv"]
+        assert not any((out / "chip.csv").iterdir())
+        assert f"output file {str(out / 'chip.csv')!r} exists and is not a file" in \
+            capsys.readouterr().err
 
     def test_failed_round_trip_writes_nothing(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(mesh, "mesh_forward", lambda plan: np.zeros((plan.dim, plan.dim)))

@@ -218,12 +218,6 @@ class TestPlatformTable:
         assert sin[1] == pytest.approx(26.464250275506874, abs=1e-9)
         assert sin[2] == pytest.approx(35.386075456620499, abs=1e-9)
 
-    def test_load_from_explicit_path(self, tmp_path):
-        path = tmp_path / "p.json"
-        path.write_text('[{"name": "x", "alpha_db_per_cm": 1.5}]')
-        platforms = load_platforms(path)
-        assert platforms == [PlatformSpec("x", 1.5)]
-
     def test_budget_validation(self):
         # every step's budget rounds to 1e300, so the budgets do not increase
         with pytest.raises(ValueError, match="strictly increase"):

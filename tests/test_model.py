@@ -263,6 +263,10 @@ class TestPropagatorCache:
         (np.diag([1.0, np.nan]), 1.0, "not Hermitian"),
         (np.eye(2), np.inf, "dt must be finite"),
         (np.eye(2), np.nan, "dt must be finite"),
+        # max|w| * dt overflows, or eigh returns an infinite eigenvalue
+        (np.diag([1.0, -4.0]), 1e308, r"dt 1e\+308 times the eigenvalue bound max\|w\| 4.000e\+00"),
+        (build_hamiltonian(SpinBosonParams(1e308, 1.0, 1e308)), 1.0,
+         r"dt 1.0 times the eigenvalue bound max\|w\| inf"),
     ])
     def test_bad_input_raises_on_every_call(self, h, dt, message):
         model._propagator.cache_clear()

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
@@ -327,20 +327,36 @@ class TestRecoveryOracle:
            background_rate_hz=st.one_of(st.sampled_from([0.0, 10.0, 1e6]), st.floats(0.0, 1e6)),
            duration_s=st.sampled_from([0.1, 1.0, 10.0]),
            sampled=st.booleans(), seed=st.integers(0, 2**32 - 1),
-           widen=st.lists(st.floats(0.0, 30.0), min_size=10, max_size=10))
+           widen=st.lists(st.floats(0.0, 30.0), min_size=10, max_size=10),
+           gates=st.sampled_from(["widened", "reversed", "none", "narrow"]))
     # Each example tells apart one way of rounding from the reference's: a
     # gate summed pairwise, a gate width from a mask product, and a total
     # squared by multiplication or by numpy's array power.
     @example(dim=2, n_steps=3, bin_ps=1.0, jitter_ps=0.0, pair_rate_hz=0.0, background_rate_hz=10.0,
-             duration_s=0.1, sampled=False, seed=0, widen=[0.0] * 4 + [9.0] + [0.0] * 5)
+             duration_s=0.1, sampled=False, seed=0, widen=[0.0] * 4 + [9.0] + [0.0] * 5,
+             gates="widened")
     @example(dim=4, n_steps=1, bin_ps=7.3, jitter_ps=50.0, pair_rate_hz=0.0, background_rate_hz=1e6,
-             duration_s=0.1, sampled=True, seed=84, widen=[14.3, 0.0] + [0.0] * 8)
+             duration_s=0.1, sampled=True, seed=84, widen=[14.3, 0.0] + [0.0] * 8,
+             gates="widened")
     @example(dim=15, n_steps=3, bin_ps=7.3, jitter_ps=0.0, pair_rate_hz=100.0, background_rate_hz=1e6,
-             duration_s=10.0, sampled=True, seed=32, widen=[29.8, 8.7, 0.0, 0.0, 23.2] + [0.0] * 5)
+             duration_s=10.0, sampled=True, seed=32, widen=[29.8, 8.7, 0.0, 0.0, 23.2] + [0.0] * 5,
+             gates="widened")
     @example(dim=12, n_steps=3, bin_ps=33.3, jitter_ps=0.0, pair_rate_hz=1e4, background_rate_hz=1e6,
-             duration_s=0.1, sampled=False, seed=8, widen=[0.0, 0.0, 29.3, 9.6, 0.0, 5.9] + [0.0] * 4)
+             duration_s=0.1, sampled=False, seed=8, widen=[0.0, 0.0, 29.3, 9.6, 0.0, 5.9] + [0.0] * 4,
+             gates="widened")
+    # Gates in reverse order, no gates, and zero-jitter gates narrower than one bin,
+    # the first of them below the first edge.
+    @example(dim=6, n_steps=3, bin_ps=20.0, jitter_ps=50.0, pair_rate_hz=1e4, background_rate_hz=10.0,
+             duration_s=10.0, sampled=False, seed=1, widen=[0.0, 9.0] + [0.0] * 8, gates="reversed")
+    @example(dim=3, n_steps=2, bin_ps=7.3, jitter_ps=13.7, pair_rate_hz=1e2, background_rate_hz=1e6,
+             duration_s=1.0, sampled=True, seed=2, widen=[0.0] * 10, gates="none")
+    @example(dim=4, n_steps=3, bin_ps=1.0, jitter_ps=0.0, pair_rate_hz=1e4, background_rate_hz=10.0,
+             duration_s=1.0, sampled=True, seed=3, widen=[20.0] + [0.0] * 9, gates="narrow")
     def test_matches_per_gate_reference_bitwise(self, dim, n_steps, bin_ps, jitter_ps, pair_rate_hz,
-                                                background_rate_hz, duration_s, sampled, seed, widen):
+                                                background_rate_hz, duration_s, sampled, seed, widen,
+                                                gates):
+        # a window narrower than one bin passes the 6 sigma check only at zero jitter
+        assume(gates != "narrow" or jitter_ps == 0)
         # A lossy chip and zero pair rate put gates at their background to
         # the last bit, where the order of each gate's sum decides p_hat.
         power = run_loop(ChipConfig(dim=dim), haar_unitary(dim, np.random.default_rng(seed)),
@@ -352,6 +368,8 @@ class TestRecoveryOracle:
         # them different bin counts.
         windows = [(lo - widen[2 * n], hi + widen[2 * n + 1])
                    for n, (lo, hi) in enumerate(default_windows(n_steps, cfg, DELAY))]
+        windows = {"widened": windows, "reversed": windows[::-1], "none": [],
+                   "narrow": [(lo, lo + bin_ps / 2) for lo, _ in windows]}[gates]
         got = estimate_probabilities(hists, windows, cfg)
         p_hat, stderr, flags = per_gate_estimate(hists, windows, cfg)
         assert got.p_hat.tobytes() == p_hat.tobytes()
@@ -448,6 +466,10 @@ class TestGeometryCaches:
             (lambda: sample_run(nan, cfg, DELAY), "power entries must be nonnegative"),
             (lambda: expected_histograms(nan, cfg, DELAY), "power entries must be nonnegative"),
             (lambda: default_windows(2, CountingConfig(bin_ps=7e-4), DELAY), "histogram bins"),
+            # bin counts that are not finite: a subnormal bin_ps, or a delay that overflows
+            (lambda: default_windows(2, CountingConfig(bin_ps=5e-324), DELAY), "inf histogram bins"),
+            (lambda: default_windows(3, cfg, 1e308), "inf histogram bins"),
+            (lambda: _geometry(3, 50.0, 1e-310, DELAY), "inf histogram bins"),
             (lambda: estimate_probabilities(hists, [(-100.0, 300.0), (250.0, 600.0)], cfg),
              "overlap"),
             (lambda: estimate_probabilities(hists, [(-100.0, 100.0), (300.0, 500.0)], cfg),
@@ -467,9 +489,14 @@ class TestGeometryCaches:
         edges, mass = _geometry(3, 50.0, 20.0, DELAY)
         assert mass.shape == (3, edges.size - 1)
         windows = np.array(default_windows(3, CountingConfig(), DELAY))
-        cached = (edges, mass, *_gates(edges.tobytes(), windows.tobytes(), 50.0, 100.0),
+        bg_in_gate, floor, ranges = _gates(edges.tobytes(), windows.tobytes(), 50.0, 100.0)
+        cached = (edges, mass, bg_in_gate, floor,
                   *_bin_means(model_power(3), CountingConfig(), DELAY))
         assert not any(a.flags.writeable for a in cached)
+        # the bin ranges are immutable too: a tuple of (start, stop) int pairs, 16 bins each
+        assert type(ranges) is tuple
+        assert all(type(r) is tuple and [type(i) for i in r] == [int, int] for r in ranges)
+        assert [stop - start for start, stop in ranges] == [16, 16, 16]
 
 
 class TestEstimation:

@@ -15,8 +15,9 @@ anything does. Printed lines are not compared. The corpus:
 - losses and scaling for each chip size, and compare with a 3-iteration cap;
 - seeded library calls: step_unitary (fresh and repeated), sample_run,
   expected_histograms, estimate_probabilities (also over several seeds at
-  one setting, after a second setting, and with only the background
-  changed) and platform_comparison;
+  one setting, after a second setting, with only the background changed,
+  and over reversed gates, no gates and, at zero jitter, gates narrower
+  than one bin) and platform_comparison;
 - noisy meshes: mesh_forward(clements_decompose(u), MeshNoise(seed=i)) for
   seeded Haar u of dim 1-16;
 - training: the loss trace, the trained phases and every gradient vector
@@ -117,9 +118,9 @@ def _library_arrays() -> dict:
         arrays[f"step_unitary-{i:02d}-again"] = model.step_unitary(h, float(dt))
     chip = loopchip.ChipConfig()
 
-    def count(label, power, **counting):
+    def count(label, power, gates=list, **counting):
         cfg = montecarlo.CountingConfig(**counting)
-        windows = montecarlo.default_windows(3, cfg, chip.loop_delay_ps)
+        windows = gates(montecarlo.default_windows(3, cfg, chip.loop_delay_ps))
         for kind in ("sample_run", "expected_histograms"):
             hists = getattr(montecarlo, kind)(power, cfg, chip.loop_delay_ps)
             est = montecarlo.estimate_probabilities(hists, windows, cfg)
@@ -146,6 +147,15 @@ def _library_arrays() -> dict:
         ("warm-background", powers[0], {**first, "background_rate_hz": 1e3, "seed": 4}),
     ]:
         count(label, power, **counting)
+    # Unusual gates: reversed, none, and at zero jitter windows narrower than one bin,
+    # one of them below the first edge.
+    for jitter, bin_ps in ((0.0, 25.0), (50.0, 20.0)):
+        gate_sets = {"reversed": lambda w: w[::-1], "none": lambda w: []}
+        if jitter == 0:
+            gate_sets["narrow"] = lambda w: [(lo - 20.0, lo - 10.0) for lo, _ in w]
+        for name, gates in gate_sets.items():
+            count(f"gates-{name}-{jitter:g}", powers[0], gates, pair_rate_hz=1e5, jitter_ps=jitter,
+                  bin_ps=bin_ps, seed=5)
     platforms = losses.load_platforms()
     for n in (1, 3, 8):
         ratios = losses.optimal_splitters(n) if n >= 2 else (0.5, 0.5)
