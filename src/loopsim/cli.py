@@ -175,7 +175,13 @@ def cmd_simulate(cfg: RunConfig, args) -> dict:
     u = _unitary(cfg)
     power, _, _, estimates = _count(cfg, u, "simulate")
     theory = model.evolve_exact(u, cfg.initial_channel, cfg.n_steps)
-    chip = loopchip.conditional_probabilities(power)
+    try:
+        chip = loopchip.conditional_probabilities(power)
+    except loopchip.DegenerateStepError as exc:
+        c = cfg.chip
+        raise ValueError(f"config section 'chip': {exc} at alpha_db_per_cm {c.alpha_db_per_cm}, "
+                         f"chip_length_cm {c.chip_length_cm}, loop_length_cm {c.loop_length_cm} "
+                         f"and others_loss_db {c.others_loss_db}") from None
     return {"theory.csv": _csv(["step", "channel", "prob"], _step_rows(theory)),
             "chip.csv": _csv(["step", "channel", "prob"], _step_rows(chip)),
             "mc.csv": estimates}

@@ -17,8 +17,9 @@ from ._fields import check_fields
 from .model import propagate
 
 
-class DegenerateStepError(RuntimeError):
-    """A step's total output power is numerically zero; cannot normalize."""
+class DegenerateStepError(ValueError):
+    """A step's total output power is numerically zero; cannot normalize. A ValueError, as
+    the input (the chip's losses, or a mesh that sends no power) is at fault."""
 
 
 @dataclass(frozen=True)

@@ -241,13 +241,15 @@ def clements_decompose(unitary: np.ndarray) -> MeshPlan:
     target entry is already zero appear with theta = 0). Raises
     DecompositionError if the input is not unitary or if any nulling step
     fails to produce a zero; both checks use the absolute tolerance
-    _NULL_ATOL (1e-10).
+    _NULL_ATOL (1e-10). An entry that is not finite or has modulus above
+    1 + _NULL_ATOL is rejected before U^dagger U is formed, which could overflow.
     """
     u = np.asarray(unitary, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DecompositionError("input must be a square matrix")
     n = u.shape[0]
-    if not np.max(np.abs(u.conj().T @ u - np.eye(n))) <= _NULL_ATOL:
+    if not ((np.abs(u) <= 1.0 + _NULL_ATOL).all()
+            and np.max(np.abs(u.conj().T @ u - np.eye(n))) <= _NULL_ATOL):
         raise DecompositionError("input matrix is not unitary")
 
     w = u.copy()

@@ -86,8 +86,12 @@ def _geometry(n_steps: int, jitter_ps: float, bin_ps: float, loop_delay_ps: floa
     limit, 0 at an edge, so a center on an edge lands in the bin starting there.
     Cached, as every run at the same settings has the same grid; equal numbers
     such as 50 and 50.0 share one entry, and at most 4 geometries' edges and mass
-    stay alive. Too many bins, or infinitely many, raise on every call (none
-    cached), naming bin_ps as given."""
+    stay alive. A loop_delay_ps that is not positive, or that puts the last step
+    beyond the float range, raises naming it; too many bins, or infinitely many,
+    raise naming bin_ps as given. Either raises on every call (none cached)."""
+    if not (loop_delay_ps > 0 and math.isfinite((n_steps - 1) * loop_delay_ps)):
+        raise ValueError(f"loop_delay_ps must be positive, with {n_steps - 1} * loop_delay_ps "
+                         f"finite, got {loop_delay_ps}")
     given_bin_ps = bin_ps
     jitter_ps, bin_ps, loop_delay_ps = float(jitter_ps), float(bin_ps), float(loop_delay_ps)
     pad = 6.0 * jitter_ps + bin_ps
@@ -122,8 +126,6 @@ def _expected_counts(power_bytes: bytes, shape: tuple, expected_pairs: float, bg
     change its means: only the last setting's means stay alive, the array
     sample_run draws from. A bad setting raises on every call (none cached).
     """
-    if loop_delay_ps <= 0:
-        raise ValueError("loop_delay_ps must be positive")
     power = np.frombuffer(power_bytes).reshape(shape)
     total = float(power.sum())
     if total > 1.0 + 1e-9:

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,19 @@ class TestSimulate:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("chip, step", [({"alpha_db_per_cm": 130}, 3),
+                                            ({"others_loss_db": 3000}, 1)])
+    def test_losses_that_leave_a_step_no_power_exit_two(self, tmp_path, capsys, chip, step):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"chip": chip}))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfgfile), "--out", str(out), "simulate"]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config section 'chip': step {step} has vanishing total "
+                              f"output power at alpha_db_per_cm ")
+        assert "others_loss_db" in err
+
 
 class TestDecompose:
     def test_default_model_propagator(self, tmp_path):
@@ -114,6 +128,19 @@ class TestDecompose:
         rc = main(["--out", str(tmp_path), "decompose", "--unitary", str(upath)])
         assert rc == 2
         assert "not unitary" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", [1e308, float("inf"), float("nan")])
+    def test_huge_or_non_finite_entry_exits_two_without_warnings(self, tmp_path, capsys, entry):
+        # U^dagger U of a 1e308 entry overflows; the entry is rejected before it is formed
+        upath = tmp_path / "u.json"
+        upath.write_text(json.dumps({"re": [[entry, 0], [0, 1]], "im": [[0, 0], [0, 0]]}))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["--out", str(out), "decompose", "--unitary", str(upath)])
+        assert (rc, caught) == (2, [])
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: input matrix is not unitary\n"
 
     @pytest.mark.parametrize("im", [[[0, 0]], 0, [[0, 0], [0, 0], [0, 0]]])
     def test_im_of_another_shape_exits_two(self, tmp_path, capsys, im):

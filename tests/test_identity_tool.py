@@ -1,3 +1,4 @@
+import shutil
 import sys
 from pathlib import Path
 
@@ -21,6 +22,26 @@ def test_corpus_runs_and_every_command_exits_zero(tmp_path):
     assert (files / "cli" / "compare" / "errors.csv").is_file()
     assert len(list((files / "lib").glob("*.npy"))) > 100
     assert identity.differences(files, files) == []
+
+
+def test_corpus_runs_on_a_tree_without_the_names_the_roadmap_deletes(tmp_path):
+    # the tool judges trees whose calibrate has no finite_diff_gradient, and whose
+    # TrainingConfig has no learning_rate, so its corpus must run on them
+    tree = tmp_path / "tree"
+    shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    edits = {"finite_diff_gradient": "_central_difference",
+             "    learning_rate: float = 0.01\n": "",
+             ', nonneg=("learning_rate",)': "",
+             "tc.learning_rate": "0.01"}
+    for path in (tree / "src").rglob("*.py"):
+        text = path.read_text()
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        assert "finite_diff_gradient" not in text and "learning_rate" not in text
+        path.write_text(text)
+    codes = identity.run_tree(tree, tmp_path / "out")
+    assert "n1-float-train" in codes
+    assert {label: code for label, code in codes.items() if code != 0} == {}
 
 
 def test_differences_lists_changed_and_one_sided_files(tmp_path):

@@ -1,3 +1,4 @@
+import re
 import time
 from dataclasses import replace
 import tracemalloc
@@ -466,9 +467,8 @@ class TestGeometryCaches:
             (lambda: sample_run(nan, cfg, DELAY), "power entries must be nonnegative"),
             (lambda: expected_histograms(nan, cfg, DELAY), "power entries must be nonnegative"),
             (lambda: default_windows(2, CountingConfig(bin_ps=7e-4), DELAY), "histogram bins"),
-            # bin counts that are not finite: a subnormal bin_ps, or a delay that overflows
+            # a subnormal bin_ps gives an infinite bin count
             (lambda: default_windows(2, CountingConfig(bin_ps=5e-324), DELAY), "inf histogram bins"),
-            (lambda: default_windows(3, cfg, 1e308), "inf histogram bins"),
             (lambda: _geometry(3, 50.0, 1e-310, DELAY), "inf histogram bins"),
             (lambda: estimate_probabilities(hists, [(-100.0, 300.0), (250.0, 600.0)], cfg),
              "overlap"),
@@ -484,6 +484,17 @@ class TestGeometryCaches:
                     call()
                 messages.append(str(info.value))
             assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("delay", [float("nan"), 1e308, 0.0, -400.0])
+    def test_bad_delay_is_named_and_not_cached(self, delay):
+        # 1e308 is finite, but the third step's 2 * 1e308 is not
+        cfg, power = CountingConfig(), identity_power(3)
+        message = f"^loop_delay_ps must be positive.* got {re.escape(str(delay))}$"
+        clear_caches()
+        for call in (default_windows, expected_histograms, sample_run):
+            with pytest.raises(ValueError, match=message):
+                call(3 if call is default_windows else power, cfg, delay)
+        assert _geometry.cache_info().currsize == 0
 
     def test_cached_arrays_read_only(self):
         edges, mass = _geometry(3, 50.0, 20.0, DELAY)

@@ -12,18 +12,19 @@ anything does. Printed lines are not compared. The corpus:
   at 3 iterations;
 - simulate, counts and decompose for n_boson 1-8, once with float-typed
   and once with int-typed settings;
-- losses and scaling for each chip size, and compare with a 3-iteration cap;
+- losses, scaling and train (10 iterations) for each float-typed n_boson
+  1-8, and compare with a 3-iteration cap;
 - seeded library calls: step_unitary (fresh and repeated), sample_run,
   expected_histograms, estimate_probabilities (also over several seeds at
   one setting, after a second setting, with only the background changed,
   and over reversed gates, no gates and, at zero jitter, gates narrower
   than one bin) and platform_comparison;
 - noisy meshes: mesh_forward(clements_decompose(u), MeshNoise(seed=i)) for
-  seeded Haar u of dim 1-16;
-- training: the loss trace, the trained phases and every gradient vector
-  (calibrate.finite_diff_gradient is wrapped to record each) of a
-  3-iteration calibrate.train at n_boson 1-8, at the default learning rate
-  and at learning rate 0, where every point a step reaches equals the start.
+  seeded Haar u of dim 1-16.
+
+train's trace.csv (repr floats) and trained_plan.json (17 significant
+digits) carry every gradient into the comparison: at 10 iterations a
+last-bit change to each gradient moves them at every n_boson.
 
 Bits can differ across BLAS builds, so compare two trees on one machine.
 """
@@ -62,6 +63,7 @@ def _sweep_configs() -> dict:
             "chip": {**chip, "loop_delay_ps": 400.0},
             "counting": {"jitter_ps": 50.0, "bin_ps": 20.0, "pair_rate_hz": 1e4,
                          "duration_s": 10.0, "seed": n},
+            "training": {"max_iters": 10},
         }
         configs[f"n{n}-int"] = {
             "model": {"epsilon": 1, "omega_hbar": 1, "lambda": 1, "h_field": 1,
@@ -96,7 +98,8 @@ def cli_corpus(config_dir: Path) -> list:
         if name.endswith("-float"):
             modes = [str(m) for m in range(2, doc["chip"]["dim"] + 1, 2)]
             calls += [(f"{name}-losses", ["--config", path, "losses", "--max-loops", "4"]),
-                      (f"{name}-scaling", ["--config", path, "scaling", "--modes", *modes])]
+                      (f"{name}-scaling", ["--config", path, "scaling", "--modes", *modes]),
+                      (f"{name}-train", ["--config", path, "train"])]
     calls.append(("compare", ["--config", cap, "compare", "--seeds", "1"]))
     return calls
 
@@ -105,7 +108,7 @@ def _library_arrays() -> dict:
     """Named arrays from seeded library calls."""
     import numpy as np
 
-    from loopsim import calibrate, losses, loopchip, mesh, model, montecarlo
+    from loopsim import losses, loopchip, mesh, model, montecarlo
 
     arrays = {}
     rng = np.random.default_rng(2024)
@@ -167,30 +170,6 @@ def _library_arrays() -> dict:
         u = q * (np.diag(r) / np.abs(np.diag(r)))
         arrays[f"mesh_forward-noisy-{dim:02d}"] = mesh.mesh_forward(
             mesh.clements_decompose(u), mesh.MeshNoise(seed=dim))
-    # Every gradient train takes, so a last-bit change in one stencil shows as its own file.
-    finite_diff_gradient = calibrate.finite_diff_gradient
-    gradients = []
-
-    def recording_gradient(fn, x, eps):
-        gradients.append(finite_diff_gradient(fn, x, eps))
-        return gradients[-1]
-
-    calibrate.finite_diff_gradient = recording_gradient
-    try:
-        for n in range(1, 9):
-            params = model.SpinBosonParams(*haar.uniform(-2.0, 2.0, size=3), n_boson=n)
-            u = model.step_unitary(model.build_hamiltonian(params), params.dt)
-            for label, rate in ((f"train-n{n}", 0.01), (f"train-lr0-n{n}", 0.0)):
-                result = calibrate.train(mesh.clements_decompose(u), mesh.MeshNoise(seed=n),
-                                         calibrate.theory_step_matrices(u, 3),
-                                         calibrate.TrainingConfig(learning_rate=rate, max_iters=3))
-                arrays[f"{label}-trace"] = result.trace
-                arrays[f"{label}-phases"] = np.array(result.plan.thetas + result.plan.phis)
-                for k, g in enumerate(gradients, start=1):
-                    arrays[f"{label}-gradient-{k}"] = g
-                gradients.clear()
-    finally:
-        calibrate.finite_diff_gradient = finite_diff_gradient
     return arrays
 
 
