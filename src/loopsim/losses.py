@@ -11,7 +11,7 @@ from importlib import resources
 
 import numpy as np
 
-from ._fields import check_fields
+from ._fields import check_fields, fits
 from .loopchip import ChipConfig
 
 
@@ -47,8 +47,8 @@ def optimal_splitters(n: int) -> tuple:
     The step-n path keeps (1 - r) r^(n-1) per splitter, maximized at
     r = (n - 1)/n.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2 (step 1 wants no recirculation at all)")
+    if not (fits(n, int) and n >= 2):
+        raise ValueError(f"n must be an integer >= 2 (step 1 wants no recirculation), got {n!r}")
     r_loop = (n - 1.0) / n
     return r_loop, 1.0 - r_loop
 
@@ -61,8 +61,8 @@ def platform_comparison(platforms, geometry: ChipConfig, ratios: tuple,
     routes in or out at the ends: the step-n path crosses the end taps once and
     the loop taps n - 1 times. Raises unless every row strictly increases."""
     r_loop, r_end = ratios
-    if max_loops < 1:
-        raise ValueError("max_loops must be >= 1")
+    if not (fits(max_loops, int) and max_loops >= 1):
+        raise ValueError(f"max_loops must be an integer >= 1, got {max_loops!r}")
     for name, r in (("r_loop", r_loop), ("r_end", r_end)):
         if not 0.0 < r < 1.0:
             raise ValueError(f"{name} must lie strictly between 0 and 1")

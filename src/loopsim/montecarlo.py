@@ -203,7 +203,8 @@ def _gates(edges_bytes: bytes, bounds_bytes: bytes, jitter_ps: float, bg_total: 
     for lo, hi in bounds.tolist():
         if hi <= lo:
             raise ValueError("window must have positive width")
-        if hi - lo < width_needed:
+        # a default gate exactly 6 sigma wide measures up to a few eps of its bounds less
+        if hi - lo < width_needed - 4.0 * _EPS * max(abs(lo), abs(hi)):
             raise ValueError("window narrower than 6 sigma of jitter")
     starts = edges.searchsorted(lows, side="left")
     stops = np.maximum(edges.searchsorted(his, side="right") - 1, starts)

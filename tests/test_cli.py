@@ -1,21 +1,18 @@
 import csv
 import json
-import os
 import shlex
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import loopsim
 from loopsim import calibrate, loopchip, mesh, model, montecarlo
 from loopsim.calibrate import TrainingConfig, theory_step_matrices, train
 from loopsim.cli import RunConfig, _csv, build_parser, config_from_dict, config_to_dict, main
 from loopsim.mesh import MeshNoise, clements_decompose, plan_from_json
 from loopsim.model import SpinBosonParams, build_hamiltonian, evolve_exact, step_unitary
+from conftest import run_python
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -141,6 +138,16 @@ class TestDecompose:
         assert (rc, caught) == (2, [])
         assert not out.exists()
         assert capsys.readouterr().err == "error: input matrix is not unitary\n"
+
+    @pytest.mark.parametrize("doc", [[1, 2], {"re": [[1]]}])
+    def test_unitary_file_without_re_and_im_exits_two(self, tmp_path, capsys, doc):
+        upath = tmp_path / "u.json"
+        upath.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "decompose", "--unitary", str(upath)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: unitary file must be a JSON object with 're' and 'im' matrices\n")
 
     @pytest.mark.parametrize("im", [[[0, 0]], 0, [[0, 0], [0, 0], [0, 0]]])
     def test_im_of_another_shape_exits_two(self, tmp_path, capsys, im):
@@ -365,6 +372,16 @@ class TestCounts:
         assert main(["--config", str(cfgfile), "--out", str(out), "counts", "--n-steps", "1"]) == 0
         assert "peak separation ok (margin 320.0 ps)" in capsys.readouterr().out
         assert (out / "estimates.csv").exists()
+
+    @pytest.mark.parametrize("command, estimates", [("counts", "estimates.csv"),
+                                                    ("simulate", "mc.csv")])
+    def test_gates_exactly_six_sigma_wide_exit_zero(self, tmp_path, command, estimates):
+        # 3 sigma is three 33.3 ps bins, so each default gate is exactly 6 sigma wide
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"counting": {"jitter_ps": 33.3, "bin_ps": 33.3}}))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfgfile), "--out", str(out), command]) == 0
+        assert (out / estimates).exists()
 
     def test_seed_determinism(self, tmp_path):
         out_a = tmp_path / "a"
@@ -630,14 +647,20 @@ def test_readme_command_lines_parse():
 
 def test_cli_import_loads_no_scipy():
     # loopsim needs only numpy at run time; scipy is a test oracle
-    src = str(Path(loopsim.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
     code = ("import sys, loopsim.cli; print(sorted(n for n in sys.modules "
             "if n == 'scipy' or n.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert run_python("-c", code).stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["loopsim", "loopsim.cli"])
+def test_run_as_a_module_exits_with_mains_code(tmp_path, module):
+    done = run_python("-m", module, "--dump-config", "simulate")
+    assert (done.returncode, done.stderr) == (0, "")
+    doc = json.loads(done.stdout)
+    assert config_to_dict(config_from_dict(doc)) == doc
+    missing = str(tmp_path / "nope.json")
+    done = run_python("-m", module, "--config", missing, "simulate", check=False)
+    assert (done.returncode, done.stderr) == (2, f"error: --config {missing!r} is not a file\n")
 
 
 class TestPaths:

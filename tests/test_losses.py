@@ -168,6 +168,7 @@ class TestOptimalSplitters:
     def test_frozen_values(self):
         assert optimal_splitters(3)[0] == pytest.approx(2.0 / 3.0, abs=1e-15)
         assert optimal_splitters(10)[0] == pytest.approx(0.9, abs=1e-15)
+        assert optimal_splitters(np.int64(3)) == optimal_splitters(3)
 
     def test_perturbation_lowers_objective(self):
         for n in (2, 3, 7):
@@ -185,6 +186,11 @@ class TestOptimalSplitters:
     def test_rejects_single_step(self):
         with pytest.raises(ValueError):
             optimal_splitters(1)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])
+    def test_rejects_a_step_count_that_is_not_an_integer(self, n):
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 2"):
+            optimal_splitters(n)
 
 
 class TestPlatformTable:
@@ -217,6 +223,8 @@ class TestPlatformTable:
         assert sin[0] == pytest.approx(17.542425094393249, abs=1e-9)
         assert sin[1] == pytest.approx(26.464250275506874, abs=1e-9)
         assert sin[2] == pytest.approx(35.386075456620499, abs=1e-9)
+        again = platform_comparison(platforms, GEOMETRY, RATIOS, np.int64(3))
+        assert again.tobytes() == budgets.tobytes()
 
     def test_budget_validation(self):
         # every step's budget rounds to 1e300, so the budgets do not increase
@@ -224,6 +232,11 @@ class TestPlatformTable:
             platform_comparison(load_platforms(), ChipConfig(others_loss_db=1e300), RATIOS, 3)
         with pytest.raises(ValueError):
             platform_comparison(load_platforms(), GEOMETRY, RATIOS, 0)
+
+    @pytest.mark.parametrize("max_loops", [2.5, 3.0, True, "3", None])
+    def test_rejects_a_loop_count_that_is_not_an_integer(self, max_loops):
+        with pytest.raises(ValueError, match=r"^max_loops must be an integer >= 1"):
+            platform_comparison(load_platforms(), GEOMETRY, RATIOS, max_loops)
 
 
 class TestModeScaling:

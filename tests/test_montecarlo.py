@@ -658,6 +658,10 @@ class TestEstimation:
             estimate_probabilities(hists, [(-100.0, 300.0), (250.0, 600.0)], cfg)
         with pytest.raises(ValueError, match="narrower"):
             estimate_probabilities(hists, [(-100.0, 100.0), (300.0, 500.0)], cfg)
+        # exactly 6 sigma wide passes; 1e-12 ps narrower is more than the bounds' rounding
+        estimate_probabilities(hists, [(-150.0, 150.0), (250.0, 550.0)], cfg)
+        with pytest.raises(ValueError, match="narrower"):
+            estimate_probabilities(hists, [(-150.0, 150.0), (250.0, 550.0 - 1e-12)], cfg)
         with pytest.raises(ValueError, match="positive width"):
             estimate_probabilities(hists, [(100.0, -100.0), (300.0, 500.0)], cfg)
         nan = float("nan")
@@ -724,6 +728,23 @@ class TestEstimation:
             assert hi == pytest.approx(n * DELAY + 160.0)
         with pytest.raises(ValueError, match="jitter too large"):
             default_windows(2, CountingConfig(jitter_ps=80.0), DELAY)
+
+    def test_default_windows_pass_the_width_check(self):
+        # When 3 sigma is a whole number of bins, a default gate is exactly 6 sigma wide and
+        # its bounds n * DELAY -/+ half round, so hi - lo can fall an ulp below 6 * jitter_ps.
+        settings = [(j, j) for j in np.round(np.arange(5.0, 60.05, 0.1), 1).tolist()]
+        settings += [(30.3, 10.1), (40.1, 20.05)]
+        power = np.full((3, 2), 0.1)
+        accepted = 0
+        for jitter_ps, bin_ps in settings:
+            cfg = CountingConfig(jitter_ps=jitter_ps, bin_ps=bin_ps)
+            try:
+                windows = default_windows(3, cfg, DELAY)
+            except ValueError:
+                continue
+            accepted += 1
+            estimate_probabilities(expected_histograms(power, cfg, DELAY), windows, cfg)
+        assert accepted == 533
 
 
 class TestCsv:

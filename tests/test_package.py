@@ -3,29 +3,60 @@ import importlib
 import inspect
 import pkgutil
 from pathlib import Path
-from types import ModuleType
 
 import loopsim
 from loopsim import mesh
 from loopsim._fields import frozen_cache
+from conftest import run_python
+
+
+def own_public_names(path: Path) -> list:
+    """The public names a module's top-level def, class and assignment statements bind."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return sorted(n for n in names if not n.startswith("_"))
 
 
 def test_public_surface():
-    # adding or removing a public name is a deliberate edit here
-    names = sorted(n for n, v in vars(loopsim).items()
-                   if not n.startswith("_") and not isinstance(v, ModuleType))
-    assert names == [
-        "ArrivalHistogram", "ChipConfig", "CountingConfig", "DecompositionError",
-        "DegenerateStepError", "MeshNoise", "MeshPlan", "MethodComparison", "ParamTable",
-        "PlatformSpec", "ProbabilityEstimates", "SpinBosonParams", "TrainResult",
-        "TrainingConfig", "build_hamiltonian", "clements_decompose", "compare_methods",
-        "conditional_probabilities", "default_windows", "error_metric", "estimate_probabilities",
-        "evolve_exact", "expected_histograms", "finite_diff_gradient", "kl_loss",
-        "load_param_table", "load_platforms", "mesh_forward", "mode_scaling_loss",
-        "noise_offsets", "optimal_splitters", "plan_from_json", "plan_to_json",
-        "platform_comparison", "propagate", "run_loop", "sample_run", "step_power_matrices",
-        "step_unitary", "theory_step_matrices", "train", "win_stats",
-    ]
+    # Each public name is defined, and imported from, one module; adding or removing one
+    # is a deliberate edit here. The package itself binds only __version__.
+    surface = {path.stem: own_public_names(path)
+               for path in sorted(Path(loopsim.__file__).parent.glob("*.py"))}
+    assert surface == {
+        "__init__": [],
+        "__main__": [],
+        "_fields": ["check_fields", "fits", "frozen_cache"],
+        "calibrate": ["MethodComparison", "ParamTable", "TrainResult", "TrainingConfig",
+                      "compare_methods", "error_metric", "finite_diff_gradient", "kl_loss",
+                      "load_param_table", "theory_step_matrices", "train", "win_stats"],
+        "cli": ["RunConfig", "build_parser", "cmd_compare", "cmd_counts", "cmd_decompose",
+                "cmd_losses", "cmd_scaling", "cmd_simulate", "cmd_train", "config_from_dict",
+                "config_to_dict", "main", "run"],
+        "loopchip": ["ChipConfig", "DegenerateStepError", "conditional_probabilities",
+                     "run_loop", "step_power_matrices"],
+        "losses": ["PlatformSpec", "load_platforms", "mode_scaling_loss", "optimal_splitters",
+                   "platform_comparison"],
+        "mesh": ["DecompositionError", "MeshNoise", "MeshPlan", "cell_entries",
+                 "clements_decompose", "forward_arrays", "mesh_forward", "meshes",
+                 "noise_offsets", "plan_from_json", "plan_to_json"],
+        "model": ["SpinBosonParams", "build_hamiltonian", "evolve_exact", "propagate",
+                  "step_unitary"],
+        "montecarlo": ["ArrivalHistogram", "CountingConfig", "ProbabilityEstimates",
+                       "default_windows", "estimate_probabilities", "expected_histograms",
+                       "sample_run"],
+    }
+
+
+def test_package_import_loads_no_module_and_no_numpy():
+    code = ("import sys, loopsim; print(loopsim.__version__, sorted(n for n in sys.modules "
+            "if n.startswith('loopsim.') or n.partition('.')[0] == 'numpy'), "
+            "[n for n in vars(loopsim) if not n.startswith('_')])")
+    assert run_python("-c", code).stdout == "0.1.0 [] []\n"
 
 
 def test_argument_caches_are_bounded():
