@@ -101,9 +101,11 @@ def kl_loss(t: np.ndarray, e: np.ndarray) -> float | np.ndarray:
     # fmin skips NaN, as np.any(x < 0) does; initial 0 lets empty arrays pass
     if np.fmin.reduce(t, axis=None, initial=0.0) < 0 or np.fmin.reduce(e, axis=None, initial=0.0) < 0:
         raise ValueError("probabilities must be non-negative")
-    tc = np.maximum(t, _CLAMP_EPS)
     ec = np.maximum(e, _CLAMP_EPS)
-    loss = np.sum(ec * np.log(ec / tc), axis=-1)
+    terms = ec / np.maximum(t, _CLAMP_EPS)
+    np.log(terms, out=terms)
+    terms *= ec
+    loss = np.sum(terms, axis=-1)
     return float(loss) if e.ndim == 1 else loss
 
 
@@ -118,8 +120,8 @@ def _input_major(mats: np.ndarray) -> np.ndarray:
     """Flatten (n_steps, ..., dim, dim) matrices input-major, then step, then channel,
     one row per mesh of a stack. The order fixes kl_loss's summation order, and
     with it the training losses."""
-    steps_inside = np.ascontiguousarray(np.moveaxis(mats, 0, -2))
-    return steps_inside.reshape(steps_inside.shape[:-3] + (-1,))
+    steps_inside = mats.transpose(*range(1, mats.ndim - 1), 0, mats.ndim - 1)
+    return steps_inside.reshape(mats.shape[1:-2] + (-1,))
 
 
 def finite_diff_gradient(fn, x: np.ndarray, eps: float) -> np.ndarray:

@@ -19,9 +19,9 @@ power ratio 1/2 + d_split1, phase exp(i (2 theta' + pi)) on the lo arm, coupler 
 ratio 1/2 + d_split2, then diag(-exp(-i theta'), exp(-i theta')), with fabrication
 offsets theta' = theta + d_theta, phi' = phi + d_phi. meshes is the one evaluation path,
 for one mesh (mesh_forward) or a training stencil's stack: cell_entries computes the changed
-cells' 2x2 entries in one call, forward_arrays chains each mesh's columns, from the first or
-from another mesh's chain (Clements et al., Optica 3, 1460 (2016)), and the output phases
-apply last.
+cells' 2x2 entries in one call, column_matrices builds every mesh's columns in one call,
+forward_arrays chains one mesh's columns, from the first or from another mesh's chain
+(Clements et al., Optica 3, 1460 (2016)), and the output phases apply last.
 """
 
 import json
@@ -162,32 +162,47 @@ def _columns(dim: int, los: tuple):
     return cols, stack, positions
 
 
-def forward_arrays(dim, los, entries, resume=None) -> list:
-    """One mesh's column chain from its (4, len(los)) cell entries (see cell_entries): the
-    products of columns 0..k of block-diagonal column matrices (see _columns), first column
-    rightmost; the last, times the output phases, is the mesh. resume=(s, chain) takes the
-    first s products of the chain of a mesh with these entries before column s, and forms the
-    rest with the plain chain's bits. resume is unchecked: meshes, its one resuming caller,
-    builds it from _columns."""
-    if entries.shape != (4, len(los)):
-        raise ValueError(f"entries must have shape (4, {len(los)}), not {entries.shape}")
+def column_matrices(dim, los, entries) -> np.ndarray:
+    """The block-diagonal column matrices (see _columns), shape (..., n_columns, dim, dim), of
+    a stack of meshes from their (..., 4, len(los)) cell entries (see cell_entries): one copy
+    of the identity stack per mesh, each cell's entries scattered into its column."""
+    shape = np.shape(entries)
+    if shape[-2:] != (4, len(los)):
+        raise ValueError(f"entries must have shape (..., 4, {len(los)}), not {shape}")
     _, stack, positions = _columns(dim, tuple(los))
+    lead = shape[:-2]
+    mats = np.broadcast_to(stack, lead + stack.shape).copy()
+    mats.reshape(lead + (-1,))[..., positions] = entries.reshape(lead + (-1,))
+    return mats
+
+
+def forward_arrays(dim, los, columns, resume=None) -> list:
+    """One mesh's column chain from its (n_columns, dim, dim) column matrices (see
+    column_matrices): the products of columns 0..k, first column rightmost; the last, times
+    the output phases, is the mesh. resume=(s, chain) takes the first s products of the chain
+    of a mesh with these columns before column s, and forms the rest with the plain chain's
+    bits. resume is unchecked: meshes, its one resuming caller, builds it from _columns."""
+    expected = _columns(dim, tuple(los))[1].shape
+    if columns.shape != expected:
+        raise ValueError(f"columns must have shape {expected}, not {columns.shape}")
     start, chain = resume or (0, None)
-    mats = stack.copy()
-    mats.reshape(-1)[positions] = entries.reshape(-1)
-    chain = chain[:start] if start else [mats[0]]
-    for k in range(len(chain), len(mats)):  # indexing, as iterating an array's rows is slower
-        chain.append(mats[k].dot(chain[-1]))
+    chain = chain[:start] if start else [columns[0]]
+    last = chain[-1]
+    for k in range(len(chain), len(columns)):  # indexing, as iterating an array's rows is slower
+        last = columns[k].dot(last)
+        chain.append(last)
     return chain
 
 
 def meshes(plan: MeshPlan, noise: MeshNoise | None, points, at=None):
-    """The (len(points), dim, dim) meshes of a stack of phase vectors (thetas, then phis) on
-    plan's cells, under noise, output phases applied, and the last row's state to pass back
-    as at. Each row recomputes only the entries of the cells whose phases differ from at's, and
-    its chain from the first of their columns on, bit for bit as from scratch; without at every
-    cell is computed from column 0 (a cell-less mesh keeps its one identity column)."""
+    """The (B, dim, dim) meshes of a (B >= 1, 2 * n_cells) stack of phase vectors (thetas, then
+    phis) on plan's cells, under noise, output phases applied, and the last row's state to pass
+    back as at. Each row recomputes only the entries of the cells whose phases differ from at's,
+    and its chain from the first of their columns on, bit for bit as from scratch; without at
+    every cell is computed from column 0 (a cell-less mesh keeps its one identity column)."""
     dim, n_cells = plan.dim, len(plan.los)
+    if points.ndim != 2 or len(points) < 1 or points.shape[1] != 2 * n_cells:
+        raise ValueError(f"points must have shape (B >= 1, 2 * n_cells = {2 * n_cells}), got {points.shape}")
     cols, stack, _ = _columns(dim, tuple(plan.los))
     x0, entries0, chain0 = at or (np.full(2 * n_cells, np.nan), np.zeros((4, n_cells), complex),
                                   [np.eye(dim) + 0j])
@@ -198,10 +213,12 @@ def meshes(plan: MeshPlan, noise: MeshNoise | None, points, at=None):
                                            noise_offsets(noise, n_cells)[cells]).T
     # each row resumes at its first changed cell's column, or keeps the whole chain of at
     starts = np.where(changed, cols, len(stack)).min(axis=-1, initial=len(stack)).tolist()
-    products = np.stack([(chain := forward_arrays(dim, plan.los, e, (s, chain0)))[-1]
-                         for e, s in zip(entries, starts)])
-    phases = np.exp(1j * np.asarray(plan.output_phases, dtype=float))[:, None]
-    return products * phases, (points[-1], entries[-1], chain)
+    columns = column_matrices(dim, plan.los, entries)
+    products = np.empty((len(points), dim, dim), complex)
+    for b, s in enumerate(starts):
+        products[b] = (chain := forward_arrays(dim, plan.los, columns[b], (s, chain0)))[-1]
+    products *= np.exp(1j * np.asarray(plan.output_phases, dtype=float))[:, None]
+    return products, (points[-1], entries[-1], chain)
 
 
 def mesh_forward(plan: MeshPlan, noise: MeshNoise | None = None) -> np.ndarray:

@@ -56,6 +56,8 @@ def test_training_iteration_matches_train_table_self_check(monkeypatch, n_boson)
     assert phases == params.dim * (params.dim - 1)
     assert tracer.metrics(1, 1.0)["calibrate.loss_evals_per_iter"][0] == 2 * phases + 1
     assert tracer.calls["mesh.forward_arrays"] == 1 + iters * (2 * phases + 1)
+    # ns_per_cell divides by the cells named in forward_arrays' second argument, not by columns
+    assert tracer.work["mesh.forward_arrays"] == tracer.calls["mesh.forward_arrays"] * len(plan.los)
     # The stencil is one batch: the start, then the stencil and the step's loss per iteration.
     assert tracer.calls["loopchip.step_power_matrices"] == 1 + 2 * iters
     assert tracer.calls["calibrate.kl_loss"] == 1 + 2 * iters

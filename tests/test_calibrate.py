@@ -99,6 +99,32 @@ class TestKlLoss:
         assert kl_loss(t, e) >= -1e-12
 
 
+class TestLossPath:
+    """The loss path's rewrites against the expressions they replaced, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(float, hnp.array_shapes(min_dims=3, max_dims=4, max_side=7),
+                      elements=st.floats(0.0, 1.0)))
+    def test_input_major_equals_moveaxis(self, mats):
+        steps_inside = np.ascontiguousarray(np.moveaxis(mats, 0, -2))
+        expected = steps_inside.reshape(steps_inside.shape[:-3] + (-1,))
+        got = calibrate._input_major(mats)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 120), st.integers(0, 4), st.data())
+    def test_kl_loss_equals_clamped_expression(self, n, rows, data):
+        # entries below the 1e-12 clamp included, zero and subnormal ones too
+        probs = st.one_of(st.floats(0.0, 1e-11), st.floats(0.0, 1.0))
+        t = data.draw(hnp.arrays(float, n, elements=probs))
+        e = data.draw(hnp.arrays(float, (rows, n) if rows else n, elements=probs))
+        eps = 1e-12
+        expected = np.sum(np.maximum(e, eps) * np.log(np.maximum(e, eps) / np.maximum(t, eps)), axis=-1)
+        got = kl_loss(t, e)
+        assert type(got) is (float if e.ndim == 1 else np.ndarray)
+        assert np.asarray(got).tobytes() == expected.tobytes()
+
+
 class TestTheoryMatrices:
     def test_matches_closed_evolution(self):
         # oracle: row k of step matrix n is the exact n-step distribution
@@ -309,9 +335,9 @@ class TestTrain:
         plan = clements_decompose(default_unitary())
         starts = []
 
-        def recording_forward(dim, los, entries, resume=None):
+        def recording_forward(dim, los, columns, resume=None):
             starts.append(resume[0])
-            return forward_arrays(dim, los, entries, resume)
+            return forward_arrays(dim, los, columns, resume)
 
         monkeypatch.setattr(mesh, "forward_arrays", recording_forward)
         mesh._cell_coefficients.cache_clear()
@@ -346,9 +372,9 @@ class TestTrain:
         n_columns = len(mesh._columns(plan.dim, plan.los)[1])
         starts = []
 
-        def recording_forward(dim, los, entries, resume=None):
+        def recording_forward(dim, los, columns, resume=None):
             starts.append(resume[0])
-            return forward_arrays(dim, los, entries, resume)
+            return forward_arrays(dim, los, columns, resume)
 
         monkeypatch.setattr(mesh, "forward_arrays", recording_forward)
         result = train(plan, MeshNoise(seed=4), theory_step_matrices(default_unitary(), 3),

@@ -55,3 +55,46 @@ def test_differences_lists_changed_and_one_sided_files(tmp_path):
     (b / "new.json").write_text("{}")
     assert identity.differences(a, b) == [
         "gone.json (only in base)", "new.json (only in head)", str(Path("sub") / "x.csv")]
+
+
+def test_numeric_summary_says_how_far_each_file_moved(tmp_path):
+    import numpy as np
+
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root in (a, b):
+        root.mkdir()
+    (a / "x.csv").write_text("step,p\n1,0.5\n2,0.25\n")
+    (b / "x.csv").write_text("step,p\n1,0.5\n2,0.2500000001\n")
+    (a / "plan.json").write_text('{"dim":2,"cells":[{"theta":1.0,"phi":2.0}],"name":"a"}')
+    (b / "plan.json").write_text('{"dim":2,"cells":[{"theta":1.5,"phi":2.0}],"name":"b"}')
+    np.save(a / "m.npy", np.array([[1.0, 2j], [0.0, np.nan]]))
+    np.save(b / "m.npy", np.array([[1.0, 2j + 1e-16], [1e-300, np.nan]]))
+    np.save(a / "short.npy", np.zeros(3))
+    np.save(b / "short.npy", np.zeros((1, 3)))
+    (a / "log.txt").write_text("a")
+    (b / "log.txt").write_text("b")
+    (a / "rows.csv").write_text("1\n")
+    (b / "rows.csv").write_text("1\n2\n")
+    summary = {p.name: identity.numeric_summary(p, b / p.name) for p in sorted(a.iterdir())}
+    assert summary == {
+        "log.txt": None,
+        "m.npy": "max abs 1e-16, max rel 1, 2 of 4 numbers differ",
+        "plan.json": "max abs 0.5, max rel 0.333, 1 of 3 numbers differ, 1 other values differ",
+        "rows.csv": "1 values against 2",
+        "short.npy": "max abs 0, max rel 0, 0 of 3 numbers differ, 1 other values differ",
+        "x.csv": "max abs 1e-10, max rel 4e-10, 1 of 4 numbers differ",
+    }
+
+
+def test_numeric_diff_is_printed_and_still_exits_one(tmp_path, monkeypatch, capsys):
+    def fake_run_tree(tree, out):
+        (out / "files").mkdir(parents=True)
+        (out / "files" / "x.csv").write_text(f"p\n{0.5 if tree.name == 'base' else 0.75}\n")
+        (out / "files" / f"{tree.name}.txt").write_text("")
+        return {"call": 0}
+
+    monkeypatch.setattr(identity, "run_tree", fake_run_tree)
+    assert identity.main(["--numeric", str(tmp_path / "base"), str(tmp_path / "head")]) == 1
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "differs: base.txt (only in base)", "differs: head.txt (only in head)",
+        "differs: x.csv: max abs 0.25, max rel 0.333, 1 of 1 numbers differ", "3 of 3 files differ"]

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from loopsim.mesh import (
     MeshPlan,
     cell_entries,
     clements_decompose,
+    column_matrices,
     forward_arrays,
     mesh_forward,
     meshes,
@@ -70,7 +72,7 @@ def realized(theta, phi, d_theta=0.0, d_phi=0.0, d_split1=0.0, d_split2=0.0):
     """One realized cell as the mesh evaluates it: a 2-mode mesh of one cell."""
     entries = cell_entries(np.array([theta]), np.array([phi]),
                            np.array([[d_theta, d_phi, d_split1, d_split2]]))
-    return forward_arrays(2, (0,), entries)[-1]
+    return forward_arrays(2, (0,), column_matrices(2, (0,), entries))[-1]
 
 
 class TestTransfer:
@@ -266,11 +268,18 @@ def mesh_cases(draw):
     return dim, tuple(los), phases, np.array(offsets, dtype=float).reshape(n, 4)
 
 
-def column_chain(dim, los, entries):
-    """Oracle: the products of columns 0..k, for every k, formed with @."""
+def scattered_columns(dim, los, entries):
+    """Oracle: one mesh's column matrices, its (4, n) entries scattered into a copy of the
+    identity stack."""
     _, stack, positions = mesh._columns(dim, los)
     mats = stack.copy()
     mats.reshape(-1)[positions] = entries.reshape(-1)
+    return mats
+
+
+def column_chain(dim, los, entries):
+    """Oracle: the products of columns 0..k, for every k, formed with @."""
+    mats = scattered_columns(dim, los, entries)
     chain = [mats[0]]
     for column in mats[1:]:
         chain.append(column @ chain[-1])
@@ -290,7 +299,7 @@ class TestColumnKernel:
         expected = np.eye(dim, dtype=complex)
         for k, lo in enumerate(los):
             expected = embed(realized_cell(thetas[k], phis[k], *offsets[k]), lo, dim) @ expected
-        got = forward_arrays(dim, los, cell_entries(thetas, phis, offsets))[-1]
+        got = forward_arrays(dim, los, column_matrices(dim, los, cell_entries(thetas, phis, offsets)))[-1]
         assert np.max(np.abs(got - expected)) <= 1e-15 * (n + 1)
 
     @settings(max_examples=100, deadline=None)
@@ -318,7 +327,8 @@ class TestColumnKernel:
         entries = cell_entries(np.array(phases[:n]), np.array(phases[n:2 * n]), offsets)
         # oracle: the column chain formed with @
         chain = column_chain(dim, los, entries)
-        assert [m.tobytes() for m in forward_arrays(dim, los, entries)] == [m.tobytes() for m in chain]
+        got = forward_arrays(dim, los, column_matrices(dim, los, entries))
+        assert [m.tobytes() for m in got] == [m.tobytes() for m in chain]
         # mesh_forward is the noiseless chain's last product times the exponentiated output phases
         plan = MeshPlan(dim, los, tuple(phases[:n]), tuple(phases[n:2 * n]), tuple(phases[2 * n:]))
         plain = cell_entries(np.array(plan.thetas), np.array(plan.phis), np.zeros((n, 4)))
@@ -329,7 +339,8 @@ class TestColumnKernel:
         offsets = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.6, 0.0]])
         for _ in range(2):
             with pytest.raises(ValueError, match="cell 1: coupler power ratio 1.1"):
-                forward_arrays(3, (0, 1), cell_entries(np.zeros(2), np.zeros(2), offsets))
+                entries = cell_entries(np.zeros(2), np.zeros(2), offsets)
+                forward_arrays(3, (0, 1), column_matrices(3, (0, 1), entries))
 
     def test_offsets_mutated_in_place_give_fresh_products(self, rng):
         plan = clements_decompose(haar_unitary(4, rng))
@@ -337,7 +348,7 @@ class TestColumnKernel:
 
         def forward():
             entries = cell_entries(np.array(plan.thetas), np.array(plan.phis), offsets)
-            return forward_arrays(plan.dim, plan.los, entries)[-1]
+            return forward_arrays(plan.dim, plan.los, column_matrices(plan.dim, plan.los, entries))[-1]
 
         before = forward()
         offsets[:, 2:] *= -1.0
@@ -368,8 +379,37 @@ class TestColumnKernel:
         # a size-1 array would broadcast silently into every cell
         for entries, shape in ((np.ones((4, 2), dtype=complex), r"\(4, 2\)"),
                                (np.complex128(1.0), r"\(\)"), (np.array(1.0), r"\(\)")):
-            with pytest.raises(ValueError, match=r"shape \(4, 3\), not " + shape):
-                forward_arrays(4, (0, 2, 1), entries)
+            with pytest.raises(ValueError, match=r"shape \(\.\.\., 4, 3\), not " + shape):
+                column_matrices(4, (0, 2, 1), entries)
+
+    def test_columns_shape_must_match_the_column_stack(self):
+        # cells (0, 2, 1) on 4 modes sit in 2 columns; a mesh's columns are one (2, 4, 4) stack
+        good = column_matrices(4, (0, 2, 1), np.ones((3, 4, 3), dtype=complex))
+        for columns in (good, good[0, :1], good[0, :, :3], good[0].reshape(-1)):
+            with pytest.raises(ValueError, match=r"columns must have shape \(2, 4, 4\), not "
+                               + re.escape(str(columns.shape))):
+                forward_arrays(4, (0, 2, 1), columns)
+
+
+class TestColumnMatrices:
+    """column_matrices builds a stack's columns in one scatter; forward_arrays chains one row."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(mesh_cases(), st.integers(1, 70), st.integers(0, 2 ** 32 - 1))
+    @example((1, (), [0.3], np.zeros((0, 4))), 70, 0)
+    @example((2, (0,), [0.4, 1.0, 0.2, 2.0], np.array([[0.01, -0.02, 0.5, -0.5]])), 1, 1)
+    def test_stack_equals_one_row_builds_bitwise(self, case, rows, seed):
+        dim, los, _, offsets = case
+        thetas, phis = np.random.default_rng(seed).uniform(-7.0, 7.0, (2, rows, len(los)))
+        entries = cell_entries(thetas, phis, offsets)
+        stack = column_matrices(dim, los, entries)
+        assert stack.shape == (rows,) + mesh._columns(dim, los)[1].shape
+        for b in range(rows):
+            # oracle: column_chain's own scatter and chain of this row alone
+            assert stack[b].tobytes() == scattered_columns(dim, los, entries[b]).tobytes()
+            assert column_matrices(dim, los, entries[b]).tobytes() == stack[b].tobytes()
+            chain = column_chain(dim, los, entries[b])
+            assert [m.tobytes() for m in forward_arrays(dim, los, stack[b])] == [m.tobytes() for m in chain]
 
 
 class TestResume:
@@ -385,20 +425,22 @@ class TestResume:
         cols, stack, _ = mesh._columns(dim, los)
         entries = cell_entries(np.array(phases[:n]), np.array(phases[n:2 * n]), offsets)
         other = cell_entries(*np.random.default_rng(seed).uniform(-7.0, 7.0, (2, n)), offsets)
-        prefix = forward_arrays(dim, los, entries)
+        prefix = forward_arrays(dim, los, column_matrices(dim, los, entries))
         assert len(prefix) == len(stack)
         assert [m.tobytes() for m in prefix] == [m.tobytes() for m in column_chain(dim, los, entries)]
         for s in range(len(stack) + 1):
             # a mesh sharing the columns before s with the prefix's, other's entries after
             mixed = np.where(np.array(cols, dtype=int) < s, entries, other)
-            plain = forward_arrays(dim, los, mixed)
-            got = forward_arrays(dim, los, mixed, resume=(s, prefix))
+            columns = column_matrices(dim, los, mixed)
+            plain = forward_arrays(dim, los, columns)
+            got = forward_arrays(dim, los, columns, resume=(s, prefix))
             assert [m.tobytes() for m in got] == [m.tobytes() for m in plain]
             # s = 0 reads nothing from the chain
-            assert [m.tobytes() for m in forward_arrays(dim, los, mixed, (0, []))] \
+            assert [m.tobytes() for m in forward_arrays(dim, los, columns, (0, []))] \
                 == [m.tobytes() for m in plain]
         # resuming after the last column keeps the whole prefix chain
-        assert [m.tobytes() for m in forward_arrays(dim, los, other, resume=(len(stack), prefix))] \
+        other_columns = column_matrices(dim, los, other)
+        assert [m.tobytes() for m in forward_arrays(dim, los, other_columns, resume=(len(stack), prefix))] \
             == [m.tobytes() for m in prefix]
 
 
@@ -435,7 +477,7 @@ class TestMeshes:
         n = len(plan.los)
         _, at = meshes(plan, noise, base[None])
         last = cell_entries(points[-1, :n], points[-1, n:], noise_offsets(noise, n))
-        plain_chain = forward_arrays(plan.dim, plan.los, last)
+        plain_chain = forward_arrays(plan.dim, plan.los, column_matrices(plan.dim, plan.los, last))
         for state in (at, None):
             stack, (x, entries, chain) = meshes(plan, noise, points, state)
             assert stack.shape == (len(points), plan.dim, plan.dim)
@@ -443,6 +485,15 @@ class TestMeshes:
                 assert row.tobytes() == mesh_forward(point_plan(plan, point), noise).tobytes()
             assert x.tobytes() == points[-1].tobytes() and entries.tobytes() == last.tobytes()
             assert [m.tobytes() for m in chain] == [m.tobytes() for m in plain_chain]
+
+    def test_rejects_a_malformed_stack_by_name(self):
+        # an empty stack, a bare phase vector and a row of the wrong width, on one cell
+        plan = MeshPlan(2, (0,), (0.1,), (0.2,), (0.0, 0.0))
+        for points, shape in ((np.zeros((0, 2)), r"\(0, 2\)"), (np.zeros(2), r"\(2,\)"),
+                              (np.zeros((1, 3)), r"\(1, 3\)")):
+            with pytest.raises(ValueError, match=r"points must have shape \(B >= 1, 2 \* n_cells = 2\), "
+                               r"got " + shape):
+                meshes(plan, None, points)
 
 
 class TestResumeColumns:
@@ -458,9 +509,9 @@ class TestResumeColumns:
         points = base + np.concatenate([changed, np.zeros_like(changed)], axis=1)
         starts = []
 
-        def recording_forward(dim, los, entries, resume=None):
+        def recording_forward(dim, los, columns, resume=None):
             starts.append(resume[0])
-            return forward_arrays(dim, los, entries, resume)
+            return forward_arrays(dim, los, columns, resume)
 
         monkeypatch.setattr(mesh, "forward_arrays", recording_forward)
         _, at = meshes(plan, None, base[None])

@@ -1,12 +1,15 @@
 """Byte-identity check of loopsim's outputs between two source trees.
 
-    python tools/identity.py BASE HEAD
+    python tools/identity.py [--numeric] BASE HEAD
 
 BASE and HEAD are repository checkouts (each with a src/loopsim package).
 One fixed corpus runs against each tree in its own interpreter, and every
 output file and library array it writes is compared byte for byte; the
 tool lists what differs, or is missing on one side, and exits 1 if
-anything does. Printed lines are not compared. The corpus:
+anything does. Printed lines are not compared. With --numeric, each
+differing CSV, JSON or .npy file also gets how far it moved: the largest
+absolute and relative difference over its numbers and how many values
+differ. The corpus:
 
 - each `loopsim ...` line of this checkout's README, with training capped
   at 3 iterations;
@@ -31,6 +34,7 @@ Bits can differ across BLAS builds, so compare two trees on one machine.
 
 import argparse
 import contextlib
+import csv
 import filecmp
 import io
 import json
@@ -219,10 +223,66 @@ def differences(a: Path, b: Path) -> list:
     return out
 
 
+def _values(path: Path):
+    """A CSV, JSON or .npy file's values in file order, numbers as complex and the rest
+    (JSON keys, CSV headers, an array's shape) as str; None for any other file."""
+    import numpy as np
+
+    def number(x):
+        try:
+            return str(x) if isinstance(x, bool) else complex(float(x))
+        except (TypeError, ValueError):
+            return str(x)
+
+    def leaves(doc):
+        if isinstance(doc, dict):
+            for key, value in doc.items():
+                yield key
+                yield from leaves(value)
+        elif isinstance(doc, list):
+            for value in doc:
+                yield from leaves(value)
+        else:
+            yield doc
+
+    if path.suffix == ".npy":
+        array = np.load(path)
+        return [str(array.shape)] + [complex(x) for x in array.ravel()]
+    if path.suffix == ".csv":
+        return [number(c) for row in csv.reader(path.read_text().splitlines()) for c in row]
+    if path.suffix == ".json":
+        return [number(x) for x in leaves(json.loads(path.read_text()))]
+    return None
+
+
+def numeric_summary(a: Path, b: Path):
+    """How far file b moved from file a, as one line, or None when the files are of a kind
+    _values does not read."""
+    import numpy as np
+
+    va, vb = _values(a), _values(b)
+    if va is None or vb is None:
+        return None
+    if len(va) != len(vb):
+        return f"{len(va)} values against {len(vb)}"
+    texts = sum(x != y for x, y in zip(va, vb) if isinstance(x, str) or isinstance(y, str))
+    pairs = [(x, y) for x, y in zip(va, vb) if not (isinstance(x, str) or isinstance(y, str))]
+    x, y = np.array(pairs, dtype=complex).reshape(-1, 2).T
+    with np.errstate(all="ignore"):
+        differ = ~((x == y) | (np.isnan(x) & np.isnan(y)))
+        gap = np.abs(x - y)[differ]
+        rel = gap / np.maximum(np.abs(x), np.abs(y))[differ]
+    line = (f"max abs {gap.max(initial=0.0):.3g}, max rel {rel.max(initial=0.0):.3g}, "
+            f"{int(differ.sum())} of {len(x)} numbers differ")
+    return line + (f", {texts} other values differ" if texts else "")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n", 1)[0])
     parser.add_argument("base", type=Path, help="checkout whose src/ is the reference")
     parser.add_argument("head", type=Path, help="checkout compared against it")
+    parser.add_argument("--numeric", action="store_true",
+                        help="for each differing CSV, JSON or .npy file, print how far its numbers moved")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -230,10 +290,13 @@ def main(argv=None) -> int:
             codes = run_tree(tree, work / side)
             failed = sorted(label for label, code in codes.items() if code != 0)
             print(f"{side}: {len(codes)} CLI calls, {len(failed)} nonzero exits {failed}")
-        diff = differences(work / "base" / "files", work / "head" / "files")
-        n_files = sum(1 for p in (work / "base" / "files").rglob("*") if p.is_file())
-    for line in diff:
-        print(f"differs: {line}")
+        base, head = work / "base" / "files", work / "head" / "files"
+        diff = differences(base, head)
+        n_files = len({p.relative_to(root) for root in (base, head) for p in root.rglob("*") if p.is_file()})
+        for line in diff:
+            both = (base / line).is_file() and (head / line).is_file()
+            summary = numeric_summary(base / line, head / line) if args.numeric and both else None
+            print(f"differs: {line}" + (f": {summary}" if summary else ""))
     print(f"{len(diff)} of {n_files} files differ")
     return 1 if diff else 0
 
