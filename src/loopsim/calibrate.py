@@ -103,9 +103,7 @@ def kl_loss(t: np.ndarray, e: np.ndarray) -> float | np.ndarray:
         raise ValueError("probabilities must be non-negative")
     ec = np.maximum(e, _CLAMP_EPS)
     terms = ec / np.maximum(t, _CLAMP_EPS)
-    np.log(terms, out=terms)
-    terms *= ec
-    loss = np.sum(terms, axis=-1)
+    loss = np.sum(np.multiply(ec, np.log(terms, out=terms), out=terms), axis=-1)
     return float(loss) if e.ndim == 1 else loss
 
 

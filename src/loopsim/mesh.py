@@ -19,8 +19,8 @@ power ratio 1/2 + d_split1, phase exp(i (2 theta' + pi)) on the lo arm, coupler 
 ratio 1/2 + d_split2, then diag(-exp(-i theta'), exp(-i theta')), with fabrication
 offsets theta' = theta + d_theta, phi' = phi + d_phi. meshes is the one evaluation path,
 for one mesh (mesh_forward) or a training stencil's stack: cell_entries computes the changed
-cells' 2x2 entries in one call, column_matrices builds every mesh's columns in one call,
-forward_arrays chains one mesh's columns, from the first or from another mesh's chain
+cells' 2x2 entries in one call, column_matrices builds the meshes' columns in calls of at
+most _COLUMN_BYTES, forward_arrays chains one mesh's columns, from the first or from another mesh's chain
 (Clements et al., Optica 3, 1460 (2016)), and the output phases apply last.
 """
 
@@ -33,6 +33,7 @@ from ._fields import check_fields, fits, frozen_cache
 
 _NULL_ATOL = 1e-10
 _TWO_PI = 2.0 * np.pi
+_COLUMN_BYTES = 1 << 18  # bytes of column matrices meshes builds in one call, so they stay in cache
 
 
 def _canonical_angle(x: float) -> float:
@@ -171,7 +172,8 @@ def column_matrices(dim, los, entries) -> np.ndarray:
         raise ValueError(f"entries must have shape (..., 4, {len(los)}), not {shape}")
     _, stack, positions = _columns(dim, tuple(los))
     lead = shape[:-2]
-    mats = np.broadcast_to(stack, lead + stack.shape).copy()
+    mats = np.empty(lead + stack.shape, complex)
+    mats[...] = stack
     mats.reshape(lead + (-1,))[..., positions] = entries.reshape(lead + (-1,))
     return mats
 
@@ -181,10 +183,7 @@ def forward_arrays(dim, los, columns, resume=None) -> list:
     column_matrices): the products of columns 0..k, first column rightmost; the last, times
     the output phases, is the mesh. resume=(s, chain) takes the first s products of the chain
     of a mesh with these columns before column s, and forms the rest with the plain chain's
-    bits. resume is unchecked: meshes, its one resuming caller, builds it from _columns."""
-    expected = _columns(dim, tuple(los))[1].shape
-    if columns.shape != expected:
-        raise ValueError(f"columns must have shape {expected}, not {columns.shape}")
+    bits. Unchecked: meshes, the package's one caller, builds columns and resume."""
     start, chain = resume or (0, None)
     chain = chain[:start] if start else [columns[0]]
     last = chain[-1]
@@ -199,7 +198,8 @@ def meshes(plan: MeshPlan, noise: MeshNoise | None, points, at=None):
     phis) on plan's cells, under noise, output phases applied, and the last row's state to pass
     back as at. Each row recomputes only the entries of the cells whose phases differ from at's,
     and its chain from the first of their columns on, bit for bit as from scratch; without at
-    every cell is computed from column 0 (a cell-less mesh keeps its one identity column)."""
+    every cell is computed from column 0 (a cell-less mesh keeps its one identity column).
+    Column matrices are built _COLUMN_BYTES (or one mesh's) at a time, so they stay in cache."""
     dim, n_cells = plan.dim, len(plan.los)
     if points.ndim != 2 or len(points) < 1 or points.shape[1] != 2 * n_cells:
         raise ValueError(f"points must have shape (B >= 1, 2 * n_cells = {2 * n_cells}), got {points.shape}")
@@ -213,10 +213,12 @@ def meshes(plan: MeshPlan, noise: MeshNoise | None, points, at=None):
                                            noise_offsets(noise, n_cells)[cells]).T
     # each row resumes at its first changed cell's column, or keeps the whole chain of at
     starts = np.where(changed, cols, len(stack)).min(axis=-1, initial=len(stack)).tolist()
-    columns = column_matrices(dim, plan.los, entries)
+    chunk = max(1, _COLUMN_BYTES // stack.nbytes)  # rows whose columns are built at once
     products = np.empty((len(points), dim, dim), complex)
     for b, s in enumerate(starts):
-        products[b] = (chain := forward_arrays(dim, plan.los, columns[b], (s, chain0)))[-1]
+        if b % chunk == 0:
+            columns = column_matrices(dim, plan.los, entries[b:b + chunk])
+        products[b] = (chain := forward_arrays(dim, plan.los, columns[b % chunk], (s, chain0)))[-1]
     products *= np.exp(1j * np.asarray(plan.output_phases, dtype=float))[:, None]
     return products, (points[-1], entries[-1], chain)
 

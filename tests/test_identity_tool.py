@@ -94,7 +94,7 @@ def test_numeric_diff_is_printed_and_still_exits_one(tmp_path, monkeypatch, caps
         return {"call": 0}
 
     monkeypatch.setattr(identity, "run_tree", fake_run_tree)
-    assert identity.main(["--numeric", str(tmp_path / "base"), str(tmp_path / "head")]) == 1
+    assert identity.main([str(tmp_path / "base"), str(tmp_path / "head")]) == 1
     assert capsys.readouterr().out.splitlines()[2:] == [
         "differs: base.txt (only in base)", "differs: head.txt (only in head)",
         "differs: x.csv: max abs 0.25, max rel 0.333, 1 of 1 numbers differ", "3 of 3 files differ"]

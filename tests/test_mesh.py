@@ -1,5 +1,4 @@
 import json
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -382,14 +381,6 @@ class TestColumnKernel:
             with pytest.raises(ValueError, match=r"shape \(\.\.\., 4, 3\), not " + shape):
                 column_matrices(4, (0, 2, 1), entries)
 
-    def test_columns_shape_must_match_the_column_stack(self):
-        # cells (0, 2, 1) on 4 modes sit in 2 columns; a mesh's columns are one (2, 4, 4) stack
-        good = column_matrices(4, (0, 2, 1), np.ones((3, 4, 3), dtype=complex))
-        for columns in (good, good[0, :1], good[0, :, :3], good[0].reshape(-1)):
-            with pytest.raises(ValueError, match=r"columns must have shape \(2, 4, 4\), not "
-                               + re.escape(str(columns.shape))):
-                forward_arrays(4, (0, 2, 1), columns)
-
 
 class TestColumnMatrices:
     """column_matrices builds a stack's columns in one scatter; forward_arrays chains one row."""
@@ -485,6 +476,30 @@ class TestMeshes:
                 assert row.tobytes() == mesh_forward(point_plan(plan, point), noise).tobytes()
             assert x.tobytes() == points[-1].tobytes() and entries.tobytes() == last.tobytes()
             assert [m.tobytes() for m in chain] == [m.tobytes() for m in plain_chain]
+
+    def test_chunked_column_builds_keep_the_bits_and_the_budget(self, monkeypatch, rng):
+        # meshes builds at most _COLUMN_BYTES of column matrices per call (one mesh's at least);
+        # one row per call, a ragged last chunk or one call for all give the same stack and state
+        plan = clements_decompose(haar_unitary(5, rng))
+        noise = MeshNoise(seed=3)
+        x = np.array(plan.thetas + plan.phis)
+        points = x + rng.normal(size=(7, x.size)) * (rng.random((7, x.size)) < 0.2)
+        _, at = meshes(plan, noise, x[None])
+        one_mesh = mesh._columns(plan.dim, plan.los)[1].nbytes
+        built, results = [], []
+
+        def recording_build(dim, los, entries):
+            built.append(column_matrices(dim, los, entries))
+            return built[-1]
+
+        monkeypatch.setattr(mesh, "column_matrices", recording_build)
+        for budget, calls in ((1, 7), (one_mesh, 7), (3 * one_mesh + 1, 3), (100 * one_mesh, 1)):
+            monkeypatch.setattr(mesh, "_COLUMN_BYTES", budget)
+            built.clear()
+            stack, (_, _, chain) = meshes(plan, noise, points, at)
+            assert len(built) == calls and max(c.nbytes for c in built) <= max(budget, one_mesh)
+            results.append((stack.tobytes(), [m.tobytes() for m in chain]))
+        assert all(r == results[0] for r in results)
 
     def test_rejects_a_malformed_stack_by_name(self):
         # an empty stack, a bare phase vector and a row of the wrong width, on one cell

@@ -1,13 +1,13 @@
 """Byte-identity check of loopsim's outputs between two source trees.
 
-    python tools/identity.py [--numeric] BASE HEAD
+    python tools/identity.py BASE HEAD
 
 BASE and HEAD are repository checkouts (each with a src/loopsim package).
 One fixed corpus runs against each tree in its own interpreter, and every
 output file and library array it writes is compared byte for byte; the
 tool lists what differs, or is missing on one side, and exits 1 if
-anything does. Printed lines are not compared. With --numeric, each
-differing CSV, JSON or .npy file also gets how far it moved: the largest
+anything does. Printed lines are not compared. Each differing CSV, JSON or
+.npy file that both sides wrote also gets how far it moved: the largest
 absolute and relative difference over its numbers and how many values
 differ. The corpus:
 
@@ -281,8 +281,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n", 1)[0])
     parser.add_argument("base", type=Path, help="checkout whose src/ is the reference")
     parser.add_argument("head", type=Path, help="checkout compared against it")
-    parser.add_argument("--numeric", action="store_true",
-                        help="for each differing CSV, JSON or .npy file, print how far its numbers moved")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -292,12 +290,13 @@ def main(argv=None) -> int:
             print(f"{side}: {len(codes)} CLI calls, {len(failed)} nonzero exits {failed}")
         base, head = work / "base" / "files", work / "head" / "files"
         diff = differences(base, head)
-        n_files = len({p.relative_to(root) for root in (base, head) for p in root.rglob("*") if p.is_file()})
+        base_files, head_files = ({str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
+                                  for root in (base, head))
         for line in diff:
-            both = (base / line).is_file() and (head / line).is_file()
-            summary = numeric_summary(base / line, head / line) if args.numeric and both else None
+            both = line in base_files and line in head_files
+            summary = numeric_summary(base / line, head / line) if both else None
             print(f"differs: {line}" + (f": {summary}" if summary else ""))
-    print(f"{len(diff)} of {n_files} files differ")
+    print(f"{len(diff)} of {len(base_files | head_files)} files differ")
     return 1 if diff else 0
 
 
