@@ -19,9 +19,10 @@ power ratio 1/2 + d_split1, phase exp(i (2 theta' + pi)) on the lo arm, coupler 
 ratio 1/2 + d_split2, then diag(-exp(-i theta'), exp(-i theta')), with fabrication
 offsets theta' = theta + d_theta, phi' = phi + d_phi. meshes is the one evaluation path,
 for one mesh (mesh_forward) or a training stencil's stack: cell_entries computes the changed
-cells' 2x2 entries in one call, column_matrices builds the meshes' columns in calls of at
-most _COLUMN_BYTES, forward_arrays chains one mesh's columns, from the first or from another mesh's chain
-(Clements et al., Optica 3, 1460 (2016)), and the output phases apply last.
+cells' 2x2 entries in one call, each mesh's columns start from the current point's and take
+only those entries, at most _COLUMN_BYTES of them built at once, forward_arrays chains one
+mesh's columns, from the first or from another mesh's chain (Clements et al., Optica 3, 1460
+(2016)), and the output phases apply last.
 """
 
 import json
@@ -149,7 +150,7 @@ def noise_offsets(noise: MeshNoise | None, n_cells: int) -> np.ndarray:
 def _columns(dim: int, los: tuple):
     """Each cell's column (intp), the first free on both its modes (so one column's cells act on
     disjoint pairs), an identity stack (n_columns >= 1, dim, dim), and the flat positions in
-    it of every cell's m00, then m01, m10, m11; cached and read-only."""
+    it of every cell's m00, m01, m10, m11, shape (4, n_cells); cached and read-only."""
     depth = [0] * dim
     cols = []
     for lo in los:
@@ -159,28 +160,12 @@ def _columns(dim: int, los: tuple):
     stack = np.tile(np.eye(dim, dtype=complex), (max(1, *depth), 1, 1))
     cols = np.array(cols, dtype=np.intp)
     diag = cols * dim * dim + np.array(los, dtype=np.intp) * (dim + 1)
-    positions = np.concatenate([diag, diag + 1, diag + dim, diag + dim + 1])
-    return cols, stack, positions
-
-
-def column_matrices(dim, los, entries) -> np.ndarray:
-    """The block-diagonal column matrices (see _columns), shape (..., n_columns, dim, dim), of
-    a stack of meshes from their (..., 4, len(los)) cell entries (see cell_entries): one copy
-    of the identity stack per mesh, each cell's entries scattered into its column."""
-    shape = np.shape(entries)
-    if shape[-2:] != (4, len(los)):
-        raise ValueError(f"entries must have shape (..., 4, {len(los)}), not {shape}")
-    _, stack, positions = _columns(dim, tuple(los))
-    lead = shape[:-2]
-    mats = np.empty(lead + stack.shape, complex)
-    mats[...] = stack
-    mats.reshape(lead + (-1,))[..., positions] = entries.reshape(lead + (-1,))
-    return mats
+    return cols, stack, np.stack([diag, diag + 1, diag + dim, diag + dim + 1])
 
 
 def forward_arrays(dim, los, columns, resume=None) -> list:
-    """One mesh's column chain from its (n_columns, dim, dim) column matrices (see
-    column_matrices): the products of columns 0..k, first column rightmost; the last, times
+    """One mesh's column chain from its (n_columns, dim, dim) block-diagonal column matrices
+    (see _columns): the products of columns 0..k, first column rightmost; the last, times
     the output phases, is the mesh. resume=(s, chain) takes the first s products of the chain
     of a mesh with these columns before column s, and forms the rest with the plain chain's
     bits. Unchecked: meshes, the package's one caller, builds columns and resume."""
@@ -195,32 +180,36 @@ def forward_arrays(dim, los, columns, resume=None) -> list:
 
 def meshes(plan: MeshPlan, noise: MeshNoise | None, points, at=None):
     """The (B, dim, dim) meshes of a (B >= 1, 2 * n_cells) stack of phase vectors (thetas, then
-    phis) on plan's cells, under noise, output phases applied, and the last row's state to pass
-    back as at. Each row recomputes only the entries of the cells whose phases differ from at's,
-    and its chain from the first of their columns on, bit for bit as from scratch; without at
-    every cell is computed from column 0 (a cell-less mesh keeps its one identity column).
+    phis) on plan's cells, under noise, output phases applied, and the last row's state
+    (phases, column matrices, chain) to pass back as at. Each row copies at's columns, scatters
+    in the entries of the cells whose phases differ from at's, and resumes at's chain at the
+    first of their columns, bit for bit as from scratch; without at the base is the identity
+    stack and every cell counts as changed (a cell-less mesh keeps its one identity column).
     Column matrices are built _COLUMN_BYTES (or one mesh's) at a time, so they stay in cache."""
     dim, n_cells = plan.dim, len(plan.los)
     if points.ndim != 2 or len(points) < 1 or points.shape[1] != 2 * n_cells:
         raise ValueError(f"points must have shape (B >= 1, 2 * n_cells = {2 * n_cells}), got {points.shape}")
-    cols, stack, _ = _columns(dim, tuple(plan.los))
-    x0, entries0, chain0 = at or (np.full(2 * n_cells, np.nan), np.zeros((4, n_cells), complex),
-                                  [np.eye(dim) + 0j])
+    cols, stack, positions = _columns(dim, tuple(plan.los))
+    x0, columns0, chain0 = at or (np.full(2 * n_cells, np.nan), stack, [stack[0]])
     changed = (points != x0).reshape(len(points), 2, n_cells).any(axis=1)
-    rows, cells = np.nonzero(changed)
-    entries = np.repeat(entries0[None], len(points), axis=0)
-    entries[rows, :, cells] = cell_entries(points[rows, cells], points[rows, n_cells + cells],
-                                           noise_offsets(noise, n_cells)[cells]).T
+    rows, cells = np.nonzero(changed)  # sorted by row
+    entries = cell_entries(points[rows, cells], points[rows, n_cells + cells],
+                           noise_offsets(noise, n_cells)[cells])
     # each row resumes at its first changed cell's column, or keeps the whole chain of at
     starts = np.where(changed, cols, len(stack)).min(axis=-1, initial=len(stack)).tolist()
     chunk = max(1, _COLUMN_BYTES // stack.nbytes)  # rows whose columns are built at once
+    targets = rows % chunk * stack.size + positions[:, cells]  # flat positions in their chunk
+    edges = np.searchsorted(rows, np.arange(0, len(points) + chunk, chunk)).tolist()
     products = np.empty((len(points), dim, dim), complex)
     for b, s in enumerate(starts):
         if b % chunk == 0:
-            columns = column_matrices(dim, plan.los, entries[b:b + chunk])
+            i, j = edges[b // chunk], edges[b // chunk + 1]
+            columns = np.empty((min(chunk, len(points) - b),) + stack.shape, complex)
+            columns[...] = columns0
+            columns.reshape(-1)[targets[:, i:j]] = entries[:, i:j]
         products[b] = (chain := forward_arrays(dim, plan.los, columns[b % chunk], (s, chain0)))[-1]
     products *= np.exp(1j * np.asarray(plan.output_phases, dtype=float))[:, None]
-    return products, (points[-1], entries[-1], chain)
+    return products, (points[-1], columns[-1], chain)
 
 
 def mesh_forward(plan: MeshPlan, noise: MeshNoise | None = None) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,6 @@ from loopsim.mesh import (
     MeshPlan,
     cell_entries,
     clements_decompose,
-    column_matrices,
     forward_arrays,
     mesh_forward,
     meshes,
@@ -71,7 +71,7 @@ def realized(theta, phi, d_theta=0.0, d_phi=0.0, d_split1=0.0, d_split2=0.0):
     """One realized cell as the mesh evaluates it: a 2-mode mesh of one cell."""
     entries = cell_entries(np.array([theta]), np.array([phi]),
                            np.array([[d_theta, d_phi, d_split1, d_split2]]))
-    return forward_arrays(2, (0,), column_matrices(2, (0,), entries))[-1]
+    return forward_arrays(2, (0,), scattered_columns(2, (0,), entries))[-1]
 
 
 class TestTransfer:
@@ -269,10 +269,10 @@ def mesh_cases(draw):
 
 def scattered_columns(dim, los, entries):
     """Oracle: one mesh's column matrices, its (4, n) entries scattered into a copy of the
-    identity stack."""
+    identity stack at the cells' (4, n) flat positions."""
     _, stack, positions = mesh._columns(dim, los)
     mats = stack.copy()
-    mats.reshape(-1)[positions] = entries.reshape(-1)
+    mats.reshape(-1)[positions] = entries
     return mats
 
 
@@ -298,7 +298,7 @@ class TestColumnKernel:
         expected = np.eye(dim, dtype=complex)
         for k, lo in enumerate(los):
             expected = embed(realized_cell(thetas[k], phis[k], *offsets[k]), lo, dim) @ expected
-        got = forward_arrays(dim, los, column_matrices(dim, los, cell_entries(thetas, phis, offsets)))[-1]
+        got = forward_arrays(dim, los, scattered_columns(dim, los, cell_entries(thetas, phis, offsets)))[-1]
         assert np.max(np.abs(got - expected)) <= 1e-15 * (n + 1)
 
     @settings(max_examples=100, deadline=None)
@@ -326,7 +326,7 @@ class TestColumnKernel:
         entries = cell_entries(np.array(phases[:n]), np.array(phases[n:2 * n]), offsets)
         # oracle: the column chain formed with @
         chain = column_chain(dim, los, entries)
-        got = forward_arrays(dim, los, column_matrices(dim, los, entries))
+        got = forward_arrays(dim, los, scattered_columns(dim, los, entries))
         assert [m.tobytes() for m in got] == [m.tobytes() for m in chain]
         # mesh_forward is the noiseless chain's last product times the exponentiated output phases
         plan = MeshPlan(dim, los, tuple(phases[:n]), tuple(phases[n:2 * n]), tuple(phases[2 * n:]))
@@ -339,7 +339,7 @@ class TestColumnKernel:
         for _ in range(2):
             with pytest.raises(ValueError, match="cell 1: coupler power ratio 1.1"):
                 entries = cell_entries(np.zeros(2), np.zeros(2), offsets)
-                forward_arrays(3, (0, 1), column_matrices(3, (0, 1), entries))
+                forward_arrays(3, (0, 1), scattered_columns(3, (0, 1), entries))
 
     def test_offsets_mutated_in_place_give_fresh_products(self, rng):
         plan = clements_decompose(haar_unitary(4, rng))
@@ -347,7 +347,7 @@ class TestColumnKernel:
 
         def forward():
             entries = cell_entries(np.array(plan.thetas), np.array(plan.phis), offsets)
-            return forward_arrays(plan.dim, plan.los, column_matrices(plan.dim, plan.los, entries))[-1]
+            return forward_arrays(plan.dim, plan.los, scattered_columns(plan.dim, plan.los, entries))[-1]
 
         before = forward()
         offsets[:, 2:] *= -1.0
@@ -374,34 +374,6 @@ class TestColumnKernel:
         splits = np.array([[0.01, -0.02]]).tobytes()
         assert not any(a.flags.writeable for a in mesh._cell_coefficients(splits))
 
-    def test_entries_shape_must_match_cells(self):
-        # a size-1 array would broadcast silently into every cell
-        for entries, shape in ((np.ones((4, 2), dtype=complex), r"\(4, 2\)"),
-                               (np.complex128(1.0), r"\(\)"), (np.array(1.0), r"\(\)")):
-            with pytest.raises(ValueError, match=r"shape \(\.\.\., 4, 3\), not " + shape):
-                column_matrices(4, (0, 2, 1), entries)
-
-
-class TestColumnMatrices:
-    """column_matrices builds a stack's columns in one scatter; forward_arrays chains one row."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(mesh_cases(), st.integers(1, 70), st.integers(0, 2 ** 32 - 1))
-    @example((1, (), [0.3], np.zeros((0, 4))), 70, 0)
-    @example((2, (0,), [0.4, 1.0, 0.2, 2.0], np.array([[0.01, -0.02, 0.5, -0.5]])), 1, 1)
-    def test_stack_equals_one_row_builds_bitwise(self, case, rows, seed):
-        dim, los, _, offsets = case
-        thetas, phis = np.random.default_rng(seed).uniform(-7.0, 7.0, (2, rows, len(los)))
-        entries = cell_entries(thetas, phis, offsets)
-        stack = column_matrices(dim, los, entries)
-        assert stack.shape == (rows,) + mesh._columns(dim, los)[1].shape
-        for b in range(rows):
-            # oracle: column_chain's own scatter and chain of this row alone
-            assert stack[b].tobytes() == scattered_columns(dim, los, entries[b]).tobytes()
-            assert column_matrices(dim, los, entries[b]).tobytes() == stack[b].tobytes()
-            chain = column_chain(dim, los, entries[b])
-            assert [m.tobytes() for m in forward_arrays(dim, los, stack[b])] == [m.tobytes() for m in chain]
-
 
 class TestResume:
     """forward_arrays resumes its chain from another mesh's at a column s."""
@@ -416,13 +388,13 @@ class TestResume:
         cols, stack, _ = mesh._columns(dim, los)
         entries = cell_entries(np.array(phases[:n]), np.array(phases[n:2 * n]), offsets)
         other = cell_entries(*np.random.default_rng(seed).uniform(-7.0, 7.0, (2, n)), offsets)
-        prefix = forward_arrays(dim, los, column_matrices(dim, los, entries))
+        prefix = forward_arrays(dim, los, scattered_columns(dim, los, entries))
         assert len(prefix) == len(stack)
         assert [m.tobytes() for m in prefix] == [m.tobytes() for m in column_chain(dim, los, entries)]
         for s in range(len(stack) + 1):
             # a mesh sharing the columns before s with the prefix's, other's entries after
             mixed = np.where(np.array(cols, dtype=int) < s, entries, other)
-            columns = column_matrices(dim, los, mixed)
+            columns = scattered_columns(dim, los, mixed)
             plain = forward_arrays(dim, los, columns)
             got = forward_arrays(dim, los, columns, resume=(s, prefix))
             assert [m.tobytes() for m in got] == [m.tobytes() for m in plain]
@@ -430,25 +402,32 @@ class TestResume:
             assert [m.tobytes() for m in forward_arrays(dim, los, columns, (0, []))] \
                 == [m.tobytes() for m in plain]
         # resuming after the last column keeps the whole prefix chain
-        other_columns = column_matrices(dim, los, other)
+        other_columns = scattered_columns(dim, los, other)
         assert [m.tobytes() for m in forward_arrays(dim, los, other_columns, resume=(len(stack), prefix))] \
             == [m.tobytes() for m in prefix]
 
 
+def moved_rows(draw, base):
+    """1-70 phase vectors that each move a random set of base's phases (none and all
+    included) to new values."""
+    rows = draw(st.integers(1, 70))
+    kinds = draw(st.lists(st.sampled_from(("none", "all", "some")), min_size=rows, max_size=rows))
+    some = draw(hnp.arrays(bool, (len(kinds), base.size)))
+    moved = np.array([row if kind == "some" else np.full(base.size, kind == "all")
+                      for kind, row in zip(kinds, some)])
+    new = draw(hnp.arrays(float, moved.shape, elements=st.floats(-20.0, 20.0)))
+    return np.where(moved, new, base)
+
+
 @st.composite
 def moved_points(draw):
-    """A plan on mesh_cases' cells, a noise seed, and 1-8 phase vectors that each move a
-    random set of the plan's phases (none and all included) to new values."""
+    """A plan on mesh_cases' cells, a noise seed, its phase vector, and two stacks of
+    moved_rows of it."""
     dim, los, phases, _ = draw(mesh_cases())
     n = len(los)
     plan = MeshPlan(dim, los, tuple(phases[:n]), tuple(phases[n:2 * n]), tuple(phases[2 * n:]))
-    kinds = draw(st.lists(st.sampled_from(("none", "all", "some")), min_size=1, max_size=8))
-    some = draw(hnp.arrays(bool, (len(kinds), 2 * n)))
-    moved = np.array([row if kind == "some" else np.full(2 * n, kind == "all")
-                      for kind, row in zip(kinds, some)])
-    new = draw(hnp.arrays(float, moved.shape, elements=st.floats(-20.0, 20.0)))
     base = np.array(phases[:2 * n], dtype=float)
-    return plan, draw(st.integers(0, 2 ** 32 - 1)), base, np.where(moved, new, base)
+    return plan, draw(st.integers(0, 2 ** 32 - 1)), base, moved_rows(draw, base), moved_rows(draw, base)
 
 
 def point_plan(plan, point):
@@ -461,20 +440,23 @@ class TestMeshes:
     @settings(max_examples=200, deadline=None)
     @given(moved_points())
     def test_rows_equal_mesh_forward_bitwise(self, case):
-        # resumed from the base point's state or computed from scratch, each row is its own
-        # plan's mesh_forward, and the state holds the last row's plain chain
-        plan, seed, base, points = case
+        # resumed from the base point's state, from another stack's last row (its columns a
+        # view of that stack's last chunk) or computed from scratch, each row is its own plan's
+        # mesh_forward, and the state holds the last row's columns and plain chain
+        plan, seed, base, points, others = case
         noise = MeshNoise(seed=seed)
         n = len(plan.los)
         _, at = meshes(plan, noise, base[None])
-        last = cell_entries(points[-1, :n], points[-1, n:], noise_offsets(noise, n))
-        plain_chain = forward_arrays(plan.dim, plan.los, column_matrices(plan.dim, plan.los, last))
-        for state in (at, None):
-            stack, (x, entries, chain) = meshes(plan, noise, points, state)
+        _, after_stack = meshes(plan, noise, others, at)
+        last = scattered_columns(plan.dim, plan.los,
+                                 cell_entries(points[-1, :n], points[-1, n:], noise_offsets(noise, n)))
+        plain_chain = forward_arrays(plan.dim, plan.los, last)
+        for state in (at, after_stack, None):
+            stack, (x, columns, chain) = meshes(plan, noise, points, state)
             assert stack.shape == (len(points), plan.dim, plan.dim)
             for row, point in zip(stack, points):
                 assert row.tobytes() == mesh_forward(point_plan(plan, point), noise).tobytes()
-            assert x.tobytes() == points[-1].tobytes() and entries.tobytes() == last.tobytes()
+            assert x.tobytes() == points[-1].tobytes() and columns.tobytes() == last.tobytes()
             assert [m.tobytes() for m in chain] == [m.tobytes() for m in plain_chain]
 
     def test_chunked_column_builds_keep_the_bits_and_the_budget(self, monkeypatch, rng):
@@ -488,11 +470,13 @@ class TestMeshes:
         one_mesh = mesh._columns(plan.dim, plan.los)[1].nbytes
         built, results = [], []
 
-        def recording_build(dim, los, entries):
-            built.append(column_matrices(dim, los, entries))
-            return built[-1]
+        def recording_forward(dim, los, columns, resume=None):
+            # a row's columns are a view of the chunk built with them
+            if not any(columns.base is chunk for chunk in built):
+                built.append(columns.base)
+            return forward_arrays(dim, los, columns, resume)
 
-        monkeypatch.setattr(mesh, "column_matrices", recording_build)
+        monkeypatch.setattr(mesh, "forward_arrays", recording_forward)
         for budget, calls in ((1, 7), (one_mesh, 7), (3 * one_mesh + 1, 3), (100 * one_mesh, 1)):
             monkeypatch.setattr(mesh, "_COLUMN_BYTES", budget)
             built.clear()
@@ -500,6 +484,25 @@ class TestMeshes:
             assert len(built) == calls and max(c.nbytes for c in built) <= max(budget, one_mesh)
             results.append((stack.tobytes(), [m.tobytes() for m in chain]))
         assert all(r == results[0] for r in results)
+
+    def test_one_stencil_peaks_below_its_products_and_two_column_chunks(self, rng):
+        # at n_boson 8 (16 modes, 480 rows) one stencil from a one-row state holds its products,
+        # the columns of at most two chunks and small index arrays, not a copy of every row's
+        # entries or columns
+        plan = clements_decompose(haar_unitary(16, rng))
+        noise = MeshNoise(seed=2)
+        x = np.array(plan.thetas + plan.phis)
+        stencil = np.concatenate([x + 1e-6 * np.eye(x.size), x - 1e-6 * np.eye(x.size)])
+        _, at = meshes(plan, noise, x[None])
+        meshes(plan, noise, stencil, at)  # fills the caches
+        tracemalloc.start()
+        try:
+            meshes(plan, noise, stencil, at)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stencil) == 480
+        assert peak < 480 * 16 * 16 * 16 + 2 * mesh._COLUMN_BYTES + 2 ** 20
 
     def test_rejects_a_malformed_stack_by_name(self):
         # an empty stack, a bare phase vector and a row of the wrong width, on one cell

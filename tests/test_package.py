@@ -42,7 +42,7 @@ def test_public_surface():
         "losses": ["PlatformSpec", "load_platforms", "mode_scaling_loss", "optimal_splitters",
                    "platform_comparison"],
         "mesh": ["DecompositionError", "MeshNoise", "MeshPlan", "cell_entries",
-                 "clements_decompose", "column_matrices", "forward_arrays", "mesh_forward", "meshes",
+                 "clements_decompose", "forward_arrays", "mesh_forward", "meshes",
                  "noise_offsets", "plan_from_json", "plan_to_json"],
         "model": ["SpinBosonParams", "build_hamiltonian", "evolve_exact", "propagate",
                   "step_unitary"],
@@ -117,7 +117,7 @@ def test_no_module_imports_another_modules_private_name():
 def test_only_mesh_evaluates_a_mesh():
     # mesh.meshes is the one mesh evaluation path: no other module binds the entry and chain
     # stages, under any name, or reads them off the mesh module.
-    stages = ("cell_entries", "column_matrices", "forward_arrays")
+    stages = ("cell_entries", "forward_arrays")
     found = []
     for info in pkgutil.iter_modules(loopsim.__path__):
         if info.name in ("__main__", "mesh"):
