@@ -14,14 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fields import check_fields
+from ._fields import _CLAMP_EPS, check_fields, fits
 from .loopchip import step_power_matrices
 from .mesh import MeshNoise, MeshPlan, clements_decompose, mesh_forward, meshes
 from .model import SpinBosonParams, build_hamiltonian, step_unitary
 
 
 _GRAD_EPS = 1e-6  # central-difference step of the training gradient, in radians
-_CLAMP_EPS = 1e-12  # floor on both kl_loss arguments, so the log stays finite
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,7 @@ def load_param_table(path=None) -> ParamTable:
 
 
 def kl_loss(t: np.ndarray, e: np.ndarray) -> float | np.ndarray:
-    """sum(e * ln(e / t)) over the last axis, both arguments clamped below at 1e-12.
+    """sum(e * ln(e / t)) over the last axis, both arguments clamped below at _fields._CLAMP_EPS.
 
     t is the theoretical target, one distribution; e is the chip estimate, or
     a stack of estimates whose last axis matches t. The estimate carries the
@@ -222,6 +221,9 @@ def compare_methods(table: ParamTable, noise: MeshNoise, tc: TrainingConfig,
     its epsilon, omega_hbar and lam replaced by the row's; model's h_field, dt
     and n_boson, and with n_boson the chip's 2 * n_boson modes, hold for all rows.
     """
+    for name, count in (("n_steps", n_steps), ("seeds", seeds)):
+        if not fits(count, int):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
     ids, dec, tr, flagged = [], [], [], []

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibrate, loopchip, losses, mesh, model, montecarlo
-from ._fields import check_fields
+from ._fields import _GATE_SIGMAS, _MIN_SIGNAL_COUNTS, _ROUNDTRIP_ATOL, check_fields
 from .model import SpinBosonParams
 
 
@@ -141,11 +141,11 @@ def _unitary(cfg: RunConfig) -> np.ndarray:
 def _count(cfg: RunConfig, u: np.ndarray, command: str):
     """Check the pump period and gates, then count u: (loop powers, histograms, gates,
     estimates CSV). Prints the low-statistics steps, if any, under command's name."""
-    span = (cfg.n_steps - 1) * cfg.chip.loop_delay_ps + 6.0 * cfg.counting.jitter_ps
+    span = (cfg.n_steps - 1) * cfg.chip.loop_delay_ps + _GATE_SIGMAS * cfg.counting.jitter_ps
     period = 1e6 / cfg.chip.rep_rate_mhz
     if span >= period:
-        raise ValueError(f"last step plus 6 sigma of jitter ends at {span} ps, not before "
-                         f"the next pump pulse at {period} ps; lower n_steps, "
+        raise ValueError(f"last step plus {_GATE_SIGMAS:g} sigma of jitter ends at {span} ps, "
+                         f"not before the next pump pulse at {period} ps; lower n_steps, "
                          f"chip.loop_delay_ps, counting.jitter_ps or chip.rep_rate_mhz")
     try:
         windows = montecarlo.default_windows(cfg.n_steps, cfg.counting, cfg.chip.loop_delay_ps)
@@ -157,7 +157,7 @@ def _count(cfg: RunConfig, u: np.ndarray, command: str):
     low = [str(n) for n, flag in enumerate(est.low_statistics, 1) if flag]
     if low:
         print(f"{command}: low statistics at step(s) {', '.join(low)} "
-              f"(fewer than 100 counts above background)")
+              f"(fewer than {_MIN_SIGNAL_COUNTS} counts above background)")
     return power, hists, windows, _csv(["step", "channel", "p_hat", "stderr"],
                                        _step_rows(est.p_hat, est.stderr))
 
@@ -205,7 +205,7 @@ def cmd_decompose(cfg: RunConfig, args) -> dict:
     report = {"dim": plan.dim, "cells": len(plan.los), "max_roundtrip_error": err}
     print(f"decompose: {plan.dim} modes, {len(plan.los)} cells, "
           f"round-trip error {err:.3e}")
-    if not err <= 1e-8:
+    if not err <= _ROUNDTRIP_ATOL:
         raise RuntimeError(f"plan does not reproduce the unitary: error {err:.3e}")
     return {"plan.json": mesh.plan_to_json(plan),
             "decompose_report.json": json.dumps(report, indent=2)}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import check_fields
+from ._fields import _DEAD_STEP_POWER, check_fields, fits
 from .model import propagate
 
 
@@ -88,8 +88,8 @@ def conditional_probabilities(power: np.ndarray) -> np.ndarray:
     """
     totals = power.sum(axis=-1, keepdims=True)
     # fmin skips NaN, so a NaN step cannot hide a dead one
-    if np.fmin.reduce(totals, axis=None, initial=np.inf) < 1e-300:
-        dead = (totals < 1e-300).reshape(len(totals), -1).any(axis=1)
+    if np.fmin.reduce(totals, axis=None, initial=np.inf) < _DEAD_STEP_POWER:
+        dead = (totals < _DEAD_STEP_POWER).reshape(len(totals), -1).any(axis=1)
         raise DegenerateStepError(f"step {int(np.argmax(dead)) + 1} has vanishing total output power")
     return power / totals
 
@@ -108,6 +108,8 @@ def run_loop(config: ChipConfig, mesh: np.ndarray, input_channel: int, n_steps: 
         raise ValueError("mesh must be a dim x dim matrix")
     if not 0 <= input_channel < config.dim:
         raise ValueError("input_channel out of range")
+    if not fits(n_steps, int):
+        raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
     out_scalar, scales = _step_amplitudes(config, n_steps)
     return np.abs(out_scalar * (scales[:, None] * propagate(m, m[:, input_channel], n_steps))) ** 2
 

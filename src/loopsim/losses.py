@@ -90,6 +90,8 @@ def mode_scaling_loss(n_modes: int, platform: PlatformSpec,
     n_modes * cell_length_cm and the per-cell excess is charged n_modes
     times. Mode counts are even (one spin pair per boson level) and >= 2.
     """
+    if not fits(n_modes, int):
+        raise ValueError(f"n_modes must be an integer, got {n_modes!r}")
     if n_modes < 2 or n_modes % 2 != 0:
         raise ValueError("n_modes must be even and >= 2")
     if not 0 < cell_length_cm < np.inf:  # also rejects NaN

@@ -30,9 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import check_fields, fits, frozen_cache
+from ._fields import _NULL_ATOL, check_fields, fits, frozen_cache
 
-_NULL_ATOL = 1e-10
 _TWO_PI = 2.0 * np.pi
 _COLUMN_BYTES = 1 << 18  # bytes of column matrices meshes builds in one call, so they stay in cache
 
@@ -249,7 +248,7 @@ def clements_decompose(unitary: np.ndarray) -> MeshPlan:
     target entry is already zero appear with theta = 0). Raises
     DecompositionError if the input is not unitary or if any nulling step
     fails to produce a zero; both checks use the absolute tolerance
-    _NULL_ATOL (1e-10). An entry that is not finite or has modulus above
+    _fields._NULL_ATOL. An entry that is not finite or has modulus above
     1 + _NULL_ATOL is rejected before U^dagger U is formed, which could overflow.
     """
     u = np.asarray(unitary, dtype=complex)

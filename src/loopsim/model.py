@@ -10,11 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import check_fields, frozen_cache
-
-_HERMITIAN_ATOL = 1e-12
-_EIG_RESIDUAL_ATOL = 1e-9
-_UNITARY_ATOL = 1e-10
+from ._fields import (_EIG_RESIDUAL_ATOL, _EPS, _HERMITIAN_ATOL, _UNITARY_ATOL, check_fields,
+                      fits, frozen_cache)
 
 
 @dataclass(frozen=True)
@@ -82,9 +79,9 @@ def step_unitary(hamiltonian: np.ndarray, dt: float) -> np.ndarray:
 @frozen_cache(maxsize=4)
 def _propagator(h_bytes: bytes, dim: int, dt: float) -> np.ndarray:
     """Read-only exp(-i H dt) of the C-order complex128 bytes of a dim x dim H, with its Hermitian,
-    dt, phase range (||H||_2 dt finite), eigen-residual (at most max(1e-9, 16 eps dim ||H||_2), as
-    eigh's grows with ||H||_2 = max|w|) and unitarity checks. A failed check raises on every call
-    (none cached)."""
+    dt, phase range (||H||_2 dt finite), eigen-residual (at most max(_EIG_RESIDUAL_ATOL, 16 eps dim
+    ||H||_2), as eigh's grows with ||H||_2 = max|w|) and unitarity checks, their bounds from the
+    _fields table. A failed check raises on every call (none cached)."""
     h = np.frombuffer(h_bytes, dtype=complex).reshape(dim, dim)
     if not np.max(np.abs(h - h.conj().T)) <= _HERMITIAN_ATOL:
         raise ValueError("hamiltonian is not Hermitian")
@@ -95,7 +92,7 @@ def _propagator(h_bytes: bytes, dim: int, dt: float) -> np.ndarray:
     if not np.isfinite(norm * dt):  # Python floats: an overflow is inf, not a warning
         raise ValueError(f"dt {dt} times the eigenvalue bound max|w| {norm:.3e} is not finite")
     residual = np.max(np.abs(h @ v - v * w))
-    bound = max(_EIG_RESIDUAL_ATOL, 16 * np.finfo(float).eps * dim * norm)
+    bound = max(_EIG_RESIDUAL_ATOL, 16 * _EPS * dim * norm)
     if not residual <= bound:
         raise RuntimeError(f"eigendecomposition residual {residual:.3e} too large")
     u = (v * np.exp(-1j * w * dt)) @ v.conj().T
@@ -115,8 +112,8 @@ def propagate(matrix: np.ndarray, first: np.ndarray, n_steps: int) -> np.ndarray
     """
     if np.ndim(matrix) < 2 or np.shape(matrix)[-1] != np.shape(matrix)[-2]:
         raise ValueError("matrix must be a square matrix or a stack of them")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    if not (fits(n_steps, int) and n_steps >= 1):
+        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
     out = np.empty((n_steps,) + np.shape(first), dtype=complex)
     out[0] = first
     for n in range(1, n_steps):

@@ -13,16 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import check_fields, frozen_cache
+from ._fields import (_EPS, _GATE_SIGMAS, _MAX_BINS, _MAX_COUNTS, _MIN_SIGNAL_COUNTS,
+                      _PROBABILITY_ATOL, check_fields, frozen_cache)
 
-# Histogram bins per channel. sample_run holds dim x bins floats at once, so
-# the cap bounds its memory; a too-small bin_ps is rejected, not allocated.
-_MAX_BINS = 10**6
-# Expected pairs, and expected background counts, per run. A bin's Poisson
-# mean is at most their sum, which stays below numpy's limit of about 9.2e18.
-_MAX_COUNTS = 1e18
 _NEG_SQRT_HALF = -math.sqrt(0.5)
-_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -62,8 +56,8 @@ class ProbabilityEstimates:
     """Recovered per-step distributions with their standard errors.
 
     low_statistics flags steps whose background-subtracted gated total S falls
-    below 100, so a step buried in background is flagged however many raw
-    counts its gate holds.
+    below _fields._MIN_SIGNAL_COUNTS, so a step buried in background is flagged
+    however many raw counts its gate holds.
     """
 
     p_hat: np.ndarray
@@ -81,7 +75,7 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
 @frozen_cache(maxsize=4)
 def _geometry(n_steps: int, jitter_ps: float, bin_ps: float, loop_delay_ps: float):
     """Read-only (edges, mass) of one timing grid, computed in float: edges span
-    all peaks plus 6 sigma of jitter, aligned to bin_ps, and mass[n, i] is step
+    all peaks plus _fields._GATE_SIGMAS of jitter, aligned to bin_ps, and mass[n, i] is step
     n's jitter CDF difference across bin i. Zero jitter takes the CDF's step
     limit, 0 at an edge, so a center on an edge lands in the bin starting there.
     Cached, as every run at the same settings has the same grid; equal numbers
@@ -94,7 +88,7 @@ def _geometry(n_steps: int, jitter_ps: float, bin_ps: float, loop_delay_ps: floa
                          f"finite, got {loop_delay_ps}")
     given_bin_ps = bin_ps
     jitter_ps, bin_ps, loop_delay_ps = float(jitter_ps), float(bin_ps), float(loop_delay_ps)
-    pad = 6.0 * jitter_ps + bin_ps
+    pad = _GATE_SIGMAS * jitter_ps + bin_ps
     lo = np.floor(-pad / bin_ps) * bin_ps
     hi = np.ceil(((n_steps - 1) * loop_delay_ps + pad) / bin_ps) * bin_ps
     n_bins = np.rint((hi - lo) / bin_ps)
@@ -128,7 +122,7 @@ def _expected_counts(power_bytes: bytes, shape: tuple, expected_pairs: float, bg
     """
     power = np.frombuffer(power_bytes).reshape(shape)
     total = float(power.sum())
-    if total > 1.0 + 1e-9:
+    if total > 1.0 + _PROBABILITY_ATOL:
         raise ValueError(f"total detection probability {total} exceeds 1")
     if not (power >= 0).all():
         raise ValueError("power entries must be nonnegative numbers, not negative or NaN")
@@ -169,10 +163,11 @@ def expected_histograms(power: np.ndarray, cfg: CountingConfig, loop_delay_ps: f
 
 
 def default_windows(n_steps: int, cfg: CountingConfig, loop_delay_ps: float) -> list:
-    """Symmetric per-step gates, 6 sigma of jitter or 2 bins wide; raises if they overlap."""
+    """Symmetric per-step gates, _fields._GATE_SIGMAS of jitter or 2 bins wide; raises if they
+    overlap."""
     # raises past _MAX_BINS; the run's sample_run or expected_histograms reuses the geometry
     _geometry(n_steps, cfg.jitter_ps, cfg.bin_ps, loop_delay_ps)
-    half = max(3.0 * cfg.jitter_ps, cfg.bin_ps)
+    half = max(_GATE_SIGMAS / 2 * cfg.jitter_ps, cfg.bin_ps)
     half = np.ceil(half / cfg.bin_ps) * cfg.bin_ps
     if 2 * half >= loop_delay_ps:
         raise ValueError(f"jitter too large for non-overlapping gates at this delay: jitter_ps "
@@ -199,13 +194,13 @@ def _gates(edges_bytes: bytes, bounds_bytes: bytes, jitter_ps: float, bg_total: 
     by_low = bounds[lows.argsort()]
     if (by_low[:-1, 1] > by_low[1:, 0]).any():
         raise ValueError("windows must not overlap")
-    width_needed = 6.0 * jitter_ps
+    width_needed = _GATE_SIGMAS * jitter_ps
     for lo, hi in bounds.tolist():
         if hi <= lo:
             raise ValueError("window must have positive width")
-        # a default gate exactly 6 sigma wide measures up to a few eps of its bounds less
+        # a default gate exactly _GATE_SIGMAS sigma wide can measure a few eps of its bounds less
         if hi - lo < width_needed - 4.0 * _EPS * max(abs(lo), abs(hi)):
-            raise ValueError("window narrower than 6 sigma of jitter")
+            raise ValueError(f"window narrower than {_GATE_SIGMAS:g} sigma of jitter")
     starts = edges.searchsorted(lows, side="left")
     stops = np.maximum(edges.searchsorted(his, side="right") - 1, starts)
     ranges = tuple(zip(starts.tolist(), stops.tolist()))
@@ -230,7 +225,7 @@ def estimate_probabilities(histograms: list, windows: list, cfg: CountingConfig)
     sqrt(p (1 - p) / S + b ((1 - p)^2 + (D - 1) p^2) / S^2), with S the step's
     background-subtracted total, b the expected background per channel in
     the gate and D the channel count. With no background this is binomial.
-    A step whose S is below 100 is flagged low_statistics.
+    A step whose S is below _fields._MIN_SIGNAL_COUNTS is flagged low_statistics.
     Bin edges, read as float64, must strictly increase and window bounds must be
     numbers. The counts are copied once, bin-major, and each gate is one slice
     of that copy, so the work is in proportion to channels x gated bins; the
@@ -264,7 +259,7 @@ def estimate_probabilities(histograms: list, windows: list, cfg: CountingConfig)
     excess = raw - bg_in_gate
     signal = np.where(excess <= floor, 0.0, excess)  # NaN counts stay NaN
     total = signal.sum(axis=1, keepdims=True)
-    low_statistics = tuple((total.ravel() < 100).tolist())
+    low_statistics = tuple((total.ravel() < _MIN_SIGNAL_COUNTS).tolist())
     # Each total is squared by a scalar power (libm pow): an array ** 2
     # multiplies instead, which can round differently in the last bit.
     total_sq = np.array([t ** 2 for t in total.ravel().tolist()])[:, None]

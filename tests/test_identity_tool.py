@@ -75,7 +75,7 @@ def test_numeric_summary_says_how_far_each_file_moved(tmp_path):
     (b / "log.txt").write_text("b")
     (a / "rows.csv").write_text("1\n")
     (b / "rows.csv").write_text("1\n2\n")
-    summary = {p.name: identity.numeric_summary(p, b / p.name) for p in sorted(a.iterdir())}
+    summary = {p.name: identity.describe(identity.gaps(p, b / p.name)) for p in sorted(a.iterdir())}
     assert summary == {
         "log.txt": None,
         "m.npy": "max abs 1e-16, max rel 1, 2 of 4 numbers differ",
@@ -97,4 +97,40 @@ def test_numeric_diff_is_printed_and_still_exits_one(tmp_path, monkeypatch, caps
     assert identity.main([str(tmp_path / "base"), str(tmp_path / "head")]) == 1
     assert capsys.readouterr().out.splitlines()[2:] == [
         "differs: base.txt (only in base)", "differs: head.txt (only in head)",
-        "differs: x.csv: max abs 0.25, max rel 0.333, 1 of 1 numbers differ", "3 of 3 files differ"]
+        "differs: x.csv: max abs 0.25, max rel 0.333, 1 of 1 numbers differ",
+        "group base.txt: 1 file", "group head.txt: 1 file",
+        "group x.csv: 1 file, max abs 0.25, max rel 0.333", "3 of 3 files differ"]
+
+
+def test_differing_files_are_grouped_by_command_and_by_library_function(tmp_path, monkeypatch,
+                                                                        capsys):
+    import numpy as np
+
+    def fake_run_tree(tree, out):
+        head = tree.name == "head"
+        files = out / "files"
+        for label, value in (("n1-float-simulate", 0.5), ("n2-int-simulate", 0.25),
+                             ("readme-01", 1.0), ("readme-02", 2.0), ("n1-float-counts", 3.0)):
+            (files / "cli" / label).mkdir(parents=True)
+            moved = value * (1.5 if head and label != "n1-float-counts" else 1.0)
+            (files / "cli" / label / "chip.csv").write_text(f"p\n{moved}\n")
+        (files / "lib").mkdir()
+        for name, value in (("step_unitary-00", 1.0), ("step_unitary-00-again", 4.0),
+                            ("mesh_forward-noisy-01", 1.0)):
+            moved = np.nextafter(value, 8.0) if head and name.startswith("step_unitary") else value
+            np.save(files / "lib" / f"{name}.npy", np.array([moved]))
+        if head:
+            (files / "lib" / "sample_run-0-edges.npy").write_bytes(b"")
+        return {"call": 0}
+
+    monkeypatch.setattr(identity, "run_tree", fake_run_tree)
+    assert identity.main([str(tmp_path / "base"), str(tmp_path / "head")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln for ln in lines if ln.startswith("group ")] == [
+        "group cli readme: 2 files, max abs 1, max rel 0.333",
+        "group cli simulate: 2 files, max abs 0.25, max rel 0.333",
+        "group lib sample_run: 1 file",
+        "group lib step_unitary: 2 files, max abs 8.88e-16, max rel 2.22e-16"]
+    assert lines[-1] == "7 of 9 files differ"
+    assert identity.group(str(Path("cli") / "compare" / "errors.csv")) == "cli compare"
+    assert identity.group("exit_codes.json") == "exit_codes.json"

@@ -352,6 +352,6 @@ class TestEvolveExact:
             with pytest.raises(ValueError, match="square matrix or a stack of them"):
                 propagate(matrix, np.ones(3), 2)
         for n_steps in (0, -1):
-            with pytest.raises(ValueError, match="n_steps must be >= 1"):
+            with pytest.raises(ValueError, match="n_steps must be an integer >= 1, got "):
                 propagate(np.eye(3), np.ones(3), n_steps)
         assert propagate(np.ones((2, 3, 3)), np.ones((2, 3)), 1).shape == (1, 2, 3)

@@ -9,7 +9,9 @@ tool lists what differs, or is missing on one side, and exits 1 if
 anything does. Printed lines are not compared. Each differing CSV, JSON or
 .npy file that both sides wrote also gets how far it moved: the largest
 absolute and relative difference over its numbers and how many values
-differ. The corpus:
+differ. One line per group of differing files follows, with the file count
+and the largest differences over the group; a group is a CLI call's command
+(every readme call is `readme`) or a library array's function. The corpus:
 
 - each `loopsim ...` line of this checkout's README, with training capped
   at 3 iterations;
@@ -212,15 +214,35 @@ def run_tree(tree: Path, out: Path) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def differences(a: Path, b: Path) -> list:
-    """Relative paths of files that differ, or exist on one side only, under a and b."""
-    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
-    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+def listing(root: Path) -> set:
+    """Relative paths of the files under root."""
+    return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+
+
+def differences(a: Path, b: Path, files_a=None, files_b=None) -> list:
+    """Relative paths of files that differ, or exist on one side only, under a and b, whose
+    listings files_a and files_b are taken here unless given."""
+    files_a = listing(a) if files_a is None else files_a
+    files_b = listing(b) if files_b is None else files_b
     out = [f"{p} (only in base)" for p in sorted(files_a - files_b)]
     out += [f"{p} (only in head)" for p in sorted(files_b - files_a)]
     out += [str(p) for p in sorted(files_a & files_b)
             if not filecmp.cmp(a / p, b / p, shallow=False)]
     return out
+
+
+def group(line: str) -> str:
+    """The group of a differences() line's file: `cli <command>` for a CLI call's file, the
+    label's last `-` part or `readme`; `lib <function>` for a library array, its name before
+    the first `-`; the file's path for any other file."""
+    path = line.split(" (only in ", 1)[0]
+    parts = Path(path).parts
+    if len(parts) > 2 and parts[0] == "cli":
+        label = parts[1]
+        return "cli " + ("readme" if label.startswith("readme-") else label.rpartition("-")[2])
+    if len(parts) == 2 and parts[0] == "lib":
+        return "lib " + parts[1].removesuffix(".npy").partition("-")[0]
+    return path
 
 
 def _values(path: Path):
@@ -255,9 +277,10 @@ def _values(path: Path):
     return None
 
 
-def numeric_summary(a: Path, b: Path):
-    """How far file b moved from file a, as one line, or None when the files are of a kind
-    _values does not read."""
+def gaps(a: Path, b: Path):
+    """How far file b moved from file a: (max abs, max rel, numbers that differ, numbers,
+    other values that differ); a line saying so when their value counts differ, and None
+    when the files are of a kind _values does not read."""
     import numpy as np
 
     va, vb = _values(a), _values(b)
@@ -272,8 +295,16 @@ def numeric_summary(a: Path, b: Path):
         differ = ~((x == y) | (np.isnan(x) & np.isnan(y)))
         gap = np.abs(x - y)[differ]
         rel = gap / np.maximum(np.abs(x), np.abs(y))[differ]
-    line = (f"max abs {gap.max(initial=0.0):.3g}, max rel {rel.max(initial=0.0):.3g}, "
-            f"{int(differ.sum())} of {len(x)} numbers differ")
+    return (float(gap.max(initial=0.0)), float(rel.max(initial=0.0)), int(differ.sum()), len(x),
+            texts)
+
+
+def describe(found):
+    """A gaps() result as one line, or None for None."""
+    if not isinstance(found, tuple):
+        return found
+    gap, rel, differ, numbers, texts = found
+    line = f"max abs {gap:.3g}, max rel {rel:.3g}, {differ} of {numbers} numbers differ"
     return line + (f", {texts} other values differ" if texts else "")
 
 
@@ -289,13 +320,19 @@ def main(argv=None) -> int:
             failed = sorted(label for label, code in codes.items() if code != 0)
             print(f"{side}: {len(codes)} CLI calls, {len(failed)} nonzero exits {failed}")
         base, head = work / "base" / "files", work / "head" / "files"
-        diff = differences(base, head)
-        base_files, head_files = ({str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
-                                  for root in (base, head))
+        base_files, head_files = listing(base), listing(head)
+        diff = differences(base, head, base_files, head_files)
+        both = base_files & head_files
+        groups = {}  # group -> the gaps() result of each of its differing files
         for line in diff:
-            both = line in base_files and line in head_files
-            summary = numeric_summary(base / line, head / line) if both else None
-            print(f"differs: {line}" + (f": {summary}" if summary else ""))
+            found = gaps(base / line, head / line) if Path(line) in both else None
+            print(f"differs: {line}" + (f": {describe(found)}" if found else ""))
+            groups.setdefault(group(line), []).append(found)
+        for name, found in sorted(groups.items()):
+            measured = [f for f in found if isinstance(f, tuple)]
+            sizes = (f", max abs {max(f[0] for f in measured):.3g}, "
+                     f"max rel {max(f[1] for f in measured):.3g}") if measured else ""
+            print(f"group {name}: {len(found)} file{'s' * (len(found) != 1)}{sizes}")
     print(f"{len(diff)} of {len(base_files | head_files)} files differ")
     return 1 if diff else 0
 
