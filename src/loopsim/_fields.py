@@ -15,9 +15,12 @@ import numpy as np
 _EPS = np.finfo(float).eps
 # step_unitary: max |H - H^dagger| of a Hermitian H, a few eps of order-1 entries; fixed.
 _HERMITIAN_ATOL = 1e-12
-# step_unitary: eigh's residual max |H v - v w| may reach max(this, 16 eps dim ||H||_2), as
-# eigh's error grows with ||H||_2; fixed below the floor, above it scales with dim ||H||_2.
+# step_unitary: eigh's residual max |H v - v w| may reach max(this, _EIG_RESIDUAL_EPS_FACTOR eps
+# dim ||H||_2), as eigh's error grows with ||H||_2; fixed below the floor.
 _EIG_RESIDUAL_ATOL = 1e-9
+# step_unitary: that bound's eps multiple. eigh is backward stable, so its residual is a small
+# multiple of eps dim ||H||_2; 16 leaves room for H v's own rounding. Scales with dim ||H||_2.
+_EIG_RESIDUAL_EPS_FACTOR = 16
 # step_unitary: max |U^dagger U - 1| of the propagator, well above eigh's rounding; fixed.
 _UNITARY_ATOL = 1e-10
 # clements_decompose: an input's |U_ij| - 1 and max |U^dagger U - 1|, and each nulled entry,
@@ -41,6 +44,10 @@ _MIN_SIGNAL_COUNTS = 100
 # accepted), in the grid's margin past the first and last peak, and in the last step's tail
 # before the next pump pulse; a normal's mass beyond 3 sigma is 0.27%. Scales with jitter_ps.
 _GATE_SIGMAS = 6.0
+# _gates: a gate may be narrower than _GATE_SIGMAS sigma of jitter by this many eps of its
+# largest bound, as default_windows' bounds n delay +- half and their difference each round once,
+# about 1.5 eps of that bound; scales with the bounds.
+_GATE_WIDTH_EPS_FACTOR = 4.0
 # Histogram bins per channel: sample_run holds dim x bins floats at once, so the cap bounds
 # its memory, and a too-small bin_ps is rejected, not allocated; fixed.
 _MAX_BINS = 10**6

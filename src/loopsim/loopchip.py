@@ -55,27 +55,20 @@ class ChipConfig:
             raise ValueError("loop_length_cm must be >= 4 (minimum feasible loop)")
 
 
-def _db_to_amplitude(db: float) -> float:
-    return 10.0 ** (-db / 20.0)
+def pass_amplitudes(config: ChipConfig) -> tuple:
+    """The one loss model: the chip's field factors (first, further, tap) per pass.
 
-
-def _step_amplitudes(config: ChipConfig, n_steps: int):
-    """Detection-arm amplitude, and the in-loop amplitude of steps 1..n_steps.
-
-    The field enters with sqrt(ratio_in) times the chip loss; each further
-    pass multiplies it by sqrt((1-ratio_in)(1-ratio_out)) times loop and
-    chip losses. The output splitter taps sqrt(ratio_out) of it toward the
-    detectors, times the detection-path loss.
-    """
-    amp_chip = _db_to_amplitude(config.alpha_db_per_cm * config.chip_length_cm)
-    amp_loop = _db_to_amplitude(config.alpha_db_per_cm * config.loop_length_cm)
-    amp_others = _db_to_amplitude(config.others_loss_db)
-    in_scalar = math.sqrt(config.ratio_in) * amp_chip
-    loop_scalar = (
-        math.sqrt((1.0 - config.ratio_in) * (1.0 - config.ratio_out)) * amp_loop * amp_chip
-    )
-    out_scalar = math.sqrt(config.ratio_out) * amp_others
-    return out_scalar, np.cumprod([in_scalar] + [loop_scalar] * (n_steps - 1))
+    Step n's detected amplitude is tap * first * further^(n-1): the field enters with
+    first = sqrt(ratio_in) times the chip loss, each further pass multiplies it by
+    further = sqrt((1-ratio_in)(1-ratio_out)) times loop and chip losses, and the output
+    splitter taps tap = sqrt(ratio_out) of it toward the detectors, times the
+    detection-path loss."""
+    amp_chip, amp_loop, amp_others = (10.0 ** (-db / 20.0) for db in (
+        config.alpha_db_per_cm * config.chip_length_cm,
+        config.alpha_db_per_cm * config.loop_length_cm, config.others_loss_db))
+    first = math.sqrt(config.ratio_in) * amp_chip
+    further = math.sqrt((1.0 - config.ratio_in) * (1.0 - config.ratio_out)) * amp_loop * amp_chip
+    return first, further, math.sqrt(config.ratio_out) * amp_others
 
 
 def conditional_probabilities(power: np.ndarray) -> np.ndarray:
@@ -95,14 +88,9 @@ def conditional_probabilities(power: np.ndarray) -> np.ndarray:
 
 
 def run_loop(config: ChipConfig, mesh: np.ndarray, input_channel: int, n_steps: int) -> np.ndarray:
-    """Detected power of a single-channel input over n_steps loop passes,
-    shape (n_steps, dim); row n-1 holds each output's power after pass n.
-
-    Step n applies the mesh for the n-th time; the output splitter taps
-    sqrt(ratio_out) of the circulating field toward the detectors (times the
-    detection-path loss), while sqrt((1-ratio_out)(1-ratio_in)) of it, times
-    loop and chip propagation losses, re-enters the mesh.
-    """
+    """Detected power of a single-channel input over n_steps loop passes, shape
+    (n_steps, dim): row n-1 is |tap first further^(n-1) mesh^n e_k|^2, each output's power
+    after pass n, with pass_amplitudes' factors."""
     m = np.asarray(mesh, dtype=complex)
     if m.shape != (config.dim, config.dim):
         raise ValueError("mesh must be a dim x dim matrix")
@@ -110,8 +98,9 @@ def run_loop(config: ChipConfig, mesh: np.ndarray, input_channel: int, n_steps: 
         raise ValueError("input_channel out of range")
     if not fits(n_steps, int):
         raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
-    out_scalar, scales = _step_amplitudes(config, n_steps)
-    return np.abs(out_scalar * (scales[:, None] * propagate(m, m[:, input_channel], n_steps))) ** 2
+    first, further, tap = pass_amplitudes(config)
+    scales = np.cumprod([first] + [further] * (n_steps - 1))
+    return np.abs(tap * (scales[:, None] * propagate(m, m[:, input_channel], n_steps))) ** 2
 
 
 def step_power_matrices(mesh: np.ndarray, n_steps: int) -> np.ndarray:

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import (_EIG_RESIDUAL_ATOL, _EPS, _HERMITIAN_ATOL, _UNITARY_ATOL, check_fields,
-                      fits, frozen_cache)
+from ._fields import (_EIG_RESIDUAL_ATOL, _EIG_RESIDUAL_EPS_FACTOR, _EPS, _HERMITIAN_ATOL,
+                      _UNITARY_ATOL, check_fields, fits, frozen_cache)
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def _propagator(h_bytes: bytes, dim: int, dt: float) -> np.ndarray:
     if not np.isfinite(norm * dt):  # Python floats: an overflow is inf, not a warning
         raise ValueError(f"dt {dt} times the eigenvalue bound max|w| {norm:.3e} is not finite")
     residual = np.max(np.abs(h @ v - v * w))
-    bound = max(_EIG_RESIDUAL_ATOL, 16 * _EPS * dim * norm)
+    bound = max(_EIG_RESIDUAL_ATOL, _EIG_RESIDUAL_EPS_FACTOR * _EPS * dim * norm)
     if not residual <= bound:
         raise RuntimeError(f"eigendecomposition residual {residual:.3e} too large")
     u = (v * np.exp(-1j * w * dt)) @ v.conj().T

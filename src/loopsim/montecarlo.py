@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import (_EPS, _GATE_SIGMAS, _MAX_BINS, _MAX_COUNTS, _MIN_SIGNAL_COUNTS,
-                      _PROBABILITY_ATOL, check_fields, frozen_cache)
+from ._fields import (_EPS, _GATE_SIGMAS, _GATE_WIDTH_EPS_FACTOR, _MAX_BINS, _MAX_COUNTS,
+                      _MIN_SIGNAL_COUNTS, _PROBABILITY_ATOL, check_fields, frozen_cache)
 
 _NEG_SQRT_HALF = -math.sqrt(0.5)
 
@@ -199,7 +199,7 @@ def _gates(edges_bytes: bytes, bounds_bytes: bytes, jitter_ps: float, bg_total: 
         if hi <= lo:
             raise ValueError("window must have positive width")
         # a default gate exactly _GATE_SIGMAS sigma wide can measure a few eps of its bounds less
-        if hi - lo < width_needed - 4.0 * _EPS * max(abs(lo), abs(hi)):
+        if hi - lo < width_needed - _GATE_WIDTH_EPS_FACTOR * _EPS * max(abs(lo), abs(hi)):
             raise ValueError(f"window narrower than {_GATE_SIGMAS:g} sigma of jitter")
     starts = edges.searchsorted(lows, side="left")
     stops = np.maximum(edges.searchsorted(his, side="right") - 1, starts)

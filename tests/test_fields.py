@@ -78,7 +78,10 @@ _BOUNDS = {"_NULL_ATOL": 1e-10, "_HERMITIAN_ATOL": 1e-12, "_EIG_RESIDUAL_ATOL": 
            "_UNITARY_ATOL": 1e-10, "_CLAMP_EPS": 1e-12, "_ROUNDTRIP_ATOL": 1e-8,
            "_DEAD_STEP_POWER": 1e-300, "_PROBABILITY_ATOL": 1e-9, "_MIN_SIGNAL_COUNTS": 100,
            "_GATE_SIGMAS": 6.0, "_MAX_BINS": 10**6, "_MAX_COUNTS": 1e18,
-           "_EPS": np.finfo(float).eps}
+           "_EPS": np.finfo(float).eps, "_EIG_RESIDUAL_EPS_FACTOR": 16,
+           "_GATE_WIDTH_EPS_FACTOR": 4.0}
+# Multiples of _EPS: flagged where a literal multiplies _EPS, not wherever the value is compared.
+_EPS_FACTORS = ("_EIG_RESIDUAL_EPS_FACTOR", "_GATE_WIDTH_EPS_FACTOR")
 _CHECKING = ("cli", "loopchip", "mesh", "model", "calibrate", "montecarlo")
 
 
@@ -98,6 +101,13 @@ def _numbers(node):
                 yield value
 
 
+def _factors(node):
+    """The operands of a product: 16, _EPS, dim and norm for 16 * _EPS * dim * norm."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return _factors(node.left) + _factors(node.right)
+    return [node]
+
+
 def test_bounds_table_keeps_each_replaced_literal():
     # same value and type: an int count prints as 100 in a message, a float as 100.0
     assert {name: (type(getattr(_fields, name)), getattr(_fields, name)) for name in _BOUNDS} \
@@ -106,7 +116,8 @@ def test_bounds_table_keeps_each_replaced_literal():
 
 def test_no_module_but_fields_states_a_bound():
     bound_name = re.compile(r"(_ATOL|_EPS)$|^_MAX_")
-    moved = {value for name, value in _BOUNDS.items() if name != "_GATE_SIGMAS"}
+    moved = {value for name, value in _BOUNDS.items()
+             if name != "_GATE_SIGMAS" and name not in _EPS_FACTORS}
     found = []
     for module, tree in _module_trees().items():
         if module == "_fields":
@@ -117,6 +128,12 @@ def test_no_module_but_fields_states_a_bound():
             # _GRAD_EPS is the training gradient's step size, not a bound
             found += [f"{module}.{t.id}" for t in targets if isinstance(t, ast.Name)
                       and bound_name.search(t.id) and f"{module}.{t.id}" != "calibrate._GRAD_EPS"]
+        # a rounding allowance's eps multiple, in any product that holds _EPS (a set, as a
+        # product's sub-products hold the same literal)
+        products = [_factors(node) for node in ast.walk(tree) if isinstance(node, ast.BinOp)]
+        found += sorted({f"{module}:{f.lineno}: {f.value!r} * _EPS" for factors in products
+                         if any(isinstance(f, ast.Name) and f.id == "_EPS" for f in factors)
+                         for f in factors if isinstance(f, ast.Constant)})
         if module not in _CHECKING:
             continue
         for node in ast.walk(tree):

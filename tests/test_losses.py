@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopsim.cli import main
@@ -23,10 +25,11 @@ def db(r):
 
 
 def closed_form(platform, n, ratios=RATIOS, geometry=GEOMETRY):
-    # independent reassembly of the budget from its published ingredients
+    # independent reassembly of the budget from its published ingredients, in dB; a path
+    # crosses one cell per column of the dim columns of a rectangular mesh
     r_loop, r_end = ratios
-    cells = geometry.dim * (geometry.dim - 1) // 2
-    l_chip = platform.alpha_db_per_cm * geometry.chip_length_cm + platform.mzi_extra_db * cells
+    columns = geometry.dim
+    l_chip = platform.alpha_db_per_cm * geometry.chip_length_cm + platform.mzi_extra_db * columns
     l_loop = platform.alpha_db_per_cm * geometry.loop_length_cm
     return (2.0 * db(r_end) + (n - 1) * (2.0 * db(r_loop) + l_chip + l_loop)
             + l_chip + geometry.others_loss_db + platform.offchip_per_loop_db * n)
@@ -50,9 +53,10 @@ class TestRatioLoss:
 
     def test_db_linear_consistency(self):
         # oracle: converting a tap's cost back through the power map is the identity
+        # the splitters are lossless, so each pair is (r, 1 - r) or (1 - r, r)
         for r in (0.1, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.99):
-            end_tap = budget(FREE, 1, (0.5, r), FREE_GEOMETRY)[0] / 2.0
-            loop_tap = np.diff(budget(FREE, 2, (r, 0.5), FREE_GEOMETRY))[0] / 2.0
+            end_tap = budget(FREE, 1, (1.0 - r, r), FREE_GEOMETRY)[0] / 2.0
+            loop_tap = np.diff(budget(FREE, 2, (r, 1.0 - r), FREE_GEOMETRY))[0] / 2.0
             assert 10.0 ** (-end_tap / 10.0) == pytest.approx(r, abs=1e-12)
             assert 10.0 ** (-loop_tap / 10.0) == pytest.approx(r, abs=1e-12)
 
@@ -65,6 +69,12 @@ class TestRatioLoss:
                 budget(sin, 3, (0.5, bad))
             with pytest.raises(ValueError, match="r_end"):
                 platform_comparison([], GEOMETRY, (0.5, bad), 3)
+
+    def test_rejects_lossy_splitters(self):
+        # the chip's splitters are lossless: what the loop keeps, the ends do not
+        for ratios in ((0.5, 0.1), (0.5, 0.6)):
+            with pytest.raises(ValueError, match=r"^r_loop 0\.5 and r_end 0\.[16] must sum to 1"):
+                budget(PlatformSpec("s", 0.6), 3, ratios)
 
 
 class TestTotalLoss:
@@ -88,10 +98,20 @@ class TestTotalLoss:
                               chip_length_cm=st.floats(0.01, 20.0),
                               loop_length_cm=st.floats(4.0, 100.0),
                               others_loss_db=st.floats(0.0, 20.0)),
-           ratios=st.tuples(*[st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)] * 2),
+           r_end=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
            max_loops=st.integers(1, 12))
-    def test_stacks_closed_form_bitwise(self, platforms, geometry, ratios, max_loops):
-        # oracle: closed_form per (platform, n), stacked; the same operations in the same order
+    # a near-free end tap: step 1 costs 9.6e-16 dB, and sqrt(r_end) rounds to 1
+    @example(platforms=[FREE], geometry=FREE_GEOMETRY, r_end=1.0 - 1e-16, max_loops=3)
+    def test_stacks_closed_form(self, platforms, geometry, r_end, max_loops):
+        # oracle: closed_form per (platform, n), stacked. The implementation takes the logs of
+        # pass_amplitudes' factors instead, so the two agree to rounding, not bit for bit: each
+        # factor's log is off by a few eps, 1e-13 dB over 12 steps, which is no relative bound
+        # on a budget near 0 dB
+        ratios = (1.0 - r_end, r_end)
+        if ratios[0] == 1.0:  # 1 - r_end rounds to 1, which no loop ratio may be
+            with pytest.raises(ValueError, match="^r_loop must lie strictly between 0 and 1"):
+                platform_comparison(platforms, geometry, ratios, max_loops)
+            return
         want = np.array([[closed_form(p, n, ratios, geometry) for n in range(1, max_loops + 1)]
                          for p in platforms]).reshape(len(platforms), max_loops)
         if not np.all(np.diff(want, axis=1) > 0):  # a loop tap within rounding of free
@@ -100,7 +120,7 @@ class TestTotalLoss:
             return
         got = platform_comparison(platforms, geometry, ratios, max_loops)
         assert got.shape == (len(platforms), max_loops)
-        assert got.tobytes() == want.tobytes()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
 
     def test_step_difference_is_per_loop_cost(self):
         sin = PlatformSpec("SiN on-chip", 0.6)
@@ -139,6 +159,40 @@ class TestTotalLoss:
         with pytest.raises(ValueError):
             PlatformSpec("x", -0.1)
         assert platform_comparison([], GEOMETRY, RATIOS, 4).shape == (0, 4)
+
+
+class TestOneLossModel:
+    """platform_comparison is the simulator's loss plus each platform's per-pass excess."""
+
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_rows_are_the_simulated_loss(self, dim):
+        geometry = ChipConfig(dim=dim)
+        for ratios in (RATIOS, optimal_splitters(8)):
+            platforms = load_platforms()
+            budgets = platform_comparison(platforms, geometry, ratios, 8)
+            for p, row in zip(platforms, budgets):
+                chip = replace(geometry, alpha_db_per_cm=p.alpha_db_per_cm,
+                               ratio_in=ratios[1], ratio_out=ratios[1])
+                detected = run_loop(chip, np.eye(dim), 0, 8).sum(axis=1)
+                want = -10.0 * np.log10(detected) + np.arange(1, 9) * (
+                    p.mzi_extra_db * dim + p.offchip_per_loop_db)
+                np.testing.assert_allclose(row, want, rtol=0, atol=1e-12, err_msg=p.name)
+
+    @pytest.mark.parametrize("dim", range(2, 17, 2))
+    def test_one_excess_rule(self, dim):
+        # the excess platform_comparison charges per pass is mode_scaling_loss's
+        lnoi = next(p for p in load_platforms() if p.name == "LNOI")
+        bare = replace(lnoi, mzi_extra_db=0.0)
+        with_excess, without = platform_comparison([lnoi, bare], ChipConfig(dim=dim), RATIOS, 8)
+        per_pass = mode_scaling_loss(dim, lnoi) - mode_scaling_loss(dim, bare)
+        assert with_excess - without == pytest.approx(np.arange(1, 9) * per_pass, rel=1e-12)
+
+    def test_many_loops_stay_finite(self, tmp_path):
+        assert main(["--out", str(tmp_path), "losses", "--max-loops", "2000"]) == 0
+        rows = np.loadtxt(tmp_path / "losses.csv", delimiter=",", skiprows=1,
+                          usecols=2).reshape(4, 2000)
+        assert np.isfinite(rows).all()
+        assert (np.diff(rows, axis=1) > 0).all()
 
 
 class TestOptimalSplitters:
@@ -227,8 +281,8 @@ class TestPlatformTable:
         assert again.tobytes() == budgets.tobytes()
 
     def test_budget_validation(self):
-        # every step's budget rounds to 1e300, so the budgets do not increase
-        with pytest.raises(ValueError, match="strictly increase"):
+        # 1e300 dB of detection-path loss: the tap factor is 0 and its loss infinite
+        with pytest.raises(ValueError, match="^SiN on-chip's per-pass factor tap underflows to 0"):
             platform_comparison(load_platforms(), ChipConfig(others_loss_db=1e300), RATIOS, 3)
         with pytest.raises(ValueError):
             platform_comparison(load_platforms(), GEOMETRY, RATIOS, 0)

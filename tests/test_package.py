@@ -38,7 +38,7 @@ def test_public_surface():
                 "cmd_losses", "cmd_scaling", "cmd_simulate", "cmd_train", "config_from_dict",
                 "config_to_dict", "main", "run"],
         "loopchip": ["ChipConfig", "DegenerateStepError", "conditional_probabilities",
-                     "run_loop", "step_power_matrices"],
+                     "pass_amplitudes", "run_loop", "step_power_matrices"],
         "losses": ["PlatformSpec", "load_platforms", "mode_scaling_loss", "optimal_splitters",
                    "platform_comparison"],
         "mesh": ["DecompositionError", "MeshNoise", "MeshPlan", "cell_entries",
